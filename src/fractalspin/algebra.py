@@ -231,7 +231,8 @@ class Biquaternion:
         return bool(np.array_equal(self._a, other._a))
 
     def __hash__(self):
-        return hash(self._a.tobytes())
+        # + 0.0 turns -0.0 into +0.0, which __eq__ does not tell apart
+        return hash((self._a + 0.0).tobytes())
 
     # -- conjugation, norms, inversion -----------------------------------
 

@@ -117,21 +117,39 @@ def line_generator(divisions: int = 3) -> GeneratorSpec:
     return GeneratorSpec(verts, divisions=divisions)
 
 
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis, each the square root of a dot
+    product as np.linalg.norm forms it for a single vector, so iterate
+    gives the vertices that a segment-by-segment loop would."""
+    return np.sqrt(np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0])
+
+
 def _rotation_to(direction: np.ndarray) -> np.ndarray:
-    """Minimal rotation taking x-hat onto the given unit vector."""
-    x = np.array([1.0, 0.0, 0.0])
-    c = float(direction @ x)
-    if c > 1.0 - 1e-14:
-        return np.eye(3)
-    if c < -1.0 + 1e-14:
-        return np.diag([-1.0, 1.0, -1.0])  # pi about y-hat
-    axis = np.cross(x, direction)
-    s = np.linalg.norm(axis)
-    axis = axis / s
-    k = np.array([[0.0, -axis[2], axis[1]],
-                  [axis[2], 0.0, -axis[0]],
-                  [-axis[1], axis[0], 0.0]])
-    return np.eye(3) + s * k + (1.0 - c) * (k @ k)
+    """Minimal rotations taking x-hat onto unit vectors.
+
+    direction has shape (..., 3); the result has shape (..., 3, 3), one
+    rotation per direction.
+    """
+    d = np.asarray(direction, dtype=float)
+    c = d[..., 0]
+    aligned = c > 1.0 - 1e-14
+    opposed = c < -1.0 + 1e-14
+    axis = np.cross([1.0, 0.0, 0.0], d)
+    s = _row_norms(axis)
+    axis = axis / np.where(aligned | opposed, 1.0, s)[..., None]
+    zero = np.zeros_like(c)
+    k = np.stack([np.stack([zero, -axis[..., 2], axis[..., 1]], axis=-1),
+                  np.stack([axis[..., 2], zero, -axis[..., 0]], axis=-1),
+                  np.stack([-axis[..., 1], axis[..., 0], zero], axis=-1)],
+                 axis=-2)
+    rot = (np.eye(3) + s[..., None, None] * k
+           + (1.0 - c)[..., None, None] * (k @ k))
+    rot[aligned] = np.eye(3)
+    rot[opposed] = np.diag([-1.0, 1.0, -1.0])  # pi about y-hat
+    return rot
+
+
+_MAX_VERTICES = 10_000_000
 
 
 def iterate(gen: GeneratorSpec, level: int) -> np.ndarray:
@@ -142,20 +160,31 @@ def iterate(gen: GeneratorSpec, level: int) -> np.ndarray:
     n_segments**L segments.  Each substitution maps the generator onto a
     segment by the minimal rotation of the x axis onto the segment
     direction, then scales by the segment length.
+
+    Raises GeometryInvalid, before allocating anything, when the curve
+    would have more than _MAX_VERTICES = 10**7 vertices (240 MB); level 7
+    of the nine-segment helix has 4.8 million, level 8 has 43 million.
     """
     if level < 0:
         raise ValueError("level must be non-negative")
+    # n_segments >= 2, so an exponent capped at 64 already exceeds the
+    # limit and a huge level costs no huge power
+    if gen.n_segments ** min(level, 64) + 1 > _MAX_VERTICES:
+        raise GeometryInvalid(
+            f"level {level} of a {gen.n_segments}-segment generator has "
+            f"more than {_MAX_VERTICES} vertices")
     verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     inner = gen.vertices[1:-1]
     for _ in range(level):
-        pieces = [verts[:1]]
-        for a, b in zip(verts[:-1], verts[1:]):
-            d = b - a
-            length = np.linalg.norm(d)
-            rot = _rotation_to(d / length)
-            pieces.append(a + length * (inner @ rot.T))
-            pieces.append(b[None])
-        verts = np.concatenate(pieces)
+        a = verts[:-1]
+        d = verts[1:] - a
+        length = _row_norms(d)
+        rot = _rotation_to(d / length[:, None])
+        pieces = np.empty((len(a), len(inner) + 1, 3))
+        pieces[:, :-1] = a[:, None] + length[:, None, None] * (
+            inner @ rot.transpose(0, 2, 1))
+        pieces[:, -1] = verts[1:]
+        verts = np.concatenate([verts[:1], pieces.reshape(-1, 3)])
     return verts
 
 
@@ -167,13 +196,23 @@ _SCAN_CHUNK = 256
 _T_EPS = 1e-9  # crossings that land on a vertex round to t = 1 +- ulp
 
 
+def _dot3(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row dot products of (n, 3) arrays, summed as (u0 v0 + u2 v2) + u1 v1.
+
+    divider_walk's scalar probe sums in the same order, so a segment
+    tests the same whether the probe or the scan reaches it.  It is also
+    the order numpy's einsum sums these rows in (numpy 2.4, x86-64), so
+    walk lengths match those of the einsum-based scan of earlier versions.
+    """
+    return (u[:, 0] * v[:, 0] + u[:, 2] * v[:, 2]) + u[:, 1] * v[:, 1]
+
+
 def _first_crossing(starts, dirs, start_idx, start_t, anchor, eps):
     """First point along the polyline (from the given position) at chord
     distance eps from anchor; returns (idx, t) or None.
 
     starts/dirs are the per-segment origin and difference vectors; the
-    search scans forward in chunks so a crossing a few segments ahead
-    (the overwhelmingly common case) costs a handful of array ops.
+    search scans forward in chunks of array operations.
     Roots are accepted up to t = 1 + _T_EPS: a crossing sitting exactly
     on a shared vertex otherwise rounds out of both adjacent segments
     (t = 1 + ulp in one, t = 0 in the next) and the walk loses it.
@@ -186,9 +225,9 @@ def _first_crossing(starts, dirs, start_idx, start_t, anchor, eps):
         j = min(i + _SCAN_CHUNK, n)
         d = dirs[i:j]
         w = starts[i:j] - anchor
-        aa = np.einsum("ij,ij->i", d, d)
-        bb = 2.0 * np.einsum("ij,ij->i", w, d)
-        cc = np.einsum("ij,ij->i", w, w) - eps2
+        aa = _dot3(d, d)
+        bb = 2.0 * _dot3(w, d)
+        cc = _dot3(w, w) - eps2
         disc = bb * bb - 4.0 * aa * cc
         ok = (disc >= 0.0) & (aa > 0.0)
         root = np.sqrt(np.where(ok, disc, 0.0))
@@ -211,25 +250,83 @@ def _first_crossing(starts, dirs, start_idx, start_t, anchor, eps):
 
 def divider_walk(vertices: np.ndarray, eps: float) -> float:
     """Ruler length estimate: walk the polyline in chords of length eps
-    (first-crossing rule) and return steps * eps plus the leftover chord."""
+    (first-crossing rule) and return steps * eps plus the leftover chord.
+
+    A chord usually ends within a few segments, and testing those few in
+    Python float arithmetic costs less than the array operations of one
+    scan chunk.  So each chord first probes twice as many segments as the
+    previous chord spanned, and hands the rest of the search to
+    _first_crossing when the crossing lies beyond the probe; a probe
+    longer than one scan chunk is skipped, the scan being the cheaper
+    test there.  Both test a segment with the same operations in the same
+    order, so the walk takes the same chords whichever of them finds the
+    crossing.  Segment data is read as Python floats one chunk at a time.
+    """
     verts = np.asarray(vertices, dtype=float)
     starts = verts[:-1]
     dirs = verts[1:] - verts[:-1]
-    anchor = verts[0]
+    n = len(starts)
+    eps2 = eps * eps
+    hi = 1.0 + _T_EPS
+    page, base, end = [], 0, 0  # segments base .. end-1 as float lists
+
+    def load(k):
+        # the walk only moves forward, so a page starting at k serves
+        # the probes that follow
+        j = k + _SCAN_CHUNK
+        d = dirs[k:j]
+        return np.column_stack((starts[k:j], d, _dot3(d, d))).tolist(), \
+            k, min(j, n)
+
+    a0, a1, a2 = verts[0].tolist()
     idx, t = 0, 0.0
+    probe = 0
     steps = 0
     while True:
-        hit = _first_crossing(starts, dirs, idx, t, anchor, eps)
-        if hit is None:
-            return steps * eps + float(np.linalg.norm(verts[-1] - anchor))
-        idx, t = hit
-        if t >= 1.0:
-            # land exactly on the vertex so the next step starts clean
-            anchor = verts[idx + 1]
-            idx, t = idx + 1, 0.0
+        lo = t
+        for k in range(idx, min(idx + probe, n)):
+            if k >= end:
+                page, base, end = load(k)
+            s0, s1, s2, d0, d1, d2, aa = page[k - base]
+            w0, w1, w2 = s0 - a0, s1 - a1, s2 - a2
+            bb = 2.0 * ((w0 * d0 + w2 * d2) + w1 * d1)
+            cc = ((w0 * w0 + w2 * w2) + w1 * w1) - eps2
+            disc = bb * bb - 4.0 * aa * cc
+            if disc >= 0.0 and aa > 0.0:
+                root = math.sqrt(disc)
+                t = (-bb - root) / (2 * aa)
+                if lo < t <= hi:
+                    break
+                t = (-bb + root) / (2 * aa)
+                if lo < t <= hi:
+                    break
+            lo = 0.0
         else:
-            anchor = starts[idx] + t * dirs[idx]
+            hit = _first_crossing(starts, dirs, min(idx + probe, n), lo,
+                                  np.array((a0, a1, a2)), eps)
+            if hit is None:
+                return steps * eps + float(
+                    np.linalg.norm(verts[-1] - np.array((a0, a1, a2))))
+            k, t = hit
+            if k >= end:
+                page, base, end = load(k)
+            s0, s1, s2, d0, d1, d2, aa = page[k - base]
+        probe = 2 * (k - idx + 1)
+        if probe > _SCAN_CHUNK:
+            probe = 0
         steps += 1
+        if t >= 1.0:
+            # t overshoots 1 by at most _T_EPS; land exactly on the vertex
+            # so the next step starts clean
+            idx, t = k + 1, 0.0
+            if idx == n:
+                return steps * eps  # no leftover chord
+            if idx >= end:
+                page, base, end = load(idx)
+            a0, a1, a2 = page[idx - base][:3]
+        else:
+            idx = k
+            a0, a1, a2 = s0 + t * d0, s1 + t * d1, s2 + t * d2
 
 
 def _averaged_walk(verts: np.ndarray, eps: float, n_origins: int) -> float:
@@ -350,19 +447,13 @@ def curve_spin(vertices: np.ndarray, m: float, v: float, *,
     """Spin integral sigma = (m/T) * integral r^2 dphi with the span
     scaled to one de Broglie wavelength and T = (lambda/v) period_factor.
 
-    Algebraically sigma = 2 pi hbar * spin_kernel / period_factor: the
-    mass and speed cancel, leaving hbar times a shape number.
+    With lambda = 2 pi hbar / (m v) the mass and speed cancel, leaving
+    sigma = 2 pi hbar * spin_kernel / period_factor, which is what this
+    computes; m and v are checked but otherwise unused.
     """
     if m <= 0 or v <= 0:
         raise GeometryInvalid("mass and speed must be positive")
-    wavelength = 2.0 * math.pi * hbar / (m * v)
-    span, _, t1, t2 = _axis_frame(vertices)
-    scale = wavelength / span
-    r2 = (t1 * t1 + t2 * t2) * scale ** 2
-    phi = _unwrapped_azimuth(t1, t2, r2, span * scale)
-    period = wavelength * period_factor / v
-    r2_mid = 0.5 * (r2[:-1] + r2[1:])
-    return (m / period) * float(np.sum(r2_mid * np.diff(phi)))
+    return 2.0 * math.pi * hbar * spin_kernel(vertices) / period_factor
 
 
 def shrink_transverse(vertices: np.ndarray, q: float) -> np.ndarray:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import AxisSingularity, InsufficientData
+from .errors import AxisSingularity, ConfigError, InsufficientData
 
 _BLOCK = 512  # paths per vectorized ensemble block (does not affect results)
 
@@ -48,6 +48,24 @@ class SimConfig:
     x0: tuple = (1.0, 0.0, 0.0)
     n_traj: int = 1
     r_min: float | None = None
+
+    def __post_init__(self):
+        """Reject a config no run can use, naming the key as config files
+        and CLI flags spell it."""
+        for key, value in (("n_traj", self.n_traj),
+                           ("n_steps", self.n_steps)):
+            if value < 1:
+                raise ConfigError(f"key {key}: need at least 1, got {value!r}")
+        for key, value in (("D", self.diffusion), ("dt", self.dt),
+                           ("m", self.m)):
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(
+                    f"key {key}: need a finite number > 0, got {value!r}")
+        if not all(math.isfinite(v) for v in self.x0):
+            raise ConfigError(f"key x0: need finite numbers, got {self.x0!r}")
+        if self.r_min is not None and not math.isfinite(self.r_min):
+            raise ConfigError(
+                f"key r_min: need a finite number, got {self.r_min!r}")
 
     def core_radius(self) -> float:
         if self.r_min is not None:
@@ -197,6 +215,17 @@ def default_lags(n_steps: int, max_lag: int = 100) -> np.ndarray:
     return lags
 
 
+def _checked_lags(lags, n_steps: int) -> np.ndarray:
+    """lags as an int array, default_lags when None; a path of n_steps
+    steps has increments only at lags 1 .. n_steps."""
+    lags = np.asarray(default_lags(n_steps) if lags is None else lags,
+                      dtype=int)
+    if lags.size == 0 or lags.min() < 1 or lags.max() > n_steps:
+        raise ValueError(f"lags must lie in [1, {n_steps}] for a path of "
+                         f"{n_steps} steps, got {lags.tolist()}")
+    return lags
+
+
 def rms_increments(positions: np.ndarray, lags) -> tuple[np.ndarray, np.ndarray]:
     """RMS vector increment per lag, pooled over paths.
 
@@ -235,11 +264,7 @@ def increment_scaling(positions: np.ndarray, dt: float, lags=None,
     than min_decades decades.
     """
     x = np.asarray(positions, dtype=float)
-    n_steps = x.shape[-2] - 1
-    lags = np.asarray(default_lags(n_steps) if lags is None else lags,
-                      dtype=int)
-    if lags.min() < 1 or lags.max() >= n_steps + 1:
-        raise ValueError("lags must lie within the trajectory length")
+    lags = _checked_lags(lags, x.shape[-2] - 1)
     span = math.log10(lags.max() / lags.min())
     if span < min_decades:
         raise InsufficientData(
@@ -308,8 +333,7 @@ def ensemble_run(cfg: SimConfig, lags=None) -> EnsembleResult:
     component); the Hurst exponent is fitted on pooled RMS increments
     (None when the lag window would be too narrow to be meaningful).
     """
-    lags = np.asarray(default_lags(cfg.n_steps) if lags is None else lags,
-                      dtype=int)
+    lags = _checked_lags(lags, cfg.n_steps)
     gens = _child_generators(cfg.seed, cfg.n_traj)
 
     sq_sums = np.zeros(len(lags))
@@ -351,7 +375,7 @@ def ensemble_run(cfg: SimConfig, lags=None) -> EnsembleResult:
     lag_times = lags * cfg.dt
 
     hurst = None
-    span = math.log10(lags.max() / max(lags.min(), 1))
+    span = math.log10(lags.max() / lags.min())
     if span >= 2.0 and sq_counts[-1] >= 1000:
         slope, _ = np.polyfit(np.log(lag_times), np.log(rms), 1)
         hurst = float(slope)

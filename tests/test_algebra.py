@@ -240,3 +240,12 @@ def test_scalar_arithmetic():
     assert (1 + q).allclose(Biquaternion(2.0, 2.0))
     assert (q - 1).allclose(Biquaternion(0.0, 2.0))
     assert (1 - q).allclose(Biquaternion(0.0, -2.0))
+
+
+def test_hash_agrees_with_eq_on_signed_zeros():
+    pos = Biquaternion(0.0, 1.0, 0.0j, 2.0)
+    neg = Biquaternion(-0.0, 1.0, complex(-0.0, -0.0), 2.0)
+    assert pos == neg
+    assert hash(pos) == hash(neg)
+    assert len({Biquaternion(0.0), Biquaternion(-0.0)}) == 1
+    assert len({pos, neg, Biquaternion(0.0, 1.0, 0.0, 2.5)}) == 2

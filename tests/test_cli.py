@@ -166,3 +166,18 @@ def test_preset_loading(runner):
     both = runner.invoke(main, ["simulate", "--preset", "spiral_demo",
                                 "--config", "x.cfg"])
     assert both.exit_code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate", "--n-traj", "100", "--n-steps", "0"],
+    ["simulate", "--n-steps", "0"],
+    ["simulate", "--dt", "-0.01"],
+    ["spiral", "--dt", "-0.01"],
+    ["simulate", "--x0", "nan,0,0"],
+])
+def test_unusable_sim_config_exit_code(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.stderr.startswith("config error: key ")
+    assert result.stdout == ""

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,6 +75,15 @@ def test_rotation_to_properties():
         assert math.isclose(np.linalg.det(rot), 1.0, abs_tol=1e-12)
     assert np.allclose(_rotation_to(np.array([-1.0, 0, 0])) @ [1, 0, 0],
                        [-1, 0, 0], atol=1e-15)
+    # a stack of directions, the two special cases among them, gives the
+    # stack of the rotations the scalar oracle builds one by one
+    dirs = rng.standard_normal((40, 3))
+    dirs[5], dirs[17] = [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    rots = _rotation_to(dirs)
+    assert rots.shape == (40, 3, 3)
+    for d, rot in zip(dirs, rots):
+        assert np.allclose(rot, _oracle_rotation_to(d), rtol=0, atol=1e-15)
 
 
 def test_iterate_counts_and_lengths():
@@ -89,6 +99,19 @@ def test_iterate_counts_and_lengths():
     assert np.allclose(lvl2[0], [0, 0, 0]) and np.allclose(lvl2[-1], [1, 0, 0])
     with pytest.raises(ValueError):
         iterate(gen, -1)
+
+
+def test_iterate_size_guard_allocates_nothing():
+    gen = helical_generator()
+    tracemalloc.start()
+    try:
+        for level in (9, 10 ** 9):
+            with pytest.raises(GeometryInvalid, match="more than 10000000"):
+                iterate(gen, level)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_divider_walk_on_line_and_circle():
@@ -215,3 +238,129 @@ def test_scaling_factor_values():
 def test_reference_spin_flagged_not_reproduced():
     note = flag_unreproduced_reference()
     assert "0.42" in note and "not reproduced" in note
+
+
+# -- oracles: the per-segment iterate and the chunked-scan divider walk ------
+# These are the implementations the batched iterate and the probing walk
+# replaced, kept verbatim as references.
+
+
+def _oracle_rotation_to(direction):
+    x = np.array([1.0, 0.0, 0.0])
+    c = float(direction @ x)
+    if c > 1.0 - 1e-14:
+        return np.eye(3)
+    if c < -1.0 + 1e-14:
+        return np.diag([-1.0, 1.0, -1.0])
+    axis = np.cross(x, direction)
+    s = np.linalg.norm(axis)
+    axis = axis / s
+    k = np.array([[0.0, -axis[2], axis[1]],
+                  [axis[2], 0.0, -axis[0]],
+                  [-axis[1], axis[0], 0.0]])
+    return np.eye(3) + s * k + (1.0 - c) * (k @ k)
+
+
+def _oracle_iterate(gen, level):
+    verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    inner = gen.vertices[1:-1]
+    for _ in range(level):
+        pieces = [verts[:1]]
+        for a, b in zip(verts[:-1], verts[1:]):
+            d = b - a
+            length = np.linalg.norm(d)
+            rot = _oracle_rotation_to(d / length)
+            pieces.append(a + length * (inner @ rot.T))
+            pieces.append(b[None])
+        verts = np.concatenate(pieces)
+    return verts
+
+
+def _oracle_first_crossing(starts, dirs, start_idx, start_t, anchor, eps):
+    n = len(starts)
+    eps2 = eps * eps
+    hi = 1.0 + 1e-9
+    i = start_idx
+    while i < n:
+        j = min(i + 256, n)
+        d = dirs[i:j]
+        w = starts[i:j] - anchor
+        aa = np.einsum("ij,ij->i", d, d)
+        bb = 2.0 * np.einsum("ij,ij->i", w, d)
+        cc = np.einsum("ij,ij->i", w, w) - eps2
+        disc = bb * bb - 4.0 * aa * cc
+        ok = (disc >= 0.0) & (aa > 0.0)
+        root = np.sqrt(np.where(ok, disc, 0.0))
+        lo = np.zeros(j - i)
+        if i == start_idx:
+            lo[0] = start_t
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_near = (-bb - root) / (2 * aa)
+            t_far = (-bb + root) / (2 * aa)
+        t = np.where(ok & (t_near > lo) & (t_near <= hi), t_near,
+                     np.where(ok & (t_far > lo) & (t_far <= hi),
+                              t_far, np.inf))
+        hits = np.flatnonzero(np.isfinite(t))
+        if hits.size:
+            k = int(hits[0])
+            return i + k, min(float(t[k]), 1.0)
+        i = j
+    return None
+
+
+def _oracle_divider_walk(vertices, eps):
+    verts = np.asarray(vertices, dtype=float)
+    starts = verts[:-1]
+    dirs = verts[1:] - verts[:-1]
+    anchor = verts[0]
+    idx, t = 0, 0.0
+    steps = 0
+    while True:
+        hit = _oracle_first_crossing(starts, dirs, idx, t, anchor, eps)
+        if hit is None:
+            return steps * eps + float(np.linalg.norm(verts[-1] - anchor))
+        idx, t = hit
+        if t >= 1.0:
+            anchor = verts[idx + 1]
+            idx, t = idx + 1, 0.0
+        else:
+            anchor = starts[idx] + t * dirs[idx]
+        steps += 1
+
+
+@pytest.mark.parametrize("gen, level", [
+    (helical_generator(1), 4), (helical_generator(2), 4),
+    (helical_generator(3), 4), (helical_generator(4), 4),
+    (koch_generator(), 5), (line_generator(4), 3),
+], ids=["helix1", "helix2", "helix3", "helix4", "koch", "line"])
+def test_iterate_matches_per_segment_oracle(gen, level):
+    got = iterate(gen, level)
+    want = _oracle_iterate(gen, level)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("gen, level", [
+    (helical_generator(1), 4), (helical_generator(2), 4),
+    (helical_generator(3), 4), (helical_generator(4), 4),
+    (koch_generator(), 5),
+], ids=["helix1", "helix2", "helix3", "helix4", "koch"])
+def test_divider_walk_matches_oracle_on_construction_rulers(gen, level):
+    verts = _oracle_iterate(gen, level)
+    for eps in construction_rulers(gen.divisions, level):
+        assert divider_walk(verts, eps) == _oracle_divider_walk(verts, eps)
+
+
+def test_divider_walk_matches_oracle_on_random_walk():
+    # uneven steps, so chords span anything from part of one segment to
+    # hundreds of segments, walked both ways as _averaged_walk walks them.
+    # A long walk's length hides the last bits of its chords, so short
+    # pieces, whose leftover chord carries those bits, are compared too
+    rng = np.random.default_rng(37)
+    walk = np.cumsum(rng.standard_normal((2001, 3)), axis=0)
+    pieces = [walk] + [walk[o:o + 21] for o in range(0, 2000, 40)]
+    for piece in pieces:
+        for verts in (piece, piece[::-1]):
+            for eps in (0.5, 1.5, 5.0, 15.0):
+                assert divider_walk(verts, eps) == \
+                    _oracle_divider_walk(verts, eps)

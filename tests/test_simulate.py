@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fractalspin.errors import AxisSingularity, InsufficientData
+from fractalspin.errors import AxisSingularity, ConfigError, InsufficientData
 from fractalspin.simulate import (
     EnsembleResult,
     SimConfig,
@@ -221,3 +221,31 @@ def test_lz_series_modes_and_validation():
     assert len(lz_series(traj, "central")) == 99
     with pytest.raises(ValueError):
         lz_series(traj, "sideways")
+
+
+@pytest.mark.parametrize("key, bad", [
+    ("n_traj", 0), ("n_steps", 0), ("n_steps", -3),
+    ("diffusion", 0.0), ("diffusion", math.inf), ("dt", -0.01),
+    ("dt", math.inf), ("dt", math.nan), ("m", 0.0),
+    ("x0", (math.nan, 0.0, 0.0)), ("x0", (1.0, math.inf, 0.0)),
+    ("r_min", math.nan), ("r_min", math.inf),
+])
+def test_sim_config_rejects_unusable_values(key, bad):
+    name = {"diffusion": "D"}.get(key, key)
+    with pytest.raises(ConfigError, match=f"key {name}:"):
+        spiral_preset(**{key: bad})
+    # replace() re-runs the check on every derived config
+    with pytest.raises(ConfigError):
+        SimConfig(**{key: bad})
+
+
+def test_lags_outside_path_rejected_alike():
+    cfg = spiral_preset(n_traj=20, n_steps=50)
+    walk = integrate_stochastic(cfg).positions
+    for bad in ([0, 1], [1, 10, 200], [-2, 5], []):
+        with pytest.raises(ValueError, match=r"lags must lie in \[1, 50\]"):
+            ensemble_run(cfg, lags=bad)
+        with pytest.raises(ValueError, match=r"lags must lie in \[1, 50\]"):
+            increment_scaling(walk, cfg.dt, lags=bad)
+    # the longest lag a path of n_steps steps has is n_steps itself
+    assert np.isfinite(ensemble_run(cfg, lags=[1, 50]).lag_rms).all()
