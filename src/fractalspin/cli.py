@@ -298,7 +298,8 @@ def extract(sigma0, pz, e0, e1, mix, m, hbar, c, point, out):
               default="helix", show_default=True)
 @click.option("--winding", type=int, default=4, show_default=True,
               help="Helical winding number (helix generator only).")
-@click.option("--level", type=int, default=5, show_default=True)
+@click.option("--level", type=click.IntRange(min=0), default=5,
+              show_default=True)
 @click.option("--measure/--no-measure", default=True, show_default=True,
               help="Run the divider-walk dimension estimate.")
 @click.option("--min-decades", type=float, default=2.0, show_default=True)

@@ -24,6 +24,7 @@ import numpy as np
 
 from .algebra import PAULI, Biquaternion, sigma_dot
 from .errors import GeometryInvalid  # noqa: F401  (re-exported for CLI use)
+from .fields import central_difference
 
 _E2 = Biquaternion(0, 0, 1.0)
 _IDENT2 = np.eye(2, dtype=complex)
@@ -116,16 +117,12 @@ class NumericField:
         total = int(sum(orders))
         if total == 0:
             return self.value(pt)
-        pt = np.asarray(pt, dtype=float).reshape(4)
         mu = next(i for i, n in enumerate(orders) if n)
         rest = list(orders)
         rest[mu] -= 1
         rest = tuple(rest)
-        up, dn = pt.copy(), pt.copy()
-        up[mu] += self.h
-        dn[mu] -= self.h
-        return (self.derivative(up, rest) - self.derivative(dn, rest)) \
-            * (0.5 / self.h)
+        return central_difference(lambda q: self.derivative(q, rest), pt,
+                                  mu, self.h)
 
 
 # -- electromagnetic potentials ------------------------------------------
@@ -155,18 +152,10 @@ class EMField:
             return np.zeros(3)
         return np.asarray(self._a(pt), dtype=float).reshape(3)
 
-    def _d_a(self, pt, j) -> np.ndarray:
-        """d a / d x_j by central difference (j = 0, 1, 2 spatial)."""
-        up = np.asarray(pt, dtype=float).copy()
-        dn = up.copy()
-        up[j + 1] += self.h
-        dn[j + 1] -= self.h
-        return (self.a(up) - self.a(dn)) * (0.5 / self.h)
-
     def b(self, pt) -> np.ndarray:
         if self._b is not None:
             return np.asarray(self._b(pt), dtype=float).reshape(3)
-        da = [self._d_a(pt, j) for j in range(3)]
+        da = [central_difference(self.a, pt, j + 1, self.h) for j in range(3)]
         return np.array([da[1][2] - da[2][1],
                          da[2][0] - da[0][2],
                          da[0][1] - da[1][0]])
@@ -174,7 +163,8 @@ class EMField:
     def div_a(self, pt) -> float:
         if self._div is not None:
             return float(self._div(pt))
-        return float(sum(self._d_a(pt, j)[j] for j in range(3)))
+        return float(sum(central_difference(self.a, pt, j + 1, self.h)[j]
+                         for j in range(3)))
 
 
 def uniform_b_field(b0: float) -> EMField:
@@ -299,7 +289,6 @@ def gradient_witness(field, diffusion: float, points, h: float = 1e-4) -> float:
     """
     worst = 0.0
     for pt in points:
-        pt = np.asarray(pt, dtype=float).reshape(4)
         cache: dict = {}
 
         def e_vec(q):
@@ -310,14 +299,8 @@ def gradient_witness(field, diffusion: float, points, h: float = 1e-4) -> float:
 
         for j in (1, 2, 3):
             for k in range(j + 1, 4):
-                up_j, dn_j = pt.copy(), pt.copy()
-                up_j[j] += h
-                dn_j[j] -= h
-                d_j_ek = (e_vec(up_j)[k - 1] - e_vec(dn_j)[k - 1]) * (0.5 / h)
-                up_k, dn_k = pt.copy(), pt.copy()
-                up_k[k] += h
-                dn_k[k] -= h
-                d_k_ej = (e_vec(up_k)[j - 1] - e_vec(dn_k)[j - 1]) * (0.5 / h)
+                d_j_ek = central_difference(lambda q: e_vec(q)[k - 1], pt, j, h)
+                d_k_ej = central_difference(lambda q: e_vec(q)[j - 1], pt, k, h)
                 worst = max(worst, (d_j_ek - d_k_ej).max_abs())
     return worst
 

@@ -53,6 +53,18 @@ def s0_from_diffusion(m: float, diffusion: float) -> float:
     return 2.0 * m * diffusion
 
 
+def central_difference(fn, pt, mu: int, h: float):
+    """(fn(pt + h e_mu) - fn(pt - h e_mu)) / 2h at a float (4,) point; O(h^2).
+
+    fn gets a fresh point for each side and may return anything that
+    subtracts and scales: a biquaternion, a complex scalar, an array."""
+    up = np.array(pt, dtype=float).reshape(4)
+    dn = up.copy()
+    up[mu] += h
+    dn[mu] -= h
+    return (fn(up) - fn(dn)) * (0.5 / h)
+
+
 class SpinorField:
     """Finite sum of plane-wave terms with shared physical constants.
 
@@ -115,16 +127,6 @@ class SpinorField:
             piece = term.amplitude * complex(-1j * grad[mu] * np.exp(-1j * theta))
             acc = piece if acc is None else acc + piece
         return acc
-
-    def partial_fd(self, pt, mu: int, h: float = 1e-4) -> Biquaternion:
-        """Central finite-difference d_mu psi; O(h^2)."""
-        if mu not in (0, 1, 2, 3):
-            raise ValueError(f"mu must be 0..3, got {mu}")
-        up = list(pt)
-        dn = list(pt)
-        up[mu] += h
-        dn[mu] -= h
-        return (self.value(up) - self.value(dn)) * (0.5 / h)
 
     # -- derived fields ---------------------------------------------------
 

@@ -33,7 +33,12 @@ import numpy as np
 
 from .errors import AxisSingularity, ConfigError, InsufficientData
 
-_BLOCK = 512  # paths per vectorized ensemble block (does not affect results)
+# paths per vectorized ensemble block: each path, and so Lz, is bitwise
+# independent of it; pooled sums are added per block and agree to rounding
+_BLOCK = 512
+
+# every Hurst fit's gates: pooled increments at the largest lag, lag decades
+_MIN_INCREMENTS, _MIN_DECADES = 1000, 2.0
 
 
 @dataclass
@@ -182,18 +187,21 @@ def lz_series(traj: Trajectory, mode: str = "forward") -> np.ndarray:
     stochastic paths); central: interior second-order differences (use
     for smooth deterministic paths).
     """
-    x = traj.positions
-    dt = traj.config.dt
-    m = traj.config.m
+    return _lz(traj.positions, traj.config.dt, traj.config.m, mode)
+
+
+def _lz(x: np.ndarray, dt: float, m: float,
+        mode: str = "forward") -> np.ndarray:
+    """L_z series of lz_series on positions of shape (..., n+1, 3)."""
     if mode == "forward":
-        v = (x[1:] - x[:-1]) / dt
-        base = x[:-1]
+        v = (x[..., 1:, :] - x[..., :-1, :]) / dt
+        base = x[..., :-1, :]
     elif mode == "central":
-        v = (x[2:] - x[:-2]) / (2 * dt)
-        base = x[1:-1]
+        v = (x[..., 2:, :] - x[..., :-2, :]) / (2 * dt)
+        base = x[..., 1:-1, :]
     else:
         raise ValueError(f"mode must be 'forward' or 'central', got {mode!r}")
-    return m * (base[:, 0] * v[:, 1] - base[:, 1] * v[:, 0])
+    return m * (base[..., 0] * v[..., 1] - base[..., 1] * v[..., 0])
 
 
 def two_sided_velocity(traj: Trajectory, i: int) -> tuple[np.ndarray, np.ndarray]:
@@ -232,17 +240,38 @@ def rms_increments(positions: np.ndarray, lags) -> tuple[np.ndarray, np.ndarray]
     positions: (n+1, 3) single path or (paths, n+1, 3).
     Returns (counts, rms) arrays aligned with lags.
     """
-    x = np.asarray(positions, dtype=float)
-    if x.ndim == 2:
-        x = x[None]
+    counts, sums = _lag_sq_sums(np.asarray(positions, dtype=float), lags)
+    return counts, np.sqrt(sums / counts)
+
+
+def _lag_sq_sums(x: np.ndarray, lags) -> tuple[np.ndarray, np.ndarray]:
+    """Count and sum of the squared vector increments per lag, pooled over
+    positions of shape (..., n+1, 3)."""
     counts = np.empty(len(lags), dtype=int)
-    rms = np.empty(len(lags))
+    sums = np.empty(len(lags))
     for i, lag in enumerate(lags):
-        d = x[:, lag:] - x[:, :-lag]
+        d = x[..., lag:, :] - x[..., :-lag, :]
         sq = np.sum(d * d, axis=-1)
         counts[i] = sq.size
-        rms[i] = math.sqrt(float(np.mean(sq)))
-    return counts, rms
+        sums[i] = float(sq.sum())
+    return counts, sums
+
+
+def _hurst_fit(lags: np.ndarray, lag_times: np.ndarray, counts: np.ndarray,
+               rms: np.ndarray, min_increments: int = _MIN_INCREMENTS,
+               min_decades: float = _MIN_DECADES) -> float:
+    """Log-log slope of rms against lag_times, behind the gates of
+    increment_scaling; raises InsufficientData when a gate fails."""
+    span = math.log10(lags.max() / lags.min())
+    if span < min_decades:
+        raise InsufficientData(
+            f"lag span {span:.2f} decades < {min_decades:.2f}")
+    if counts[-1] < min_increments:
+        raise InsufficientData(
+            f"only {counts[-1]} increments at the largest lag "
+            f"(need {min_increments})")
+    slope, _ = np.polyfit(np.log(lag_times), np.log(rms), 1)
+    return float(slope)
 
 
 @dataclass
@@ -254,8 +283,8 @@ class ScalingResult:
 
 
 def increment_scaling(positions: np.ndarray, dt: float, lags=None,
-                      min_increments: int = 1000,
-                      min_decades: float = 2.0) -> ScalingResult:
+                      min_increments: int = _MIN_INCREMENTS,
+                      min_decades: float = _MIN_DECADES) -> ScalingResult:
     """Hurst exponent from the log-log slope of RMS increment vs lag,
     and the fractal dimension D_F = 1/H.
 
@@ -265,18 +294,11 @@ def increment_scaling(positions: np.ndarray, dt: float, lags=None,
     """
     x = np.asarray(positions, dtype=float)
     lags = _checked_lags(lags, x.shape[-2] - 1)
-    span = math.log10(lags.max() / lags.min())
-    if span < min_decades:
-        raise InsufficientData(
-            f"lag span {span:.2f} decades < {min_decades:.2f}")
     counts, rms = rms_increments(x, lags)
-    if counts[-1] < min_increments:
-        raise InsufficientData(
-            f"only {counts[-1]} increments at the largest lag "
-            f"(need {min_increments})")
     lag_times = lags * dt
-    slope, _ = np.polyfit(np.log(lag_times), np.log(rms), 1)
-    return ScalingResult(float(slope), 1.0 / float(slope), lag_times, rms)
+    slope = _hurst_fit(lags, lag_times, counts, rms, min_increments,
+                       min_decades)
+    return ScalingResult(slope, 1.0 / slope, lag_times, rms)
 
 
 def crossover_lag(lag_times: np.ndarray, rms: np.ndarray,
@@ -358,27 +380,20 @@ def ensemble_run(cfg: SimConfig, lags=None) -> EnsembleResult:
         inc_sq += (inc ** 2).sum(axis=(0, 1))
         inc_n += inc.shape[0] * inc.shape[1]
 
-        for i, lag in enumerate(lags):
-            d = paths[:, lag:] - paths[:, :-lag]
-            sq = np.sum(d * d, axis=-1)
-            sq_sums[i] += float(sq.sum())
-            sq_counts[i] += sq.size
-
-        pos = paths[:, :-1]
-        v = (paths[:, 1:] - paths[:, :-1]) / cfg.dt
-        lz = cfg.m * (pos[..., 0] * v[..., 1] - pos[..., 1] * v[..., 0])
-        lz_means.extend(np.mean(lz, axis=1))
+        counts, sums = _lag_sq_sums(paths, lags)
+        sq_sums += sums
+        sq_counts += counts
+        lz_means.extend(np.mean(_lz(paths, cfg.dt, cfg.m), axis=1))
 
     mean_inc = inc_sum / inc_n
     inc_var = (inc_sq / inc_n - mean_inc ** 2) / cfg.dt
     rms = np.sqrt(sq_sums / sq_counts)
     lag_times = lags * cfg.dt
 
-    hurst = None
-    span = math.log10(lags.max() / lags.min())
-    if span >= 2.0 and sq_counts[-1] >= 1000:
-        slope, _ = np.polyfit(np.log(lag_times), np.log(rms), 1)
-        hurst = float(slope)
+    try:
+        hurst = _hurst_fit(lags, lag_times, sq_counts, rms)
+    except InsufficientData:
+        hurst = None
 
     lz_means = np.asarray(lz_means)
     return EnsembleResult(

@@ -30,14 +30,14 @@ import numpy as np
 
 from .algebra import Biquaternion
 from .errors import NotNormalized, SmallComponentsNotSmall
-from .fields import SpinorField
+from .fields import SpinorField, central_difference
 
 
 def _partials(field: SpinorField, pt, method: str, h: float):
     if method == "analytic":
         return [field.partial(pt, mu) for mu in range(4)]
     if method == "fd":
-        return [field.partial_fd(pt, mu, h) for mu in range(4)]
+        return [central_difference(field.value, pt, mu, h) for mu in range(4)]
     raise ValueError(f"method must be 'analytic' or 'fd', got {method!r}")
 
 
@@ -152,6 +152,10 @@ def component_velocities(field: SpinorField, pt, method: str = "analytic",
     return VelocityComponents(**out)
 
 
+def _pair(a, b):
+    return 0.5 * (a + b) - 0.5j * (a - b)
+
+
 def recompose_velocity(comp: VelocityComponents) -> tuple[Biquaternion, ...]:
     """Reassemble four velocity biquaternions from the eight components.
 
@@ -160,13 +164,10 @@ def recompose_velocity(comp: VelocityComponents) -> tuple[Biquaternion, ...]:
     applied to (v_pp, v_mm) for the scalar part, (v_pm, v_mp) for e1,
     (vt_pp, vt_mm) for e2 and (vt_pm, vt_mp) for e3.
     """
-    def pair(a, b):
-        return 0.5 * (a + b) - 0.5j * (a - b)
-
-    s = pair(comp.v_pp, comp.v_mm)
-    e1 = pair(comp.v_pm, comp.v_mp)
-    e2 = pair(comp.vt_pp, comp.vt_mm)
-    e3 = pair(comp.vt_pm, comp.vt_mp)
+    s = _pair(comp.v_pp, comp.v_mm)
+    e1 = _pair(comp.v_pm, comp.v_mp)
+    e2 = _pair(comp.vt_pp, comp.vt_mm)
+    e3 = _pair(comp.vt_pm, comp.vt_mp)
     return tuple(Biquaternion(s[mu], e1[mu], e2[mu], e3[mu])
                  for mu in range(4))
 
@@ -182,16 +183,10 @@ def rejected_tilde_component(field: SpinorField, pt,
     with no e2/e3 content; it does not (it oscillates with amplitude of
     order |p|/m on a unit plane wave), which is the quantitative reason
     the assignment used by :func:`component_velocities` is the right one.
-    Returned per raised index mu = 0..3.
+    Returned per raised index mu = 0..3; it is the v_mm row of
+    :func:`component_velocities`.
     """
-    v = field.value(pt)
-    f, x = v.phi, v.chi
-    scale = -field.s0 / (field.m * field.c)
-    out = np.empty(4)
-    for mu, d in enumerate(_fed_partials(field, pt, method, h)):
-        p, q = _pq_sums(f, x, d.phi, d.chi)
-        out[mu] = scale * (p[0] - q[0])
-    return out
+    return component_velocities(field, pt, method, h).v_mm
 
 
 class ReducedVelocity(NamedTuple):
@@ -254,15 +249,10 @@ def pauli_recompose(field: SpinorField, pt, method: str = "analytic",
 
     Intended for fields that already live in the (1, e1) subalgebra (for
     example the primed large field inside the non-relativistic reduction);
-    the e2/e3 component velocities are ignored.  Agrees identically with
-    the spatial part of :func:`conjugate_velocity`, i.e. with
-    N(psi) * bq_velocity spatially.
+    it keeps the 1 and e1 coefficients of the spatial biquaternions of
+    :func:`recompose_velocity`, so the e2/e3 component velocities are
+    ignored.  Agrees identically with the spatial part of
+    :func:`conjugate_velocity`, i.e. with N(psi) * bq_velocity spatially.
     """
-    comp = component_velocities(field, pt, method, h)
-
-    def pair(a, b):
-        return 0.5 * (a + b) - 0.5j * (a - b)
-
-    s = pair(comp.v_pp, comp.v_mm)
-    e1 = pair(comp.v_pm, comp.v_mp)
-    return tuple(Biquaternion(s[k], e1[k]) for k in (1, 2, 3))
+    rec = recompose_velocity(component_velocities(field, pt, method, h))
+    return tuple(Biquaternion(*v.a[:2]) for v in rec[1:])

@@ -3,8 +3,10 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from fractalspin import checks
+from fractalspin.algebra import Biquaternion
 from fractalspin.cli import main, parse_config_text, resolve_sim_config
-from fractalspin.errors import ConfigError
+from fractalspin.errors import ConfigError, ZeroDivisor
 
 
 @pytest.fixture
@@ -136,6 +138,30 @@ def test_hyperhelix_command(runner):
 
     thin = runner.invoke(main, ["hyperhelix", "--level", "3"])
     assert thin.exit_code == 3  # 1.43 decades under the default gate
+
+
+def test_hyperhelix_negative_level_exit_code(runner):
+    result = runner.invoke(main, ["hyperhelix", "--level", "-1"])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert "--level" in result.stderr
+    assert result.stdout == ""
+
+
+def test_algebra_check_counts_zero_divisor_skips(monkeypatch):
+    def zero_divisor(self):
+        raise ZeroDivisor("forced")
+
+    monkeypatch.setattr(Biquaternion, "inverse", zero_divisor)
+    inv = {c["name"]: c for c in checks.run_algebra(0)}["inverse round trip"]
+    assert inv["detail"].endswith(", 50 zero-divisor draws skipped")
+
+    def broken(self):
+        raise RuntimeError("not a zero divisor")
+
+    monkeypatch.setattr(Biquaternion, "inverse", broken)
+    with pytest.raises(RuntimeError):
+        checks.run_algebra(0)  # only zero divisors are skipped
 
 
 def test_check_command(runner):

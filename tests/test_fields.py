@@ -11,6 +11,7 @@ from fractalspin.fields import (
     SpinorField,
     amplitude_from_spinor,
     bloch_spinor,
+    central_difference,
     plane_wave,
     s0_from_diffusion,
     spiral_pair_field,
@@ -42,7 +43,7 @@ def test_fd_matches_analytic():
     pt = (0.3, 0.9, 0.4, -0.2)
     for mu in range(4):
         d_true = f.partial(pt, mu)
-        d_fd = f.partial_fd(pt, mu, h=1e-4)
+        d_fd = central_difference(f.value, pt, mu, 1e-4)
         assert (d_true - d_fd).max_abs() < 1e-6
 
 
@@ -54,7 +55,7 @@ def test_spiral_phase_gradient():
     v = f.value(pt)
     assert f.partial(pt, 1).allclose(v * 0.0, atol=1e-12)        # p_x + 0
     assert f.partial(pt, 2).allclose(v * (-1j * 0.25), atol=1e-12)
-    d_fd = f.partial_fd(pt, 2, h=1e-5)
+    d_fd = central_difference(f.value, pt, 2, 1e-5)
     assert (f.partial(pt, 2) - d_fd).max_abs() < 1e-6
 
 
@@ -136,3 +137,99 @@ def test_constants_stored():
     f = plane_wave(ONE, (0, 0, 1), 0.5, hbar=0.1, m=2.0, c=5.0, s0=0.25)
     assert (f.hbar, f.m, f.c, f.s0) == (0.1, 2.0, 5.0, 0.25)
     assert plane_wave(ONE, (0, 0, 1), 0.5, hbar=0.3).s0 == 0.3
+
+
+def test_central_difference_reproduces_the_old_stencils_bitwise():
+    # the four stencils central_difference replaced, copied as they were;
+    # every route that now goes through it must give the same bits
+    from fractalspin import velocity
+    from fractalspin.dynamics import (EMField, NumericField,
+                                      acceleration_field, gradient_witness,
+                                      product_field, rotor_field, sample_box)
+
+    class OldStencilField(SpinorField):
+        """partial() is the old SpinorField.partial_fd at h = 1e-4."""
+
+        def partial(self, pt, mu):
+            up, dn = list(pt), list(pt)
+            up[mu] += 1e-4
+            dn[mu] -= 1e-4
+            return (self.value(up) - self.value(dn)) * (0.5 / 1e-4)
+
+    terms = [PlaneWaveTerm(Biquaternion(0.8, 0.6j, 0.1, -0.2j),
+                           (0.1, 0.2, 1.0), 1.1, 0.5),
+             PlaneWaveTerm(Biquaternion(0.3, 0.2), (0.1, 0.2, 1.0), 2.3, 0.5)]
+    new, old = SpinorField(terms, m=1.3, c=2.0), \
+        OldStencilField(terms, m=1.3, c=2.0)
+    pt = (0.2, 1.0, 0.4, -0.3)
+    for mu in range(4):
+        assert central_difference(new.value, pt, mu, 1e-4) == old.partial(pt, mu)
+    for route in (velocity.bq_velocity, velocity.conjugate_velocity,
+                  velocity.pauli_recompose):
+        assert route(new, pt, "fd") == route(old, pt, "analytic")
+    for name, got in velocity.component_velocities(new, pt, "fd").as_dict().items():
+        assert np.array_equal(got, getattr(
+            velocity.component_velocities(old, pt, "analytic"), name))
+    assert np.array_equal(velocity.rejected_tilde_component(new, pt, "fd"),
+                          velocity.rejected_tilde_component(old, pt))
+
+    def old_nested(fn, q, orders, h):
+        if sum(orders) == 0:
+            return fn(np.asarray(q, dtype=float).reshape(4))
+        q = np.asarray(q, dtype=float).reshape(4)
+        mu = next(i for i, n in enumerate(orders) if n)
+        rest = tuple(n - (i == mu) for i, n in enumerate(orders))
+        up, dn = q.copy(), q.copy()
+        up[mu] += h
+        dn[mu] -= h
+        return (old_nested(fn, up, rest, h) - old_nested(fn, dn, rest, h)) \
+            * (0.5 / h)
+
+    rot = product_field(rotor_field(1, 0.9, (0.8, 0, 0)),
+                        rotor_field(2, -0.6, (0, 0.7, 0)))
+    numeric = NumericField(rot.value, h=1e-3)
+    q = (0.1, -0.3, 0.25, 0.4)
+    for orders in ((1, 0, 0, 0), (0, 2, 0, 0), (1, 1, 0, 1), (0, 2, 1, 0)):
+        assert numeric.derivative(q, orders) == \
+            old_nested(rot.value, q, orders, 1e-3)
+
+    def a(p):
+        return np.array([np.sin(p[2]) * p[3], p[1] ** 2 * p[3],
+                         np.cos(p[1] * p[2])])
+
+    def old_d_a(p, j, h=1e-5):
+        up = np.asarray(p, dtype=float).copy()
+        dn = up.copy()
+        up[j + 1] += h
+        dn[j + 1] -= h
+        return (a(up) - a(dn)) * (0.5 / h)
+
+    em = EMField(a=a)
+    da = [old_d_a(q, j) for j in range(3)]
+    assert np.array_equal(em.b(q), [da[1][2] - da[2][1], da[2][0] - da[0][2],
+                                    da[0][1] - da[1][0]])
+    assert em.div_a(q) == float(sum(old_d_a(q, j)[j] for j in range(3)))
+
+    def old_witness(field, diffusion, points, h=1e-4):
+        worst = 0.0
+        for p in points:
+            p = np.asarray(p, dtype=float).reshape(4)
+            for j in (1, 2, 3):
+                for k in range(j + 1, 4):
+                    up_j, dn_j = p.copy(), p.copy()
+                    up_j[j] += h
+                    dn_j[j] -= h
+                    d_j_ek = (acceleration_field(field, diffusion, up_j)[k - 1]
+                              - acceleration_field(field, diffusion, dn_j)[k - 1]) \
+                        * (0.5 / h)
+                    up_k, dn_k = p.copy(), p.copy()
+                    up_k[k] += h
+                    dn_k[k] -= h
+                    d_k_ej = (acceleration_field(field, diffusion, up_k)[j - 1]
+                              - acceleration_field(field, diffusion, dn_k)[j - 1]) \
+                        * (0.5 / h)
+                    worst = max(worst, (d_j_ek - d_k_ej).max_abs())
+        return worst
+
+    pts = sample_box(((-0.4, 0.4),) * 4, 3, seed=3)
+    assert gradient_witness(rot, 0.5, pts) == old_witness(rot, 0.5, pts)

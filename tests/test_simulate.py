@@ -3,12 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from fractalspin import simulate
 from fractalspin.errors import AxisSingularity, ConfigError, InsufficientData
 from fractalspin.simulate import (
     EnsembleResult,
     SimConfig,
     Trajectory,
+    _child_generators,
+    _integrate_noise_block,
     crossover_lag,
+    default_lags,
     ensemble_run,
     increment_scaling,
     integrate_deterministic,
@@ -212,6 +216,41 @@ def test_ensemble_reproducible_and_dict_fields():
     keys = set(r1.to_dict())
     assert keys == {"n_traj", "seed", "H", "D_F", "Lz_mean", "Lz_std",
                     "increment_var", "mean_final"}
+
+
+def test_ensemble_block_size_moves_pooled_sums_only_by_rounding(monkeypatch):
+    # each path is bitwise the same whatever the block; pooled sums are
+    # added block by block, so they may move in the last bits
+    cfg = spiral_preset(n_traj=1300, n_steps=50, seed=2)
+    runs = {}
+    for block in (1, 64, 512):
+        monkeypatch.setattr(simulate, "_BLOCK", block)
+        runs[block] = ensemble_run(cfg)
+    ref = runs[512]
+    for res in runs.values():
+        assert res.lz_mean == ref.lz_mean and res.lz_std == ref.lz_std
+        assert res.hurst == ref.hurst
+        for name in ("increment_var", "eta_mean", "mean_path", "mean_final",
+                     "lag_rms"):
+            np.testing.assert_allclose(getattr(res, name), getattr(ref, name),
+                                       rtol=1e-12, atol=0.0, err_msg=name)
+
+
+def test_ensemble_statistics_match_single_path_tools():
+    # one block (n_traj <= 512): the pooled statistics are those of the
+    # single-path tools applied to the same paths
+    cfg = spiral_preset(n_traj=40, n_steps=600, seed=5)
+    res = ensemble_run(cfg)
+    noise = np.stack([g.standard_normal((cfg.n_steps, 3))
+                      for g in _child_generators(cfg.seed, cfg.n_traj)])
+    paths = _integrate_noise_block(cfg, noise)
+    _, rms = rms_increments(paths, default_lags(cfg.n_steps))
+    assert np.array_equal(res.lag_rms, rms)
+    assert res.hurst is not None
+    assert res.hurst == increment_scaling(paths, cfg.dt).hurst
+    times = np.arange(cfg.n_steps + 1) * cfg.dt
+    lz_means = [lz_series(Trajectory(times, p, cfg)).mean() for p in paths]
+    assert res.lz_mean == np.mean(lz_means)
 
 
 def test_lz_series_modes_and_validation():
