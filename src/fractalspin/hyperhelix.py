@@ -193,6 +193,9 @@ def curve_length(vertices: np.ndarray) -> float:
 
 
 _SCAN_CHUNK = 256
+# longest scalar probe: a chunk scan costs about as much as testing a few
+# dozen segments in floats (level-5 helix rulers walk fastest at 32 to 96)
+_PROBE_MAX = 64
 _T_EPS = 1e-9  # crossings that land on a vertex round to t = 1 +- ulp
 
 
@@ -257,7 +260,7 @@ def divider_walk(vertices: np.ndarray, eps: float) -> float:
     scan chunk.  So each chord first probes twice as many segments as the
     previous chord spanned, and hands the rest of the search to
     _first_crossing when the crossing lies beyond the probe; a probe
-    longer than one scan chunk is skipped, the scan being the cheaper
+    longer than _PROBE_MAX segments is skipped, the scan being the cheaper
     test there.  Both test a segment with the same operations in the same
     order, so the walk takes the same chords whichever of them finds the
     crossing.  Segment data is read as Python floats one chunk at a time.
@@ -312,7 +315,7 @@ def divider_walk(vertices: np.ndarray, eps: float) -> float:
                 page, base, end = load(k)
             s0, s1, s2, d0, d1, d2, aa = page[k - base]
         probe = 2 * (k - idx + 1)
-        if probe > _SCAN_CHUNK:
+        if probe > _PROBE_MAX:
             probe = 0
         steps += 1
         if t >= 1.0:

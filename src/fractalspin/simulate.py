@@ -187,20 +187,17 @@ def lz_series(traj: Trajectory, mode: str = "forward") -> np.ndarray:
     stochastic paths); central: interior second-order differences (use
     for smooth deterministic paths).
     """
-    return _lz(traj.positions, traj.config.dt, traj.config.m, mode)
-
-
-def _lz(x: np.ndarray, dt: float, m: float,
-        mode: str = "forward") -> np.ndarray:
-    """L_z series of lz_series on positions of shape (..., n+1, 3)."""
+    x, dt, m = traj.positions, traj.config.dt, traj.config.m
     if mode == "forward":
-        v = (x[..., 1:, :] - x[..., :-1, :]) / dt
-        base = x[..., :-1, :]
-    elif mode == "central":
+        return _lz(x[..., :-1, :], (x[..., 1:, :] - x[..., :-1, :]) / dt, m)
+    if mode == "central":
         v = (x[..., 2:, :] - x[..., :-2, :]) / (2 * dt)
-        base = x[..., 1:-1, :]
-    else:
-        raise ValueError(f"mode must be 'forward' or 'central', got {mode!r}")
+        return _lz(x[..., 1:-1, :], v, m)
+    raise ValueError(f"mode must be 'forward' or 'central', got {mode!r}")
+
+
+def _lz(base: np.ndarray, v: np.ndarray, m: float) -> np.ndarray:
+    """m (x vy - y vx) for positions and velocities of shape (..., 3)."""
     return m * (base[..., 0] * v[..., 1] - base[..., 1] * v[..., 0])
 
 
@@ -237,7 +234,8 @@ def _checked_lags(lags, n_steps: int) -> np.ndarray:
 def rms_increments(positions: np.ndarray, lags) -> tuple[np.ndarray, np.ndarray]:
     """RMS vector increment per lag, pooled over paths.
 
-    positions: (n+1, 3) single path or (paths, n+1, 3).
+    positions: (n+1, 3) single path or (paths, n+1, 3); any number of
+    components k in place of 3 (a 1-d walk is (paths, n+1, 1)).
     Returns (counts, rms) arrays aligned with lags.
     """
     counts, sums = _lag_sq_sums(np.asarray(positions, dtype=float), lags)
@@ -246,14 +244,14 @@ def rms_increments(positions: np.ndarray, lags) -> tuple[np.ndarray, np.ndarray]
 
 def _lag_sq_sums(x: np.ndarray, lags) -> tuple[np.ndarray, np.ndarray]:
     """Count and sum of the squared vector increments per lag, pooled over
-    positions of shape (..., n+1, 3)."""
+    positions of shape (..., n+1, k); each sum is one pass of numpy's own
+    einsum kernel (not BLAS, whose threads and dispatch could move bits)."""
     counts = np.empty(len(lags), dtype=int)
     sums = np.empty(len(lags))
     for i, lag in enumerate(lags):
-        d = x[..., lag:, :] - x[..., :-lag, :]
-        sq = np.sum(d * d, axis=-1)
-        counts[i] = sq.size
-        sums[i] = float(sq.sum())
+        d = (x[..., lag:, :] - x[..., :-lag, :]).reshape(-1)
+        counts[i] = d.size // x.shape[-1]
+        sums[i] = float(np.einsum("i,i->", d, d))
     return counts, sums
 
 
@@ -356,7 +354,9 @@ def ensemble_run(cfg: SimConfig, lags=None) -> EnsembleResult:
     (None when the lag window would be too narrow to be meaningful).
     """
     lags = _checked_lags(lags, cfg.n_steps)
-    gens = _child_generators(cfg.seed, cfg.n_traj)
+    # spawned a block at a time: successive spawns continue one sequence,
+    # so path i still gets child i of SeedSequence(seed)
+    master = np.random.SeedSequence(cfg.seed)
 
     sq_sums = np.zeros(len(lags))
     sq_counts = np.zeros(len(lags), dtype=np.int64)
@@ -368,7 +368,8 @@ def ensemble_run(cfg: SimConfig, lags=None) -> EnsembleResult:
     path_sum = np.zeros((cfg.n_steps + 1, 3))
 
     for start in range(0, cfg.n_traj, _BLOCK):
-        block_gens = gens[start:start + _BLOCK]
+        block_gens = _child_generators(master,
+                                       min(_BLOCK, cfg.n_traj - start))
         noise = np.stack([g.standard_normal((cfg.n_steps, 3))
                           for g in block_gens])
         paths = _integrate_noise_block(cfg, noise)
@@ -377,13 +378,14 @@ def ensemble_run(cfg: SimConfig, lags=None) -> EnsembleResult:
 
         inc = paths[:, 1:] - paths[:, :-1]
         inc_sum += inc.sum(axis=(0, 1))
-        inc_sq += (inc ** 2).sum(axis=(0, 1))
+        inc_sq += np.einsum("pnk,pnk->k", inc, inc)
         inc_n += inc.shape[0] * inc.shape[1]
 
         counts, sums = _lag_sq_sums(paths, lags)
         sq_sums += sums
         sq_counts += counts
-        lz_means.extend(np.mean(_lz(paths, cfg.dt, cfg.m), axis=1))
+        lz_means.extend(np.mean(_lz(paths[:, :-1], inc / cfg.dt, cfg.m),
+                                axis=1))
 
     mean_inc = inc_sum / inc_n
     inc_var = (inc_sq / inc_n - mean_inc ** 2) / cfg.dt

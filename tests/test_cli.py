@@ -155,6 +155,7 @@ def test_algebra_check_counts_zero_divisor_skips(monkeypatch):
     monkeypatch.setattr(Biquaternion, "inverse", zero_divisor)
     inv = {c["name"]: c for c in checks.run_algebra(0)}["inverse round trip"]
     assert inv["detail"].endswith(", 50 zero-divisor draws skipped")
+    assert not inv["passed"]  # no draw was inverted
 
     def broken(self):
         raise RuntimeError("not a zero divisor")

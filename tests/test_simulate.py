@@ -288,3 +288,90 @@ def test_lags_outside_path_rejected_alike():
             increment_scaling(walk, cfg.dt, lags=bad)
     # the longest lag a path of n_steps steps has is n_steps itself
     assert np.isfinite(ensemble_run(cfg, lags=[1, 50]).lag_rms).all()
+
+
+def _recorded_blocks(monkeypatch):
+    """Record the path blocks ensemble_run integrates, in order."""
+    blocks = []
+    integrate = simulate._integrate_noise_block
+
+    def recording(cfg, noise):
+        blocks.append(integrate(cfg, noise))
+        return blocks[-1]
+
+    monkeypatch.setattr(simulate, "_integrate_noise_block", recording)
+    return blocks
+
+
+def test_ensemble_spawns_per_block_as_one_sequence(monkeypatch):
+    # blocks of 512 + 512 + 276 paths, each block spawning its own
+    # generators: path i still runs on child i of SeedSequence(seed)
+    cfg = spiral_preset(n_traj=1300, n_steps=20, seed=21)
+    blocks = _recorded_blocks(monkeypatch)
+    ensemble_run(cfg)
+    assert [len(b) for b in blocks] == [512, 512, 276]
+    noise = np.stack([
+        np.random.Generator(np.random.Philox(child)).standard_normal((20, 3))
+        for child in np.random.SeedSequence(21).spawn(1300)])
+    rebuilt = _integrate_noise_block(cfg, noise)
+    assert np.array_equal(np.concatenate(blocks), rebuilt)
+
+
+def _old_lag_sq_sums(x, lags):
+    # the stencil before the einsum reductions: a squared temporary
+    # summed over the length-3 axis, then over the rest
+    counts, sums = [], []
+    for lag in lags:
+        d = x[..., lag:, :] - x[..., :-lag, :]
+        sq = np.sum(d * d, axis=-1)
+        counts.append(sq.size)
+        sums.append(float(sq.sum()))
+    return np.array(counts), np.array(sums)
+
+
+def test_einsum_reductions_match_old_stencils(monkeypatch):
+    cfg = spiral_preset(n_traj=1300, n_steps=300, seed=4)
+    lags = np.unique(np.geomspace(1, 300, 16).astype(int))  # 2.5 decades
+    blocks = _recorded_blocks(monkeypatch)
+    res = ensemble_run(cfg, lags=lags)
+    assert len(blocks) == 3
+
+    # one path, a block of them, and a block of 1-d walks (its x components)
+    for x in (blocks[0][7], blocks[2], blocks[1][..., :1]):
+        counts, sums = simulate._lag_sq_sums(x, lags)
+        old_counts, old_sums = _old_lag_sq_sums(x, lags)
+        assert np.array_equal(counts, old_counts)
+        np.testing.assert_allclose(sums, old_sums, rtol=1e-12, atol=0.0)
+
+    # the old block loop, pooled over the same blocks in the same order
+    sq_sums = np.zeros(len(lags))
+    sq_counts = np.zeros(len(lags), dtype=np.int64)
+    inc_sum, inc_sq, inc_n = np.zeros(3), np.zeros(3), 0
+    path_sum = np.zeros((cfg.n_steps + 1, 3))
+    lz_means = []
+    for paths in blocks:
+        path_sum += paths.sum(axis=0)
+        inc = paths[:, 1:] - paths[:, :-1]
+        inc_sum += inc.sum(axis=(0, 1))
+        inc_sq += (inc ** 2).sum(axis=(0, 1))
+        inc_n += inc.shape[0] * inc.shape[1]
+        counts, sums = _old_lag_sq_sums(paths, lags)
+        sq_sums += sums
+        sq_counts += counts
+        v = (paths[:, 1:] - paths[:, :-1]) / cfg.dt
+        base = paths[:, :-1]
+        lz = cfg.m * (base[..., 0] * v[..., 1] - base[..., 1] * v[..., 0])
+        lz_means.extend(np.mean(lz, axis=1))
+    mean_inc = inc_sum / inc_n
+    inc_var = (inc_sq / inc_n - mean_inc ** 2) / cfg.dt
+    rms = np.sqrt(sq_sums / sq_counts)
+    hurst, _ = np.polyfit(np.log(lags * cfg.dt), np.log(rms), 1)
+
+    np.testing.assert_allclose(res.increment_var, inc_var, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(res.lag_rms, rms, rtol=1e-12, atol=0.0)
+    assert res.hurst is not None
+    assert math.isclose(res.hurst, hurst, rel_tol=1e-12, abs_tol=0.0)
+    assert res.lz_mean == np.mean(lz_means)
+    assert res.lz_std == np.std(lz_means)
+    assert np.array_equal(res.mean_path, path_sum / cfg.n_traj)
+    assert np.array_equal(res.mean_final, path_sum[-1] / cfg.n_traj)
