@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import sys
-from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -36,8 +36,30 @@ from .simulate import (SimConfig, ensemble_run, integrate_deterministic,
 from .velocity import (component_velocities, conjugate_velocity,
                        recompose_velocity)
 
-_CONFIG_KEYS = ("D", "lambda_c", "c", "dt", "n_steps", "seed", "m", "p0",
-                "sigma0", "x0", "n_traj", "r_min")
+
+def _triple(text: str) -> tuple:
+    x, y, z = (float(part) for part in text.split(","))
+    return x, y, z
+
+
+# config key -> (SimConfig field, parser, flag help), in flag order; each
+# key's flag is --key in lower case with dashes.  lambda_c and c have no
+# field of their own: together they set the diffusion, 2 D = lambda_c * c.
+_SIM_KEYS = {
+    "D": ("diffusion", float, "Diffusion constant D."),
+    "lambda_c": (None, float, "Compton length; needs --c, 2D = lambda_c * c."),
+    "c": (None, float, "Signal speed for --lambda-c."),
+    "dt": ("dt", float, "Time step."),
+    "n_steps": ("n_steps", int, "Number of steps."),
+    "seed": ("seed", int, "Master seed."),
+    "m": ("m", float, "Mass."),
+    "p0": ("p0", float, "Axial momentum."),
+    "sigma0": ("sigma0", float, "Spiral angular momentum."),
+    "x0": ("x0", _triple, "Start point, three comma-separated values."),
+    "n_traj": ("n_traj", int, "Number of trajectories."),
+    "r_min": ("r_min", float, "Drift core radius override."),
+}
+_READS = {float: "a number", int: "an integer", _triple: "a number triple"}
 
 
 def parse_config_text(text: str) -> dict:
@@ -51,7 +73,7 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(
                 f"line {lineno}: expected key = value, got {stripped!r}")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in _SIM_KEYS:
             raise ConfigError(f"unknown config key: {key}")
         if key in raw:
             raise ConfigError(f"duplicate config key: {key}")
@@ -59,62 +81,36 @@ def parse_config_text(text: str) -> dict:
     return raw
 
 
-def _as_float(raw: dict, key: str):
+def _parse(key: str, text: str):
+    parse = _SIM_KEYS[key][1]
     try:
-        return float(raw[key])
+        return parse(text)
     except ValueError:
-        raise ConfigError(f"key {key}: {raw[key]!r} is not a number") from None
-
-
-def _as_int(raw: dict, key: str):
-    try:
-        return int(raw[key])
-    except ValueError:
-        raise ConfigError(f"key {key}: {raw[key]!r} is not an integer") \
-            from None
+        raise ConfigError(
+            f"key {key}: {text!r} is not {_READS[parse]}") from None
 
 
 def resolve_sim_config(raw: dict) -> SimConfig:
     """Typed SimConfig from merged string key/value pairs."""
     for key in raw:
-        if key not in _CONFIG_KEYS:
+        if key not in _SIM_KEYS:
             raise ConfigError(f"unknown config key: {key}")
-    cfg = SimConfig()
     if "D" in raw and ("lambda_c" in raw or "c" in raw):
         raise ConfigError("give either D or the pair lambda_c + c, not both")
     if ("lambda_c" in raw) != ("c" in raw):
         raise ConfigError("lambda_c and c must be given together")
-    if "D" in raw:
-        cfg = replace(cfg, diffusion=_as_float(raw, "D"))
-    elif "lambda_c" in raw:
-        cfg = replace(cfg, diffusion=0.5 * _as_float(raw, "lambda_c")
-                      * _as_float(raw, "c"))
-    for key, attr in (("dt", "dt"), ("m", "m"), ("p0", "p0"),
-                      ("sigma0", "sigma0"), ("r_min", "r_min")):
-        if key in raw:
-            cfg = replace(cfg, **{attr: _as_float(raw, key)})
-    for key in ("n_steps", "seed", "n_traj"):
-        if key in raw:
-            cfg = replace(cfg, **{key: _as_int(raw, key)})
-    if "x0" in raw:
-        parts = raw["x0"].split(",")
-        if len(parts) != 3:
-            raise ConfigError(f"key x0: need three comma-separated values, "
-                              f"got {raw['x0']!r}")
-        try:
-            cfg = replace(cfg, x0=tuple(float(p) for p in parts))
-        except ValueError:
-            raise ConfigError(
-                f"key x0: {raw['x0']!r} is not a number triple") from None
-    return cfg
+    values = {key: _parse(key, text) for key, text in raw.items()}
+    fields = {_SIM_KEYS[key][0]: value for key, value in values.items()
+              if _SIM_KEYS[key][0]}
+    if "lambda_c" in values:
+        fields["diffusion"] = 0.5 * values["lambda_c"] * values["c"]
+    return SimConfig(**fields)
 
 
 def config_dict(cfg: SimConfig) -> dict:
-    return {
-        "D": cfg.diffusion, "dt": cfg.dt, "n_steps": cfg.n_steps,
-        "seed": cfg.seed, "m": cfg.m, "p0": cfg.p0, "sigma0": cfg.sigma0,
-        "x0": list(cfg.x0), "n_traj": cfg.n_traj, "r_min": cfg.r_min,
-    }
+    """The resolved config under its keys, for a JSON payload."""
+    return {key: getattr(cfg, field)
+            for key, (field, _, _) in _SIM_KEYS.items() if field}
 
 
 def _load_raw_config(config_path, preset, overrides: dict) -> dict:
@@ -178,40 +174,20 @@ def _exit_codes(fn):
 
 
 def _sim_options(fn):
+    """--config, --preset, one string flag per simulation key (passed on
+    under the key's own name) and --out."""
     options = [
         click.option("--config", "config_path",
                      type=click.Path(exists=True, dir_okay=False),
                      help="Flat key = value config file."),
         click.option("--preset", help="Name of a packaged preset config."),
-        click.option("--d", "d_", help="Diffusion constant D."),
-        click.option("--lambda-c", "lambda_c",
-                     help="Compton length; needs --c, 2D = lambda_c * c."),
-        click.option("--c", "c_", help="Signal speed for --lambda-c."),
-        click.option("--dt", help="Time step."),
-        click.option("--n-steps", help="Number of steps."),
-        click.option("--seed", help="Master seed."),
-        click.option("--m", help="Mass."),
-        click.option("--p0", help="Axial momentum."),
-        click.option("--sigma0", help="Spiral angular momentum."),
-        click.option("--x0", help="Start point, three comma-separated values."),
-        click.option("--n-traj", help="Number of trajectories."),
-        click.option("--r-min", help="Drift core radius override."),
+        *(click.option("--" + key.lower().replace("_", "-"), key, help=text)
+          for key, (_, _, text) in _SIM_KEYS.items()),
         click.option("--out", "-o", help="Output path (default stdout)."),
     ]
     for option in reversed(options):
         fn = option(fn)
     return fn
-
-
-def _merged_config(config_path, preset, **kw) -> SimConfig:
-    overrides = {
-        "D": kw.get("d_"), "lambda_c": kw.get("lambda_c"), "c": kw.get("c_"),
-        "dt": kw.get("dt"), "n_steps": kw.get("n_steps"),
-        "seed": kw.get("seed"), "m": kw.get("m"), "p0": kw.get("p0"),
-        "sigma0": kw.get("sigma0"), "x0": kw.get("x0"),
-        "n_traj": kw.get("n_traj"), "r_min": kw.get("r_min"),
-    }
-    return resolve_sim_config(_load_raw_config(config_path, preset, overrides))
 
 
 @click.group()
@@ -225,7 +201,7 @@ def main():
 @_exit_codes
 def simulate(config_path, preset, out, **kw):
     """Integrate stochastic paths: CSV for one, JSON stats for many."""
-    cfg = _merged_config(config_path, preset, **kw)
+    cfg = resolve_sim_config(_load_raw_config(config_path, preset, kw))
     if cfg.n_traj <= 1:
         traj = integrate_stochastic(cfg)
         _emit(_trajectory_csv(traj), out)
@@ -241,7 +217,7 @@ def simulate(config_path, preset, out, **kw):
 @_exit_codes
 def spiral(config_path, preset, out, **kw):
     """Integrate the deterministic spiral drift (RK4) to CSV."""
-    cfg = _merged_config(config_path, preset, **kw)
+    cfg = resolve_sim_config(_load_raw_config(config_path, preset, kw))
     _emit(_trajectory_csv(integrate_deterministic(cfg)), out)
 
 
@@ -272,6 +248,16 @@ def extract(sigma0, pz, e0, e1, mix, m, hbar, c, point, out):
         pt = SpacetimePoint(*(float(p) for p in parts))
     except ValueError:
         raise ConfigError(f"key point: {point!r} is not numeric") from None
+    for key, value in (("m", m), ("hbar", hbar), ("c", c)):
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(
+                f"key {key}: need a finite number > 0, got {value!r}")
+    for key, value in (("sigma0", sigma0), ("pz", pz), ("e0", e0),
+                       ("e1", e1), ("mix", mix)):
+        if not math.isfinite(value):
+            raise ConfigError(f"key {key}: need a finite number, got {value!r}")
+    if not all(map(math.isfinite, pt)):
+        raise ConfigError(f"key point: need finite numbers, got {point!r}")
     term0 = PlaneWaveTerm(Biquaternion(1.0, 0.0), (0.0, 0.0, pz), e0, sigma0)
     term1 = PlaneWaveTerm(Biquaternion(mix, 0.5j * mix), (0.0, 0.0, pz),
                           e1, sigma0)
@@ -296,7 +282,8 @@ def extract(sigma0, pz, e0, e1, mix, m, hbar, c, point, out):
 @main.command()
 @click.option("--generator", type=click.Choice(["helix", "koch", "line"]),
               default="helix", show_default=True)
-@click.option("--winding", type=int, default=4, show_default=True,
+@click.option("--winding", type=click.IntRange(1, 4), default=4,
+              show_default=True,
               help="Helical winding number (helix generator only).")
 @click.option("--level", type=click.IntRange(min=0), default=5,
               show_default=True)
@@ -338,7 +325,8 @@ def hyperhelix(generator, winding, level, measure, min_decades, out):
 @click.option("--suite", "suites", multiple=True,
               type=click.Choice(sorted(checks.SUITES)),
               help="Run only the named suites (repeatable).")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0,
+              show_default=True)
 @click.option("--out", "-o", help="Output path (default stdout).")
 @_exit_codes
 def check(suites, seed, out):

@@ -24,20 +24,16 @@ import numpy as np
 
 from .algebra import PAULI, Biquaternion, sigma_dot
 from .errors import GeometryInvalid  # noqa: F401  (re-exported for CLI use)
-from .fields import central_difference
+from .fields import _left_sum, central_difference
 
 _E2 = Biquaternion(0, 0, 1.0)
 _IDENT2 = np.eye(2, dtype=complex)
 
 
-def _orders_unit(mu: int) -> tuple[int, int, int, int]:
-    o = [0, 0, 0, 0]
-    o[mu] = 1
-    return tuple(o)
-
-
-def _orders_add(a, b) -> tuple[int, int, int, int]:
-    return tuple(x + y for x, y in zip(a, b))
+def _d(field, pt, *axes):
+    """field's derivative at pt along each of the axes in turn (0..3 for
+    t, x, y, z; a repeated axis is a higher order)."""
+    return field.derivative(pt, tuple(map(axes.count, range(4))))
 
 
 class ExponentialField:
@@ -55,24 +51,18 @@ class ExponentialField:
             raise ValueError("need at least one term")
 
     def value(self, pt):
-        pt = np.asarray(pt, dtype=float).reshape(4)
-        acc = None
-        for amp, k in self.terms:
-            piece = amp * complex(np.exp(k @ pt))
-            acc = piece if acc is None else acc + piece
-        return acc
+        return self.derivative(pt, (0, 0, 0, 0))
 
     def derivative(self, pt, orders):
         pt = np.asarray(pt, dtype=float).reshape(4)
-        acc = None
+        pieces = []
         for amp, k in self.terms:
             factor = complex(np.exp(k @ pt))
             for mu, n in enumerate(orders):
                 if n:
                     factor *= k[mu] ** n
-            piece = amp * factor
-            acc = piece if acc is None else acc + piece
-        return acc
+            pieces.append(amp * factor)
+        return _left_sum(pieces)
 
 
 def product_field(f1: ExponentialField, f2: ExponentialField) -> ExponentialField:
@@ -145,7 +135,7 @@ class EMField:
         self.h = float(h)
 
     def a0(self, pt) -> float:
-        return 0.0 if self._a0 is None else float(self._a0(pt))
+        return float(self._a0(pt)) if self._a0 is not None else 0.0
 
     def a(self, pt) -> np.ndarray:
         if self._a is None:
@@ -189,20 +179,10 @@ def covariant_derivative(velocity: Callable, diffusion: float, f, pt):
     of f.
     """
     v = velocity(pt)
-    out = f.derivative(pt, (1, 0, 0, 0))
-    for k in range(3):
-        out = out + v[k] * f.derivative(pt, _orders_unit(k + 1))
-    lap = None
-    for k in range(3):
-        o = [0, 0, 0, 0]
-        o[k + 1] = 2
-        piece = f.derivative(pt, tuple(o))
-        lap = piece if lap is None else lap + piece
+    out = _left_sum([_d(f, pt, 0)]
+                    + [v[k - 1] * _d(f, pt, k) for k in (1, 2, 3)])
+    lap = _left_sum(_d(f, pt, k, k) for k in (1, 2, 3))
     return out + lap * (-1j * diffusion)
-
-
-def _second(mu, nu):
-    return _orders_add(_orders_unit(mu), _orders_unit(nu))
 
 
 def geodesic_residual(field, diffusion: float, pt) -> list:
@@ -215,33 +195,22 @@ def geodesic_residual(field, diffusion: float, pt) -> list:
     fields); needs field values up to third derivatives.
     """
     inv = field.value(pt).inverse()
-    d1 = [field.derivative(pt, _orders_unit(mu)) for mu in range(4)]
-    g_t = inv * d1[0]
-    g = [inv * d1[k] for k in (1, 2, 3)]
+    g = [inv * _d(field, pt, mu) for mu in range(4)]  # g[0] is G_t
 
     # second-derivative contractions inv * d_mu_nu psi
     h = {}
     for mu in range(4):
         for nu in range(mu, 4):
-            h[(mu, nu)] = inv * field.derivative(pt, _second(mu, nu))
-            h[(nu, mu)] = h[(mu, nu)]
+            h[mu, nu] = h[nu, mu] = inv * _d(field, pt, mu, nu)
 
     out = []
     for k in (1, 2, 3):
-        gk = g[k - 1]
-        dt_gk = -(g_t * gk) + h[(0, k)]
-        conv = None
-        lap = None
-        for j in (1, 2, 3):
-            gj = g[j - 1]
-            dj_gk = -(gj * gk) + h[(j, k)]
-            piece = gj * dj_gk
-            conv = piece if conv is None else conv + piece
-            o3 = _orders_add(_second(j, j), _orders_unit(k))
-            d3 = inv * field.derivative(pt, o3)
-            lap_piece = (gj * (gj * gk)) * 2.0 - h[(j, j)] * gk \
-                - (gj * h[(j, k)]) * 2.0 + d3
-            lap = lap_piece if lap is None else lap + lap_piece
+        gk = g[k]
+        dt_gk = -(g[0] * gk) + h[0, k]
+        conv = _left_sum(g[j] * (-(g[j] * gk) + h[j, k]) for j in (1, 2, 3))
+        lap = _left_sum((g[j] * (g[j] * gk)) * 2.0 - h[j, j] * gk
+                        - (g[j] * h[j, k]) * 2.0 + inv * _d(field, pt, j, j, k)
+                        for j in (1, 2, 3))
         out.append(dt_gk + (conv + lap * 0.5) * (-2j * diffusion))
     return out
 
@@ -256,24 +225,16 @@ def acceleration_field(field, diffusion: float, pt) -> list:
     genuinely quaternionic fields its curl reduces to -d_t[G_j, G_k] and
     need not vanish.
     """
-    val = field.value(pt)
-    inv = val.inverse()
-    d1 = [field.derivative(pt, _orders_unit(mu)) for mu in range(4)]
+    inv = field.value(pt).inverse()
+    d1 = [_d(field, pt, mu) for mu in range(4)]
     g_t = inv * d1[0]
-    lap = None
-    for j in (1, 2, 3):
-        piece = field.derivative(pt, _second(j, j))
-        lap = piece if lap is None else lap + piece
+    lap = _left_sum(_d(field, pt, j, j) for j in (1, 2, 3))
     out = []
     for k in (1, 2, 3):
         gk = inv * d1[k]
-        dt_gk = -(g_t * gk) + inv * field.derivative(pt, _second(0, k))
+        dt_gk = -(g_t * gk) + inv * _d(field, pt, 0, k)
         # d_k (lap(psi) inv) = (d_k lap psi) inv - lap psi * inv d_k psi inv
-        lap_k = None
-        for j in (1, 2, 3):
-            o3 = _orders_add(_second(j, j), _orders_unit(k))
-            piece = field.derivative(pt, o3)
-            lap_k = piece if lap_k is None else lap_k + piece
+        lap_k = _left_sum(_d(field, pt, j, j, k) for j in (1, 2, 3))
         grad_term = lap_k * inv - lap * (inv * (d1[k] * inv))
         out.append(dt_gk + grad_term * (-2j * diffusion))
     return out
@@ -321,13 +282,11 @@ def small_component(phi_field, em: EMField, pt, *, m: float = 1.0,
     """Lower 2-spinor reconstructed from the upper one:
     chi = sigma . (i hbar grad - (e/c) A) phi / (2 m c)."""
     a = em.a(pt)
-    pi_phi = []
-    for k in range(3):
-        dk = phi_field.derivative(pt, _orders_unit(k + 1))
-        pi_phi.append(1j * hbar * dk - (charge / c) * a[k] * phi_field.value(pt))
+    phi = phi_field.value(pt)
     out = np.zeros(2, dtype=complex)
     for k in range(3):
-        out = out + PAULI[k] @ pi_phi[k]
+        pi_k = 1j * hbar * _d(phi_field, pt, k + 1) - (charge / c) * a[k] * phi
+        out = out + PAULI[k] @ pi_k
     return out / (2 * m * c)
 
 
@@ -347,16 +306,9 @@ def pauli_residual(phi_field, em: EMField, pt, *, m: float = 1.0,
     a = em.a(pt)
     b = em.b(pt)
     diva = em.div_a(pt)
-    lhs = -1j * hbar * phi_field.derivative(pt, (1, 0, 0, 0))
-
-    lap = np.zeros_like(phi)
-    grad = []
-    for k in range(3):
-        o = [0, 0, 0, 0]
-        o[k + 1] = 2
-        lap = lap + phi_field.derivative(pt, tuple(o))
-        grad.append(phi_field.derivative(pt, _orders_unit(k + 1)))
-    a_dot_grad = sum(a[k] * grad[k] for k in range(3))
+    lhs = -1j * hbar * _d(phi_field, pt, 0)
+    lap = sum((_d(phi_field, pt, k, k) for k in (1, 2, 3)), np.zeros_like(phi))
+    a_dot_grad = sum(a[k - 1] * _d(phi_field, pt, k) for k in (1, 2, 3))
     kinetic = (-hbar**2 * lap
                - 1j * hbar * (charge / c) * (diva * phi + 2.0 * a_dot_grad)
                + (charge / c)**2 * float(a @ a) * phi)
@@ -389,10 +341,10 @@ def dirac_residual(psi_field, em: EMField, pt, *, m: float = 1.0,
     gk = (g1, g2, g3)
     psi = psi_field.value(pt)
     a = em.a(pt)
-    e_psi = -1j * hbar * psi_field.derivative(pt, (1, 0, 0, 0))
+    e_psi = -1j * hbar * _d(psi_field, pt, 0)
     out = g0 @ ((e_psi - charge * em.a0(pt) * psi) / c)
     for k in range(3):
-        p_psi = 1j * hbar * psi_field.derivative(pt, _orders_unit(k + 1))
+        p_psi = 1j * hbar * _d(psi_field, pt, k + 1)
         out = out - gk[k] @ (p_psi - (charge / c) * a[k] * psi)
     return out - m * c * psi
 

@@ -20,7 +20,9 @@ d_k psi = -(i/hbar) p_k psi (for sigma = 0).
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -51,6 +53,13 @@ class PlaneWaveTerm(NamedTuple):
 def s0_from_diffusion(m: float, diffusion: float) -> float:
     """Spin action scale from the diffusion coefficient, S0 = 2 m D."""
     return 2.0 * m * diffusion
+
+
+def _left_sum(pieces):
+    """pieces[0] + pieces[1] + ... added left to right.  The sum starts
+    from the first piece, not from 0, so it works for any type with + and
+    keeps a -0.0 that 0 + x would turn into +0.0."""
+    return functools.reduce(operator.add, pieces)
 
 
 def central_difference(fn, pt, mu: int, h: float):
@@ -87,7 +96,7 @@ class SpinorField:
         self.hbar = float(hbar)
         self.m = float(m)
         self.c = float(c)
-        self.s0 = float(hbar if s0 is None else s0)
+        self.s0 = float(s0 if s0 is not None else hbar)
 
     # -- evaluation -----------------------------------------------------
 
@@ -110,23 +119,20 @@ class SpinorField:
         return theta, grad
 
     def value(self, pt) -> Biquaternion:
-        acc = None
-        for term in self.terms:
+        def piece(term):
             theta, _ = self._phase_and_grad(term, pt)
-            piece = term.amplitude * complex(np.exp(-1j * theta))
-            acc = piece if acc is None else acc + piece
-        return acc
+            return term.amplitude * complex(np.exp(-1j * theta))
+        return _left_sum(map(piece, self.terms))
 
     def partial(self, pt, mu: int) -> Biquaternion:
         """Analytic coordinate derivative d_mu psi, mu in 0..3 = (t,x,y,z)."""
         if mu not in (0, 1, 2, 3):
             raise ValueError(f"mu must be 0..3, got {mu}")
-        acc = None
-        for term in self.terms:
+
+        def piece(term):
             theta, grad = self._phase_and_grad(term, pt)
-            piece = term.amplitude * complex(-1j * grad[mu] * np.exp(-1j * theta))
-            acc = piece if acc is None else acc + piece
-        return acc
+            return term.amplitude * complex(-1j * grad[mu] * np.exp(-1j * theta))
+        return _left_sum(map(piece, self.terms))
 
     # -- derived fields ---------------------------------------------------
 

@@ -332,25 +332,6 @@ def divider_walk(vertices: np.ndarray, eps: float) -> float:
             a0, a1, a2 = s0 + t * d0, s1 + t * d1, s2 + t * d2
 
 
-def _averaged_walk(verts: np.ndarray, eps: float, n_origins: int) -> float:
-    """Walk length averaged over several starting phases.
-
-    A single first-crossing walk is chaotically sensitive to grazing
-    contacts (a tiny ruler change can rephase every later chord), so the
-    length is averaged over walks split at n_origins points along the
-    curve, each measuring the tail forward and the head backward.
-    """
-    total = 0.0
-    n = len(verts)
-    for k in range(n_origins):
-        o = (k * n) // n_origins
-        piece = divider_walk(verts[o:], eps) if o < n - 1 else 0.0
-        if o > 0:
-            piece += divider_walk(verts[o::-1], eps)
-        total += piece
-    return total / n_origins
-
-
 @dataclass
 class DimensionEstimate:
     dimension: float
@@ -380,10 +361,9 @@ def construction_rulers(divisions: int, level: int) -> np.ndarray:
 
 
 def measured_dimension(vertices: np.ndarray, rulers=None,
-                       min_decades: float = 2.0,
-                       n_origins: int = 1) -> DimensionEstimate:
+                       min_decades: float = 2.0) -> DimensionEstimate:
     """Divider (ruler) dimension: slope of log L(eps) against log(1/eps),
-    plus one, with each L(eps) averaged over n_origins walk phases.
+    plus one, with each L(eps) from one forward divider walk.
 
     Raises InsufficientData when the rulers span fewer than min_decades
     decades; self-similar curves below level 5 cannot honestly reach two
@@ -397,8 +377,7 @@ def measured_dimension(vertices: np.ndarray, rulers=None,
     if span < min_decades:
         raise InsufficientData(
             f"ruler span {span:.2f} decades < {min_decades:.2f}")
-    lengths = np.array([_averaged_walk(verts, eps, n_origins)
-                        for eps in rulers])
+    lengths = np.array([divider_walk(verts, eps) for eps in rulers])
     slope, _ = np.polyfit(np.log(1.0 / rulers), np.log(lengths), 1)
     return DimensionEstimate(1.0 + float(slope), rulers, lengths)
 

@@ -57,10 +57,12 @@ class SimConfig:
     def __post_init__(self):
         """Reject a config no run can use, naming the key as config files
         and CLI flags spell it."""
-        for key, value in (("n_traj", self.n_traj),
-                           ("n_steps", self.n_steps)):
-            if value < 1:
-                raise ConfigError(f"key {key}: need at least 1, got {value!r}")
+        for key, value, least in (("n_traj", self.n_traj, 1),
+                                  ("n_steps", self.n_steps, 1),
+                                  ("seed", self.seed, 0)):
+            if value < least:
+                raise ConfigError(
+                    f"key {key}: need at least {least}, got {value!r}")
         for key, value in (("D", self.diffusion), ("dt", self.dt),
                            ("m", self.m)):
             if not (math.isfinite(value) and value > 0):
@@ -68,9 +70,10 @@ class SimConfig:
                     f"key {key}: need a finite number > 0, got {value!r}")
         if not all(math.isfinite(v) for v in self.x0):
             raise ConfigError(f"key x0: need finite numbers, got {self.x0!r}")
-        if self.r_min is not None and not math.isfinite(self.r_min):
+        if self.r_min is not None and not (math.isfinite(self.r_min)
+                                           and self.r_min > 0):
             raise ConfigError(
-                f"key r_min: need a finite number, got {self.r_min!r}")
+                f"key r_min: need a finite number > 0, got {self.r_min!r}")
 
     def core_radius(self) -> float:
         if self.r_min is not None:

@@ -5,7 +5,8 @@ from click.testing import CliRunner
 
 from fractalspin import checks
 from fractalspin.algebra import Biquaternion
-from fractalspin.cli import main, parse_config_text, resolve_sim_config
+from fractalspin.cli import (_SIM_KEYS, main, parse_config_text,
+                             resolve_sim_config)
 from fractalspin.errors import ConfigError, ZeroDivisor
 
 
@@ -201,6 +202,17 @@ def test_preset_loading(runner):
     ["simulate", "--dt", "-0.01"],
     ["spiral", "--dt", "-0.01"],
     ["simulate", "--x0", "nan,0,0"],
+    ["simulate", "--seed", "-1"],
+    ["simulate", "--r-min", "-0.5"],
+    ["simulate", "--x0", "0,0,0", "--r-min", "0"],
+    ["spiral", "--r-min", "0"],
+    ["extract", "--m", "0"],
+    ["extract", "--hbar", "0"],
+    ["extract", "--c", "0"],
+    ["extract", "--c", "inf"],
+    ["extract", "--point", "nan,1,0,0"],
+    ["extract", "--e0", "nan"],
+    ["extract", "--mix", "inf"],
 ])
 def test_unusable_sim_config_exit_code(runner, args):
     result = runner.invoke(main, args)
@@ -208,3 +220,75 @@ def test_unusable_sim_config_exit_code(runner, args):
     assert isinstance(result.exception, SystemExit)  # no traceback
     assert result.stderr.startswith("config error: key ")
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["hyperhelix", "--winding", "5"], "--winding"),
+    (["hyperhelix", "--winding", "0"], "--winding"),
+    (["check", "--seed", "-1"], "--seed"),
+])
+def test_out_of_range_option_exit_code(runner, args, flag):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert flag in result.stderr
+    assert result.stdout == ""
+
+
+def test_sim_flags_keep_their_order_and_help():
+    expected = [
+        (["--config"], "Flat key = value config file."),
+        (["--preset"], "Name of a packaged preset config."),
+        (["--d"], "Diffusion constant D."),
+        (["--lambda-c"], "Compton length; needs --c, 2D = lambda_c * c."),
+        (["--c"], "Signal speed for --lambda-c."),
+        (["--dt"], "Time step."),
+        (["--n-steps"], "Number of steps."),
+        (["--seed"], "Master seed."),
+        (["--m"], "Mass."),
+        (["--p0"], "Axial momentum."),
+        (["--sigma0"], "Spiral angular momentum."),
+        (["--x0"], "Start point, three comma-separated values."),
+        (["--n-traj"], "Number of trajectories."),
+        (["--r-min"], "Drift core radius override."),
+        (["--out", "-o"], "Output path (default stdout)."),
+    ]
+    for name in ("simulate", "spiral"):
+        params = main.commands[name].params
+        assert [(p.opts, p.help) for p in params] == expected
+
+
+# every simulation key with a value off its default (D too, through the
+# Compton pair), and what the echoed config must then hold
+_ROUND_TRIP = [
+    ({"D": "0.07", "dt": "0.02", "n_steps": "12", "seed": "5", "m": "1.5",
+      "p0": "0.7", "sigma0": "0.3", "x0": "0.5,0.25,1", "n_traj": "3",
+      "r_min": "0.2"},
+     {"D": 0.07, "dt": 0.02, "n_steps": 12, "seed": 5, "m": 1.5, "p0": 0.7,
+      "sigma0": 0.3, "x0": [0.5, 0.25, 1.0], "n_traj": 3, "r_min": 0.2}),
+    ({"lambda_c": "0.3", "c": "0.4", "n_traj": "2", "n_steps": "10"},
+     {"D": 0.5 * 0.3 * 0.4, "n_traj": 2, "n_steps": 10}),
+]
+
+
+def test_round_trip_covers_every_key():
+    assert {k for given, _ in _ROUND_TRIP for k in given} == set(_SIM_KEYS)
+
+
+@pytest.mark.parametrize("via", ["file", "flags"])
+@pytest.mark.parametrize("given, echoed", _ROUND_TRIP, ids=["fields", "compton"])
+def test_every_sim_key_round_trips_into_the_echoed_config(runner, tmp_path,
+                                                          via, given, echoed):
+    if via == "file":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in given.items()))
+        args = ["--config", str(cfg)]
+    else:
+        args = [a for k, v in given.items()
+                for a in ("--" + k.lower().replace("_", "-"), v)]
+    result = runner.invoke(main, ["simulate", *args])
+    assert result.exit_code == 0, result.stderr
+    config = json.loads(result.output)["config"]
+    assert set(config) == set(_ROUND_TRIP[0][1])  # every SimConfig field
+    for key, value in echoed.items():
+        assert config[key] == value

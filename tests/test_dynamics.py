@@ -330,3 +330,121 @@ def test_dirac_to_pauli_chain_residual_scales():
     r1 = scaled_residual(0.1 * 1.0)
     r2 = scaled_residual(0.05 * 1.0)
     assert r1 / r2 == pytest.approx(4.0, abs=0.5)
+
+
+# -- oracles: the operators as written with explicit order tuples and
+# accumulators, before they shared one derivative and one sum helper ------
+
+
+def _old_unit(mu):
+    o = [0, 0, 0, 0]
+    o[mu] = 1
+    return tuple(o)
+
+
+def _old_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _old_second(mu, nu):
+    return _old_add(_old_unit(mu), _old_unit(nu))
+
+
+def _old_covariant_derivative(velocity, diffusion, f, pt):
+    v = velocity(pt)
+    out = f.derivative(pt, (1, 0, 0, 0))
+    for k in range(3):
+        out = out + v[k] * f.derivative(pt, _old_unit(k + 1))
+    lap = None
+    for k in range(3):
+        o = [0, 0, 0, 0]
+        o[k + 1] = 2
+        piece = f.derivative(pt, tuple(o))
+        lap = piece if lap is None else lap + piece
+    return out + lap * (-1j * diffusion)
+
+
+def _old_geodesic_residual(field, diffusion, pt):
+    inv = field.value(pt).inverse()
+    d1 = [field.derivative(pt, _old_unit(mu)) for mu in range(4)]
+    g_t = inv * d1[0]
+    g = [inv * d1[k] for k in (1, 2, 3)]
+    h = {}
+    for mu in range(4):
+        for nu in range(mu, 4):
+            h[(mu, nu)] = inv * field.derivative(pt, _old_second(mu, nu))
+            h[(nu, mu)] = h[(mu, nu)]
+    out = []
+    for k in (1, 2, 3):
+        gk = g[k - 1]
+        dt_gk = -(g_t * gk) + h[(0, k)]
+        conv = None
+        lap = None
+        for j in (1, 2, 3):
+            gj = g[j - 1]
+            dj_gk = -(gj * gk) + h[(j, k)]
+            piece = gj * dj_gk
+            conv = piece if conv is None else conv + piece
+            o3 = _old_add(_old_second(j, j), _old_unit(k))
+            d3 = inv * field.derivative(pt, o3)
+            lap_piece = (gj * (gj * gk)) * 2.0 - h[(j, j)] * gk \
+                - (gj * h[(j, k)]) * 2.0 + d3
+            lap = lap_piece if lap is None else lap + lap_piece
+        out.append(dt_gk + (conv + lap * 0.5) * (-2j * diffusion))
+    return out
+
+
+def _old_acceleration_field(field, diffusion, pt):
+    val = field.value(pt)
+    inv = val.inverse()
+    d1 = [field.derivative(pt, _old_unit(mu)) for mu in range(4)]
+    g_t = inv * d1[0]
+    lap = None
+    for j in (1, 2, 3):
+        piece = field.derivative(pt, _old_second(j, j))
+        lap = piece if lap is None else lap + piece
+    out = []
+    for k in (1, 2, 3):
+        gk = inv * d1[k]
+        dt_gk = -(g_t * gk) + inv * field.derivative(pt, _old_second(0, k))
+        lap_k = None
+        for j in (1, 2, 3):
+            o3 = _old_add(_old_second(j, j), _old_unit(k))
+            piece = field.derivative(pt, o3)
+            lap_k = piece if lap_k is None else lap_k + piece
+        grad_term = lap_k * inv - lap * (inv * (d1[k] * inv))
+        out.append(dt_gk + grad_term * (-2j * diffusion))
+    return out
+
+
+def _bits(values):
+    """Raw bytes of a list of biquaternions or arrays: equal bytes means
+    bitwise-equal values, signs of zeros included."""
+    return [np.asarray(getattr(v, "a", v), dtype=complex).tobytes()
+            for v in values]
+
+
+def _oracle_fields():
+    rotor = product_field(rotor_field(1, 0.9, [0.8, 0.1, 0.0]),
+                          rotor_field(2, -0.6, [0.0, 0.7, -0.3]))
+    control = ExponentialField([
+        (ONE, np.zeros(4)),
+        _complex_wave(0.5, np.array([0.6, -0.1, 0.3]), 0.23),
+        _complex_wave(0.2j, np.array([-0.2, 0.4, 0.1]), -0.4),
+    ])
+    return {"rotor": rotor, "control": control,
+            "numeric": NumericField(rotor.value, h=1e-2)}
+
+
+@pytest.mark.parametrize("name", ["rotor", "control", "numeric"])
+def test_operators_match_explicit_order_oracles_bitwise(name):
+    field = _oracle_fields()[name]
+    d = 0.37
+    v = [Biquaternion(0.3, 0.1), Biquaternion(-0.2), Biquaternion(0, 0, 0.5)]
+    for pt in sample_box(((0, 1),) * 4, 3, seed=5):
+        assert _bits(geodesic_residual(field, d, pt)) == \
+            _bits(_old_geodesic_residual(field, d, pt))
+        assert _bits(acceleration_field(field, d, pt)) == \
+            _bits(_old_acceleration_field(field, d, pt))
+        assert _bits([covariant_derivative(lambda q: v, d, field, pt)]) == \
+            _bits([_old_covariant_derivative(lambda q: v, d, field, pt)])

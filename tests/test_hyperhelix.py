@@ -353,7 +353,7 @@ def test_divider_walk_matches_oracle_on_construction_rulers(gen, level):
 
 def test_divider_walk_matches_oracle_on_random_walk():
     # uneven steps, so chords span anything from part of one segment to
-    # hundreds of segments, walked both ways as _averaged_walk walks them.
+    # hundreds of segments, walked both ways.
     # A long walk's length hides the last bits of its chords, so short
     # pieces, whose leftover chord carries those bits, are compared too
     rng = np.random.default_rng(37)

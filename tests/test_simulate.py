@@ -268,6 +268,7 @@ def test_lz_series_modes_and_validation():
     ("dt", math.inf), ("dt", math.nan), ("m", 0.0),
     ("x0", (math.nan, 0.0, 0.0)), ("x0", (1.0, math.inf, 0.0)),
     ("r_min", math.nan), ("r_min", math.inf),
+    ("seed", -1), ("r_min", 0.0), ("r_min", -0.5),
 ])
 def test_sim_config_rejects_unusable_values(key, bad):
     name = {"diffusion": "D"}.get(key, key)

@@ -11,6 +11,7 @@ import pytest
 from fractalspin.algebra import Biquaternion, E1, E2, ONE
 from fractalspin.errors import NotNormalized, SmallComponentsNotSmall
 from fractalspin.fields import PlaneWaveTerm, SpinorField, plane_wave, spiral_pair_field
+from fractalspin.simulate import spiral_drift
 from fractalspin.velocity import (
     bq_velocity,
     component_velocities,
@@ -223,3 +224,21 @@ def test_pauli_recompose_matches_conjugate_spatial():
         vb = bq_velocity(primed, pt)
         for k in range(3):
             assert (rec[k] - vb[k + 1] * n).max_abs() < 1e-9
+
+
+def test_spiral_pair_velocity_is_the_simulated_drift():
+    # the contract between the velocity and trajectory layers: the spatial
+    # bq_velocity of a spiral pair (common p_z and sigma, unequal energies)
+    # is real and scalar, and equals the drift the integrators follow
+    hbar, m, sigma, pz = 0.1, 1.0, 0.5, 1.0
+    t0 = PlaneWaveTerm(Biquaternion(1.0, 0.0), (0.0, 0.0, pz), 1.1, sigma)
+    t1 = PlaneWaveTerm(Biquaternion(0.5, 0.25j), (0.0, 0.0, pz), 2.3, sigma)
+    field = spiral_pair_field(t0, t1, hbar=hbar, m=m)
+    rng = np.random.default_rng(11)
+    for pt in rng.uniform(-2.0, 2.0, (200, 4)):
+        drift = spiral_drift(pt[1:], m=m, p0=pz, sigma0=sigma)
+        coeffs = np.array([v.a for v in bq_velocity(field, pt)[1:]])
+        scale = np.max(np.abs(drift))
+        assert np.max(np.abs(coeffs[:, 0].real - drift)) <= 1e-13 * scale
+        assert np.max(np.abs(coeffs[:, 0].imag)) <= 1e-13 * scale
+        assert np.max(np.abs(coeffs[:, 1:])) <= 1e-13 * scale
