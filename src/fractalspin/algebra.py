@@ -15,14 +15,17 @@ matrices; it is a ring isomorphism onto the full complex 2x2 matrix algebra.
 
 from __future__ import annotations
 
+import math
 import numbers
+import operator
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ZeroDivisor
 
-#: Inversion refuses elements whose complex norm is smaller than this.
+#: Inversion refuses an element whose |N| is at most this fraction of
+#: sum_k |a_k|^2, the bound on |N|; a real quaternion only when it is zero.
 ZERO_DIVISOR_EPS = 1e-12
 
 # Pauli matrices, indexed 1..3 in the usual way.
@@ -48,92 +51,144 @@ def _hamilton(a, b):
     )
 
 
-class Quaternion:
-    """Real quaternion w + x*e1 + y*e2 + z*e3."""
+class _Ring:
+    """The ring shared by real quaternions and biquaternions: four
+    coefficients a0..a3, a tuple of Python floats or complex numbers, and
+    the ring operations on them.  Subclasses name the scalars they may be
+    scaled by (``_scalar``) and how a scalar is stored (``_cast``); an
+    operation mixing a Quaternion with a Biquaternion gives a Biquaternion."""
 
-    __slots__ = ("w", "x", "y", "z")
+    __slots__ = ("_c",)
 
-    def __init__(self, w: float, x: float = 0.0, y: float = 0.0, z: float = 0.0):
-        self.w = float(w)
-        self.x = float(x)
-        self.y = float(y)
-        self.z = float(z)
+    @classmethod
+    def _new(cls, coeffs) -> "_Ring":
+        out = object.__new__(cls)
+        out._c = tuple(coeffs)
+        return out
 
     def __repr__(self) -> str:
-        return f"Quaternion({self.w!r}, {self.x!r}, {self.y!r}, {self.z!r})"
+        return f"{type(self).__name__}({', '.join(map(repr, self._c))})"
 
-    @property
-    def coeffs(self) -> tuple[float, float, float, float]:
-        return (self.w, self.x, self.y, self.z)
+    def _promote(self, other: "_Ring"):
+        """The class of self op other, and both coefficient tuples in it."""
+        if type(other) is type(self):
+            return type(self), self._c, other._c
+        return (Biquaternion, tuple(map(complex, self._c)),
+                tuple(map(complex, other._c)))
 
-    def __add__(self, other: "Quaternion") -> "Quaternion":
-        if not isinstance(other, Quaternion):
+    def _combine(self, other, op):
+        """self op other coefficient-wise; a scalar acts on a0 alone."""
+        if isinstance(other, _Ring):
+            cls, a, b = self._promote(other)
+            return cls._new(map(op, a, b))
+        if isinstance(other, self._scalar):
+            a0, *rest = self._c
+            return self._new((op(a0, self._cast(other)), *rest))
+        return NotImplemented
+
+    def _scale(self, other, op):
+        """Each coefficient op a scalar other."""
+        if not isinstance(other, self._scalar):
             return NotImplemented
-        return Quaternion(self.w + other.w, self.x + other.x,
-                          self.y + other.y, self.z + other.z)
+        s = self._cast(other)
+        return self._new([op(a, s) for a in self._c])
 
-    def __sub__(self, other: "Quaternion") -> "Quaternion":
-        if not isinstance(other, Quaternion):
-            return NotImplemented
-        return Quaternion(self.w - other.w, self.x - other.x,
-                          self.y - other.y, self.z - other.z)
+    def __add__(self, other):
+        return self._combine(other, operator.add)
 
-    def __neg__(self) -> "Quaternion":
-        return Quaternion(-self.w, -self.x, -self.y, -self.z)
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._combine(other, operator.sub)
+
+    def __rsub__(self, other):
+        return (-self)._combine(other, operator.add)
+
+    def __neg__(self):
+        return self._new([-a for a in self._c])
 
     def __mul__(self, other):
-        if isinstance(other, Quaternion):
-            return Quaternion(*_hamilton(self.coeffs, other.coeffs))
-        if isinstance(other, Biquaternion):
-            return self.to_biquaternion() * other
-        if isinstance(other, numbers.Real):
-            s = float(other)
-            return Quaternion(self.w * s, self.x * s, self.y * s, self.z * s)
-        return NotImplemented
+        if isinstance(other, _Ring):
+            cls, a, b = self._promote(other)
+            return cls._new(_hamilton(a, b))
+        return self._scale(other, operator.mul)
 
     def __rmul__(self, other):
-        if isinstance(other, numbers.Real):
-            return self * other
-        return NotImplemented
+        # ring elements are multiplied by their own __mul__; scalars commute
+        return self._scale(other, operator.mul)
 
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
+    def __truediv__(self, other):
+        return self._scale(other, operator.truediv)
+
+    def conjugate(self):
+        """Quaternion conjugate: negates the e1, e2, e3 parts.  The scalar
+        i of a biquaternion is left alone."""
+        a0, a1, a2, a3 = self._c
+        return self._new((a0, -a1, -a2, -a3))
+
+    def _norm2(self):
+        """N = self * conj(self) = a0^2 + a1^2 + a2^2 + a3^2.  For a
+        biquaternion a complex scalar, not a positive real; it vanishes
+        exactly on the zero divisors of the ring."""
+        return sum(a * a for a in self._c)
+
+    def _abs2(self) -> float:
+        """sum_k |a_k|^2: the sum of squares of all real components."""
+        c = self._c
+        return sum(a.real * a.real for a in c) + sum(a.imag * a.imag for a in c)
+
+    def inverse(self):
+        """conj / N.  Raises ZeroDivisor where N vanishes relative to the
+        size of the element (see ZERO_DIVISOR_EPS)."""
+        n = self._norm2()
+        size = self._abs2()
+        if abs(n) <= ZERO_DIVISOR_EPS * size:
+            raise ZeroDivisor(
+                f"{type(self).__name__} is a (near-)zero divisor: "
+                f"|N| = {abs(n):.3e}, sum |a_k|^2 = {size:.3e}")
+        return self.conjugate() / n
+
+
+class Quaternion(_Ring):
+    """Real quaternion w + x*e1 + y*e2 + z*e3 with read-only coefficients."""
+
+    __slots__ = ()
+    _scalar, _cast = numbers.Real, float
+
+    def __init__(self, w: float, x: float = 0.0, y: float = 0.0, z: float = 0.0):
+        self._c = (float(w), float(x), float(y), float(z))
+
+    w = property(lambda self: self._c[0])
+    x = property(lambda self: self._c[1])
+    y = property(lambda self: self._c[2])
+    z = property(lambda self: self._c[3])
+    coeffs = property(lambda self: self._c)
 
     def norm(self) -> float:
         """Euclidean norm; multiplicative, norm(p*q) = norm(p)*norm(q)."""
-        return float(np.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2))
-
-    def inverse(self) -> "Quaternion":
-        n2 = self.w**2 + self.x**2 + self.y**2 + self.z**2
-        if n2 < ZERO_DIVISOR_EPS:
-            raise ZeroDivisor(f"cannot invert quaternion with norm^2 = {n2:.3e}")
-        c = self.conjugate()
-        return Quaternion(c.w / n2, c.x / n2, c.y / n2, c.z / n2)
+        return math.sqrt(self._norm2())
 
     def to_biquaternion(self) -> "Biquaternion":
-        return Biquaternion(self.w, self.x, self.y, self.z)
+        return Biquaternion(*self._c)
 
 
-class Biquaternion:
-    """Complexified quaternion; coefficients a0..a3 are python/NumPy complex.
+class Biquaternion(_Ring):
+    """Complexified quaternion; coefficients a0..a3 are Python complex.
 
     The eight real components are ordered (phi0, chi0, phi1, chi1, phi2,
     chi2, phi3, chi3) with a_k = phi_k + i*chi_k whenever a flat real view
     is exchanged (see :meth:`components` / :meth:`from_components`).
     """
 
-    __slots__ = ("_a",)
+    __slots__ = ()
+    _scalar, _cast = numbers.Complex, complex
 
     def __init__(self, a0=0.0, a1=0.0, a2=0.0, a3=0.0):
-        self._a = np.array([a0, a1, a2, a3], dtype=complex)
-
-    # -- constructors -------------------------------------------------
+        self._c = (complex(a0), complex(a1), complex(a2), complex(a3))
 
     @classmethod
     def from_array(cls, a) -> "Biquaternion":
-        out = object.__new__(cls)
-        out._a = np.asarray(a, dtype=complex).reshape(4).copy()
-        return out
+        return cls._new(np.asarray(a, dtype=complex).reshape(4).tolist())
 
     @classmethod
     def from_components(cls, comps) -> "Biquaternion":
@@ -142,137 +197,46 @@ class Biquaternion:
         c = np.asarray(comps, dtype=float).reshape(8)
         return cls.from_array(c[0::2] + 1j * c[1::2])
 
-    # -- views ---------------------------------------------------------
+    # -- views, each a fresh array -------------------------------------
 
     @property
     def a(self) -> np.ndarray:
-        """Complex coefficient vector (a0, a1, a2, a3), copied."""
-        return self._a.copy()
+        """Complex coefficient vector (a0, a1, a2, a3)."""
+        return np.array(self._c, dtype=complex)
 
     @property
     def components(self) -> np.ndarray:
         """Interleaved real components (phi0, chi0, ..., phi3, chi3)."""
-        out = np.empty(8)
-        out[0::2] = self._a.real
-        out[1::2] = self._a.imag
-        return out
+        return np.array([p for a in self._c for p in (a.real, a.imag)])
 
-    @property
-    def phi(self) -> np.ndarray:
-        return self._a.real.copy()
-
-    @property
-    def chi(self) -> np.ndarray:
-        return self._a.imag.copy()
-
-    def __repr__(self) -> str:
-        a = self._a
-        return (f"Biquaternion({a[0]!r}, {a[1]!r}, {a[2]!r}, {a[3]!r})")
-
-    # -- ring operations ------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, Biquaternion):
-            return Biquaternion.from_array(self._a + other._a)
-        if isinstance(other, Quaternion):
-            return self + other.to_biquaternion()
-        if isinstance(other, numbers.Complex):
-            b = self._a.copy()
-            b[0] += complex(other)
-            return Biquaternion.from_array(b)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Biquaternion):
-            return Biquaternion.from_array(self._a - other._a)
-        if isinstance(other, Quaternion):
-            return self - other.to_biquaternion()
-        if isinstance(other, numbers.Complex):
-            b = self._a.copy()
-            b[0] -= complex(other)
-            return Biquaternion.from_array(b)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if isinstance(other, numbers.Complex):
-            return (-self) + complex(other)
-        return NotImplemented
-
-    def __neg__(self):
-        return Biquaternion.from_array(-self._a)
-
-    def __mul__(self, other):
-        if isinstance(other, Biquaternion):
-            return Biquaternion.from_array(_hamilton(self._a, other._a))
-        if isinstance(other, Quaternion):
-            return self * other.to_biquaternion()
-        if isinstance(other, numbers.Complex):
-            return Biquaternion.from_array(self._a * complex(other))
-        return NotImplemented
-
-    def __rmul__(self, other):
-        # scalars commute, so only the scalar case lands here
-        if isinstance(other, numbers.Complex):
-            return Biquaternion.from_array(self._a * complex(other))
-        if isinstance(other, Quaternion):
-            return other.to_biquaternion() * self
-        return NotImplemented
-
-    def __truediv__(self, other):
-        if isinstance(other, numbers.Complex):
-            return Biquaternion.from_array(self._a / complex(other))
-        return NotImplemented
+    phi = property(lambda self: np.array([a.real for a in self._c]))
+    chi = property(lambda self: np.array([a.imag for a in self._c]))
 
     def __eq__(self, other):
+        # element-wise IEEE: a NaN element is never equal, -0.0 == 0.0
         if not isinstance(other, Biquaternion):
             return NotImplemented
-        return bool(np.array_equal(self._a, other._a))
+        return all(map(operator.eq, self._c, other._c))
 
     def __hash__(self):
-        # + 0.0 turns -0.0 into +0.0, which __eq__ does not tell apart
-        return hash((self._a + 0.0).tobytes())
+        # hash(-0.0) == hash(0.0), as __eq__ requires
+        return hash(self._c)
 
-    # -- conjugation, norms, inversion -----------------------------------
-
-    def conjugate(self) -> "Biquaternion":
-        """Quaternion conjugate: negates the e1, e2, e3 parts.  The scalar
-        i is left alone."""
-        a = self._a
-        return Biquaternion(a[0], -a[1], -a[2], -a[3])
-
-    def complex_norm(self) -> complex:
-        """N(psi) = psi * conj(psi) = a0^2 + a1^2 + a2^2 + a3^2.
-
-        A complex scalar, not a positive real; it vanishes exactly on the
-        zero divisors of the ring.
-        """
-        return complex(np.sum(self._a * self._a))
-
-    def eight_square_norm(self) -> float:
-        """Sum of squares of all eight real components."""
-        return float(np.sum(self._a.real**2) + np.sum(self._a.imag**2))
-
-    def inverse(self) -> "Biquaternion":
-        n = self.complex_norm()
-        if abs(n) < ZERO_DIVISOR_EPS:
-            raise ZeroDivisor(
-                f"biquaternion is a (near-)zero divisor: |N(psi)| = {abs(n):.3e}")
-        return Biquaternion.from_array(self.conjugate()._a / n)
+    complex_norm = _Ring._norm2
+    eight_square_norm = _Ring._abs2
 
     def allclose(self, other: "Biquaternion", atol: float = 1e-12,
                  rtol: float = 0.0) -> bool:
-        return bool(np.allclose(self._a, other._a, atol=atol, rtol=rtol))
+        return bool(np.allclose(self._c, other._c, atol=atol, rtol=rtol))
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self._a)))
+        return float(np.max(np.abs(self._c)))
 
     # -- matrix bridge ----------------------------------------------------
 
     def to_matrix(self) -> np.ndarray:
         """2x2 complex matrix under e_k -> -i*sigma_k."""
-        a0, a1, a2, a3 = self._a
+        a0, a1, a2, a3 = self._c
         return np.array([[a0 - 1j * a3, -1j * a1 - a2],
                          [-1j * a1 + a2, a0 + 1j * a3]])
 
@@ -294,8 +258,6 @@ E1 = Biquaternion(0.0, 1.0)
 E2 = Biquaternion(0.0, 0.0, 1.0)
 E3 = Biquaternion(0.0, 0.0, 0.0, 1.0)
 
-
-# -- functional aliases used throughout the package ------------------------
 
 def q_mul(p, q):
     """Hamilton product; accepts Quaternion or Biquaternion arguments."""
@@ -327,12 +289,9 @@ def symplectic_split(q) -> SymplecticPair:
     (complex coefficients) it is the projection onto the upper/lower
     2-spinor scalars and discards half the real dimensions.
     """
-    if isinstance(q, Quaternion):
-        c0, c1, c2, c3 = q.coeffs
-    elif isinstance(q, Biquaternion):
-        c0, c1, c2, c3 = q.a
-    else:
+    if not isinstance(q, _Ring):
         raise TypeError(f"expected Quaternion or Biquaternion, got {type(q)!r}")
+    c0, c1, c2, c3 = q._c
     return SymplecticPair(complex(c0 + 1j * c1), complex(c2 - 1j * c3))
 
 

@@ -80,6 +80,21 @@ def run_velocity(seed: int) -> list[dict]:
     rec = recompose_velocity(comp)
     conj = conjugate_velocity(field, pt)
     closure = max((rec[mu] - conj[mu]).max_abs() for mu in range(4))
+
+    # the spatial velocity of a spiral pair is real and scalar, and is the
+    # drift the trajectory integrators follow
+    pair_m, sigma, pz = 1.0, 0.5, 1.0
+    t0 = PlaneWaveTerm(Biquaternion(1.0, 0.0), (0.0, 0.0, pz), 1.1, sigma)
+    t1 = PlaneWaveTerm(Biquaternion(0.5, 0.25j), (0.0, 0.0, pz), 2.3, sigma)
+    pair = spiral_pair_field(t0, t1, hbar=0.1, m=pair_m)
+    worst_drift = 0.0
+    for pt in rng.uniform(-2.0, 2.0, (20, 4)):
+        drift = simulate.spiral_drift(pt[1:], m=pair_m, p0=pz,
+                                      sigma0=sigma)
+        coeffs = np.array([v.a for v in bq_velocity(pair, pt)[1:]])
+        coeffs[:, 0] -= drift
+        worst_drift = max(worst_drift, float(np.max(np.abs(coeffs))
+                                             / np.max(np.abs(drift))))
     return [
         _check("plane wave velocity p/m", worst_p < 1e-10,
                f"max residual {worst_p:.2e}"),
@@ -87,6 +102,8 @@ def run_velocity(seed: int) -> list[dict]:
                f"max residual {closure:.2e}"),
         _check("tilde sector vanishes", comp.tilde_max_abs() < 1e-10,
                f"max tilde {comp.tilde_max_abs():.2e}"),
+        _check("spiral pair velocity is the drift", worst_drift <= 1e-13,
+               f"max residual {worst_drift:.2e} of the drift's size"),
     ]
 
 

@@ -295,6 +295,8 @@ def extract(sigma0, pz, e0, e1, mix, m, hbar, c, point, out):
 def hyperhelix(generator, winding, level, measure, min_decades, out):
     """Build an iterated fractal curve and report its dimensions and
     geometric spin."""
+    if not math.isfinite(min_decades):
+        raise ConfigError(f"key min_decades: {min_decades!r} is not finite")
     gen = {"helix": lambda: helical_generator(winding),
            "koch": koch_generator,
            "line": line_generator}[generator]()

@@ -10,7 +10,8 @@ class NumericalError(FractalSpinError):
 
 
 class ZeroDivisor(NumericalError):
-    """Inversion was attempted on an element with (near-)zero complex norm.
+    """Inversion was attempted on an element whose complex norm is zero, or
+    nearly zero relative to the size of the element.
 
     Biquaternions form a ring with zero divisors, e.g. 1 + i*e1, so a
     vanishing complex norm is a genuine algebraic obstruction and not a

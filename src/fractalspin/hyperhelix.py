@@ -366,18 +366,23 @@ def measured_dimension(vertices: np.ndarray, rulers=None,
     plus one, with each L(eps) from one forward divider walk.
 
     Raises InsufficientData when the rulers span fewer than min_decades
-    decades; self-similar curves below level 5 cannot honestly reach two
-    decades, so convergence studies over levels pass a lower min_decades
-    explicitly.
+    decades (or min_decades is NaN); self-similar curves below level 5
+    cannot honestly reach two decades, so convergence studies over levels
+    pass a lower min_decades explicitly.  Raises GeometryInvalid for a
+    curve of fewer than two vertices or a walk of length 0.
     """
     verts = np.asarray(vertices, dtype=float)
+    if len(verts) < 2:
+        raise GeometryInvalid("need a curve of at least two vertices")
     rulers = default_rulers(verts) if rulers is None else \
         np.asarray(rulers, dtype=float)
     span = math.log10(rulers.max() / rulers.min())
-    if span < min_decades:
+    if not span >= min_decades:
         raise InsufficientData(
             f"ruler span {span:.2f} decades < {min_decades:.2f}")
     lengths = np.array([divider_walk(verts, eps) for eps in rulers])
+    if not np.all(lengths > 0.0):
+        raise GeometryInvalid("a divider walk has length 0; no dimension")
     slope, _ = np.polyfit(np.log(1.0 / rulers), np.log(lengths), 1)
     return DimensionEstimate(1.0 + float(slope), rulers, lengths)
 

@@ -264,7 +264,7 @@ def _hurst_fit(lags: np.ndarray, lag_times: np.ndarray, counts: np.ndarray,
     """Log-log slope of rms against lag_times, behind the gates of
     increment_scaling; raises InsufficientData when a gate fails."""
     span = math.log10(lags.max() / lags.min())
-    if span < min_decades:
+    if not span >= min_decades:
         raise InsufficientData(
             f"lag span {span:.2f} decades < {min_decades:.2f}")
     if counts[-1] < min_increments:

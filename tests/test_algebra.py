@@ -39,6 +39,21 @@ def _rand_quat(rng, scale=1.0):
     return Quaternion(*rng.uniform(-scale, scale, 4))
 
 
+def _coeffs(q):
+    return q.a if isinstance(q, Biquaternion) else np.array(q.coeffs)
+
+
+def _array_product(a, b):
+    """The product as the array-backed Biquaternion computed it: the
+    Hamilton table on the numpy complex128 scalars of two arrays."""
+    a0, a1, a2, a3 = np.asarray(a, dtype=complex)
+    b0, b1, b2, b3 = np.asarray(b, dtype=complex)
+    return np.array([a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+                     a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+                     a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+                     a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0], dtype=complex)
+
+
 def _oracle_matrix(bq):
     """Matrix image built directly from the Pauli matrices."""
     a = bq.a
@@ -74,14 +89,31 @@ def test_product_against_matrix_oracle():
         assert np.max(np.abs(direct - via_matrices)) < 1e-12
 
 
+def test_products_bitwise_equal_the_array_products():
+    rng = np.random.default_rng(111)
+    for _ in range(2000):
+        p, q = _rand_bq(rng, 10.0), _rand_bq(rng, 0.1)
+        r = _rand_quat(rng, 3.0)
+        s = float(rng.standard_normal())
+        cases = [(p * q, _array_product(p.a, q.a)),
+                 (r * p, _array_product(np.array(r.coeffs), p.a)),
+                 (p * r, _array_product(p.a, np.array(r.coeffs))),
+                 (p * s, p.a * complex(s)), (s * p, p.a * complex(s)),
+                 (p * (1j * s), p.a * complex(1j * s)),
+                 ((1j * s) * p, p.a * complex(1j * s))]
+        for got, want in cases:
+            assert got.a.tobytes() == want.tobytes()
+
+
 def test_associativity():
     rng = np.random.default_rng(102)
-    worst = 0.0
-    for _ in range(N_CASES):
-        a, b, c = _rand_bq(rng), _rand_bq(rng), _rand_bq(rng)
-        d = (a * b) * c - a * (b * c)
-        worst = max(worst, d.max_abs())
-    assert worst < 1e-12
+    for rand in (_rand_bq, _rand_quat):
+        worst = 0.0
+        for _ in range(N_CASES):
+            a, b, c = rand(rng), rand(rng), rand(rng)
+            d = (a * b) * c - a * (b * c)
+            worst = max(worst, float(np.max(np.abs(_coeffs(d)))))
+        assert worst < 1e-12
 
 
 def test_complex_norm_multiplicative():
@@ -102,9 +134,12 @@ def test_real_quaternion_norm_multiplicative():
 
 def test_conjugation_reverses_products():
     rng = np.random.default_rng(105)
-    for _ in range(200):
-        p, q = _rand_bq(rng), _rand_bq(rng)
-        assert (p * q).conjugate().allclose(q.conjugate() * p.conjugate())
+    for rand in (_rand_bq, _rand_quat):
+        for _ in range(200):
+            p, q = rand(rng), rand(rng)
+            assert np.allclose(_coeffs((p * q).conjugate()),
+                               _coeffs(q.conjugate() * p.conjugate()),
+                               rtol=0.0, atol=1e-12)
 
 
 def test_inverse_round_trip():
@@ -120,6 +155,10 @@ def test_inverse_round_trip():
         assert (q * qi).allclose(ONE, atol=1e-10)
         assert (qi * q).allclose(ONE, atol=1e-10)
     assert count > N_CASES * 0.9  # random biquaternions are rarely singular
+    for _ in range(N_CASES):
+        q = _rand_quat(rng)  # a nonzero real quaternion always inverts
+        for prod in (q * q.inverse(), q.inverse() * q):
+            assert np.allclose(prod.coeffs, (1, 0, 0, 0), rtol=0, atol=1e-10)
 
 
 def test_zero_divisor_raises():
@@ -130,6 +169,23 @@ def test_zero_divisor_raises():
     # and the companion product really does annihilate:
     partner = Biquaternion(1.0, -1.0j)
     assert (zd * partner).max_abs() < 1e-15
+
+
+def test_inverse_threshold_is_scale_relative():
+    for tiny in (1e-7, 1e-150):
+        assert Biquaternion(tiny).inverse().allclose(
+            Biquaternion(1.0 / tiny), atol=0.0, rtol=1e-15)
+        assert Quaternion(0, tiny).inverse().coeffs == pytest.approx(
+            (0.0, -1.0 / tiny, 0.0, 0.0), rel=1e-15)
+        # a zero divisor stays one at any scale
+        with pytest.raises(ZeroDivisor):
+            Biquaternion(tiny, 1j * tiny).inverse()
+    near = Biquaternion(1.0, 1j * (1.0 + 1e-14))  # |N| = 2e-14 of 2
+    with pytest.raises(ZeroDivisor):
+        near.inverse()
+    for zero in (Biquaternion(), Quaternion(0.0), Biquaternion(-0.0)):
+        with pytest.raises(ZeroDivisor):  # not ZeroDivisionError
+            zero.inverse()
 
 
 def test_one_plus_e1_is_invertible():
@@ -240,6 +296,17 @@ def test_scalar_arithmetic():
     assert (1 + q).allclose(Biquaternion(2.0, 2.0))
     assert (q - 1).allclose(Biquaternion(0.0, 2.0))
     assert (1 - q).allclose(Biquaternion(0.0, -2.0))
+
+
+def test_eq_is_elementwise_ieee():
+    nan = float("nan")
+    q = Biquaternion(1.0, complex(0.0, nan))
+    assert not q == q  # a NaN element is unequal even to itself
+    assert q != Biquaternion.from_array(q.a)
+    same = Biquaternion(1.0, 2.0j)
+    assert same == Biquaternion(1.0, 2.0j) and not same != same
+    assert Quaternion(1.0) != Quaternion(1.0)  # identity equality
+    assert Biquaternion(1.0) != Quaternion(1.0)
 
 
 def test_hash_agrees_with_eq_on_signed_zeros():

@@ -213,6 +213,8 @@ def test_preset_loading(runner):
     ["extract", "--point", "nan,1,0,0"],
     ["extract", "--e0", "nan"],
     ["extract", "--mix", "inf"],
+    ["hyperhelix", "--min-decades", "nan", "--level", "2"],
+    ["hyperhelix", "--min-decades", "inf", "--no-measure"],
 ])
 def test_unusable_sim_config_exit_code(runner, args):
     result = runner.invoke(main, args)

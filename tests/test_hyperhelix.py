@@ -160,6 +160,20 @@ def test_measured_dimension_insufficient_span():
         measured_dimension(verts, rulers=construction_rulers(3, 3))
 
 
+def test_measured_dimension_nan_min_decades_fails_the_gate():
+    verts = iterate(helical_generator(), 2)
+    with pytest.raises(InsufficientData):
+        measured_dimension(verts, rulers=construction_rulers(3, 2),
+                           min_decades=math.nan)
+
+
+def test_measured_dimension_degenerate_curves():
+    # one vertex, and two that coincide: every divider walk has length 0
+    for curve in (np.zeros((1, 3)), np.zeros((2, 3))):
+        with pytest.raises(GeometryInvalid):
+            measured_dimension(curve, rulers=[1.0, 1000.0])
+
+
 def test_ruler_ladders():
     verts = iterate(helical_generator(), 3)
     rulers = default_rulers(verts)

@@ -144,6 +144,14 @@ def test_increment_scaling_guards():
     increment_scaling(walk, 0.01, lags=np.arange(1, 51), min_decades=1.5)
 
 
+def test_increment_scaling_nan_min_decades_fails_the_gate():
+    walk = np.cumsum(np.random.default_rng(9).standard_normal((2000, 3)),
+                     axis=0)
+    with pytest.raises(InsufficientData):
+        increment_scaling(walk, 0.01, lags=np.array([1, 10, 100]),
+                          min_decades=math.nan)
+
+
 def test_crossover_lag_matches_drift_diffusion_balance():
     # 1-d increments z(t) = v t + Brownian(2D): RMS^2 = 2 D tau + v^2 tau^2
     rng = np.random.default_rng(10)
