@@ -147,12 +147,18 @@ def _emit(text: str, out):
         path.write_text(text)
 
 
+_CSV_ROWS = 4096  # trajectory rows formatted per str.format call
+
+
 def _trajectory_csv(traj) -> str:
-    lines = ["t,x,y,z"]
-    for t, pos in zip(traj.times, traj.positions):
-        lines.append(f"{float(t)!r},{float(pos[0])!r},"
-                     f"{float(pos[1])!r},{float(pos[2])!r}")
-    return "\n".join(lines) + "\n"
+    """t,x,y,z rows, each number as its float repr (shortest round trip)."""
+    table = np.column_stack((traj.times, traj.positions))
+    parts = ["t,x,y,z\n"]
+    for start in range(0, len(table), _CSV_ROWS):
+        chunk = table[start:start + _CSV_ROWS]
+        parts.append(("{!r},{!r},{!r},{!r}\n" * len(chunk))
+                     .format(*chunk.ravel().tolist()))
+    return "".join(parts)
 
 
 def _json_text(payload: dict) -> str:

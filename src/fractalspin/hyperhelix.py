@@ -251,6 +251,12 @@ def _first_crossing(starts, dirs, start_idx, start_t, anchor, eps):
     return None
 
 
+def _check_ruler(eps) -> None:
+    if not (math.isfinite(eps) and eps > 0):
+        raise GeometryInvalid(f"a ruler must be a finite number > 0, "
+                              f"got {eps!r}")
+
+
 def divider_walk(vertices: np.ndarray, eps: float) -> float:
     """Ruler length estimate: walk the polyline in chords of length eps
     (first-crossing rule) and return steps * eps plus the leftover chord.
@@ -264,7 +270,9 @@ def divider_walk(vertices: np.ndarray, eps: float) -> float:
     test there.  Both test a segment with the same operations in the same
     order, so the walk takes the same chords whichever of them finds the
     crossing.  Segment data is read as Python floats one chunk at a time.
+    Raises GeometryInvalid for a ruler that is not a finite number above 0.
     """
+    _check_ruler(eps)
     verts = np.asarray(vertices, dtype=float)
     starts = verts[:-1]
     dirs = verts[1:] - verts[:-1]
@@ -346,10 +354,16 @@ def default_rulers(vertices: np.ndarray, num: int = 10) -> np.ndarray:
     For generic curves only.  Divider lengths of self-similar curves
     oscillate log-periodically, and an arbitrary ladder samples the
     oscillation at drifting phase; prefer construction_rulers there.
+    Raises GeometryInvalid when either end of the ladder is 0: a closed
+    curve, or a segment of length 0.
     """
     verts = np.asarray(vertices, dtype=float)
     span = float(np.linalg.norm(verts[-1] - verts[0]))
     seg_min = float(np.min(np.linalg.norm(np.diff(verts, axis=0), axis=1)))
+    if not (span > 0.0 and seg_min > 0.0):
+        raise GeometryInvalid(
+            f"no default ruler ladder from span {span!r} down to twice the "
+            f"shortest segment {seg_min!r}; pass rulers")
     return np.geomspace(span, 2.0 * seg_min, num)
 
 
@@ -369,13 +383,21 @@ def measured_dimension(vertices: np.ndarray, rulers=None,
     decades (or min_decades is NaN); self-similar curves below level 5
     cannot honestly reach two decades, so convergence studies over levels
     pass a lower min_decades explicitly.  Raises GeometryInvalid for a
-    curve of fewer than two vertices or a walk of length 0.
+    curve of fewer than two vertices, rulers that are not a flat list of
+    at least one, a ruler that is not a finite number above 0, or a walk
+    of length 0.
     """
     verts = np.asarray(vertices, dtype=float)
     if len(verts) < 2:
         raise GeometryInvalid("need a curve of at least two vertices")
     rulers = default_rulers(verts) if rulers is None else \
         np.asarray(rulers, dtype=float)
+    if rulers.ndim != 1 or rulers.size == 0:
+        raise GeometryInvalid(
+            f"need a flat list of at least one ruler, got shape "
+            f"{rulers.shape}")
+    for eps in rulers.tolist():
+        _check_ruler(eps)
     span = math.log10(rulers.max() / rulers.min())
     if not span >= min_decades:
         raise InsufficientData(

@@ -1,13 +1,15 @@
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from fractalspin import checks
 from fractalspin.algebra import Biquaternion
-from fractalspin.cli import (_SIM_KEYS, main, parse_config_text,
-                             resolve_sim_config)
+from fractalspin.cli import (_SIM_KEYS, _trajectory_csv, main,
+                             parse_config_text, resolve_sim_config)
 from fractalspin.errors import ConfigError, ZeroDivisor
+from fractalspin.simulate import Trajectory, spiral_preset
 
 
 @pytest.fixture
@@ -294,3 +296,30 @@ def test_every_sim_key_round_trips_into_the_echoed_config(runner, tmp_path,
     assert set(config) == set(_ROUND_TRIP[0][1])  # every SimConfig field
     for key, value in echoed.items():
         assert config[key] == value
+
+
+def _old_trajectory_csv(traj):
+    # the per-row writer before chunked formatting
+    lines = ["t,x,y,z"]
+    for t, pos in zip(traj.times, traj.positions):
+        lines.append(f"{float(t)!r},{float(pos[0])!r},"
+                     f"{float(pos[1])!r},{float(pos[2])!r}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("rows", [1, 2, 4095, 4096, 4097, 8193])
+def test_trajectory_csv_equals_per_row_oracle(rows):
+    rng = np.random.default_rng(rows)
+    times = np.arange(rows) * 0.01
+    positions = rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(
+        -20, 20, (rows, 3))
+    positions[0] = -0.0, 1e-300, 1e+16
+    special = [-1e-300, -1e+16, 0.0, 5e-324, 1e+308, 0.1, 1 / 3, 1e16 + 2]
+    positions.reshape(-1)[3:3 + len(special)] = special[:3 * rows - 3]
+    times[-1] = -0.0 if rows == 1 else times[-1]
+    traj = Trajectory(times, positions, spiral_preset())
+    text = _trajectory_csv(traj)
+    assert text == _old_trajectory_csv(traj)
+    assert text.count("\n") == rows + 1
+    for token in ("-0.0", "1e-300", "1e+16"):
+        assert token in text

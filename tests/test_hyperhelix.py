@@ -174,6 +174,40 @@ def test_measured_dimension_degenerate_curves():
             measured_dimension(curve, rulers=[1.0, 1000.0])
 
 
+@pytest.mark.parametrize("eps", [0.0, -0.0, -1.0, math.nan, math.inf,
+                                 -math.inf])
+def test_divider_walk_refuses_a_ruler_not_finite_and_positive(eps):
+    verts = iterate(helical_generator(), 2)
+    with pytest.raises(GeometryInvalid, match="finite number > 0"):
+        divider_walk(verts, eps)
+
+
+@pytest.mark.parametrize("rulers", [
+    [-1.0, 1.0, 1000.0], [0.0, 1.0, 1000.0], [1e-3, 1.0, math.nan],
+    [1e-3, 1.0, math.inf], [-1e-3, -1.0],
+])
+def test_measured_dimension_refuses_a_ruler_not_finite_and_positive(rulers):
+    verts = iterate(helical_generator(), 2)
+    with pytest.raises(GeometryInvalid, match="finite number > 0"):
+        measured_dimension(verts, rulers=rulers, min_decades=0.5)
+
+
+@pytest.mark.parametrize("rulers", [[], [[1.0, 0.1], [0.01, 0.001]], 0.5])
+def test_measured_dimension_refuses_rulers_not_a_flat_list(rulers):
+    verts = iterate(helical_generator(), 2)
+    with pytest.raises(GeometryInvalid, match="flat list of at least one"):
+        measured_dimension(verts, rulers=rulers)
+
+
+@pytest.mark.parametrize("verts", [
+    [[0, 0, 0], [1, 0, 0], [1, 0, 0], [2, 1, 0]],  # a zero-length segment
+    [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 0, 0]],  # a closed curve
+])
+def test_default_rulers_refuse_a_ladder_ending_at_zero(verts):
+    with pytest.raises(GeometryInvalid, match="no default ruler ladder"):
+        measured_dimension(np.array(verts, dtype=float), min_decades=0.1)
+
+
 def test_ruler_ladders():
     verts = iterate(helical_generator(), 3)
     rulers = default_rulers(verts)

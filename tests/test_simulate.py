@@ -299,12 +299,15 @@ def test_lags_outside_path_rejected_alike():
     assert np.isfinite(ensemble_run(cfg, lags=[1, 50]).lag_rms).all()
 
 
-def _recorded_blocks(monkeypatch):
-    """Record the path blocks ensemble_run integrates, in order."""
+def _recorded_blocks(monkeypatch, noises=None):
+    """Record the path blocks ensemble_run integrates, in order, and their
+    noise into noises when given."""
     blocks = []
     integrate = simulate._integrate_noise_block
 
     def recording(cfg, noise):
+        if noises is not None:
+            noises.append(noise)
         blocks.append(integrate(cfg, noise))
         return blocks[-1]
 
@@ -384,3 +387,172 @@ def test_einsum_reductions_match_old_stencils(monkeypatch):
     assert res.lz_std == np.std(lz_means)
     assert np.array_equal(res.mean_path, path_sum / cfg.n_traj)
     assert np.array_equal(res.mean_final, path_sum[-1] / cfg.n_traj)
+
+
+def _old_drift(pos, m, p0, sigma0, r_min=0.0):
+    # spiral_drift before the shared (vx, vy) kernel
+    x, y = float(pos[0]), float(pos[1])
+    rho2 = x * x + y * y
+    if rho2 <= r_min * r_min:
+        raise AxisSingularity(
+            f"drift evaluated at rho = {math.sqrt(rho2):.3e} "
+            f"inside core radius {r_min:.3e}")
+    return np.array([-(sigma0 / m) * y / rho2, (sigma0 / m) * x / rho2,
+                     p0 / m])
+
+
+def test_drift_kernel_equals_the_old_formulas():
+    rng = np.random.default_rng(31)
+    pts = rng.standard_normal((200, 3)) * 10.0 ** rng.integers(-3, 3, (200, 1))
+    m, p0, sigma0, r_min = 1.7, -0.4, 0.9, 0.05
+    for pos in pts:
+        if pos[0] ** 2 + pos[1] ** 2 > r_min ** 2:
+            assert np.array_equal(spiral_drift(pos, m, p0, sigma0, r_min),
+                                  _old_drift(pos, m, p0, sigma0, r_min))
+    # the block drift as written before the shared kernel
+    rho2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
+    denom = np.maximum(rho2, r_min * r_min)
+    old = np.empty_like(pts)
+    old[:, 0] = -(sigma0 / m) * pts[:, 1] / denom
+    old[:, 1] = (sigma0 / m) * pts[:, 0] / denom
+    old[:, 2] = p0 / m
+    assert np.count_nonzero(rho2 <= r_min * r_min) > 5
+    assert np.array_equal(simulate._drift_block(pts, m, p0, sigma0, r_min),
+                          old)
+
+
+def _old_rk4(cfg, calls=None):
+    # the numpy RK4 loop before the Python-float rewrite; calls, when
+    # given, counts the drift evaluations
+    def drift(pos):
+        if calls is not None:
+            calls.append(pos)
+        return _old_drift(pos, cfg.m, cfg.p0, cfg.sigma0, r_min)
+
+    r_min = 0.0 if cfg.r_min is None else cfg.r_min
+    dt = cfg.dt
+    x = np.asarray(cfg.x0, dtype=float).copy()
+    out = np.empty((cfg.n_steps + 1, 3))
+    out[0] = x
+    for n in range(cfg.n_steps):
+        k1 = drift(x)
+        k2 = drift(x + 0.5 * dt * k1)
+        k3 = drift(x + 0.5 * dt * k2)
+        k4 = drift(x + dt * k3)
+        x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        out[n + 1] = x
+    return out
+
+
+def _old_stochastic(cfg, seed):
+    # the single path as it ran before: a block of one path
+    gen = np.random.Generator(np.random.Philox(seed))
+    return _integrate_noise_block(
+        cfg, gen.standard_normal((1, cfg.n_steps, 3)))[0]
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(n_steps=3000, dt=1e-3),
+    dict(n_steps=500, r_min=0.05, x0=(0.3, -0.2, 1.5)),
+    dict(n_steps=200, dt=0.02, m=2.0, p0=-0.7, sigma0=-1.3,
+         x0=(-0.4, 0.9, 0.0)),
+    dict(n_steps=1, x0=(2, 1, 0)),
+    # z rounds differently if summed as dt * vz instead of the RK4 sum
+    dict(n_steps=300, dt=0.007, p0=0.3, x0=(0.5, 0.5, 0.0)),
+])
+def test_rk4_float_loop_equals_numpy_oracle(overrides):
+    cfg = spiral_preset(**overrides)
+    traj = integrate_deterministic(cfg)
+    assert traj.positions.shape == (cfg.n_steps + 1, 3)
+    assert np.array_equal(traj.positions, _old_rk4(cfg))
+    assert np.array_equal(traj.times, np.arange(cfg.n_steps + 1) * cfg.dt)
+
+
+@pytest.mark.parametrize("x0, r_min", [
+    ((0.0, 0.0, 0.0), None), ((0.03, 0.0, 0.0), 0.04),
+    ((0.05, 0.0, 0.0), 0.04), ((0.03, 0.0, 2.0), 0.02),
+])
+def test_rk4_near_axis_raises_where_the_oracle_does(monkeypatch, x0, r_min):
+    cfg = spiral_preset(dt=0.01, n_steps=50, x0=x0, r_min=r_min)
+    old_calls = []
+    with pytest.raises(AxisSingularity) as old:
+        _old_rk4(cfg, old_calls)
+    calls = []
+    raw_swirl = simulate._raw_swirl
+
+    def counting(*args):
+        calls.append(args)
+        return raw_swirl(*args)
+
+    monkeypatch.setattr(simulate, "_raw_swirl", counting)
+    with pytest.raises(AxisSingularity) as new:
+        integrate_deterministic(cfg)
+    # the same stage of the same step, at the same radius
+    assert len(calls) == len(old_calls)
+    assert str(new.value) == str(old.value)
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(seed=0), dict(seed=1), dict(seed=2 ** 40 + 3),
+    dict(seed=9, r_min=0.4, n_steps=1500),
+    dict(seed=4, diffusion=0.3, sigma0=-0.8, m=0.5, x0=(0.2, 0.1, -1.0)),
+    # the noise is read in chunks of 4096 steps
+    dict(seed=10, n_steps=1), dict(seed=11, n_steps=4095),
+    dict(seed=12, n_steps=4096), dict(seed=13, n_steps=4097),
+    dict(seed=14, n_steps=8193),
+])
+def test_stochastic_float_loop_equals_block_oracle(overrides):
+    cfg = spiral_preset(**{"n_steps": 2000, **overrides})
+    traj = integrate_stochastic(cfg)
+    assert np.array_equal(traj.positions, _old_stochastic(cfg, cfg.seed))
+    assert np.array_equal(traj.times, np.arange(cfg.n_steps + 1) * cfg.dt)
+
+
+def test_stochastic_on_axis_start_spends_steps_in_the_core():
+    cfg = spiral_preset(x0=(0.0, 0.0, 0.0), n_steps=3000, seed=6)
+    old = _old_stochastic(cfg, cfg.seed)
+    rho2 = old[:-1, 0] ** 2 + old[:-1, 1] ** 2
+    assert np.count_nonzero(rho2 <= cfg.core_radius() ** 2) > 100
+    assert np.array_equal(integrate_stochastic(cfg).positions, old)
+
+
+def test_stochastic_seed_kinds_agree_with_the_oracle():
+    cfg = spiral_preset(n_steps=300)
+    child = np.random.SeedSequence(17).spawn(3)[2]
+    old = _old_stochastic(cfg, child)
+    assert np.array_equal(integrate_stochastic(cfg, seed=child).positions,
+                          old)
+    gen = np.random.Generator(np.random.Philox(child))
+    assert np.array_equal(integrate_stochastic(cfg, seed=gen).positions, old)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 23])
+@pytest.mark.parametrize("block, n_traj", [(512, 1300), (1, 3)])
+def test_einsum_sums_equal_strided_sums_bitwise(monkeypatch, seed, block,
+                                                n_traj):
+    # blocks of 512, 512 and 276 paths, or of one path each
+    monkeypatch.setattr(simulate, "_BLOCK", block)
+    cfg = spiral_preset(n_traj=n_traj, n_steps=120, seed=seed)
+    lags = default_lags(cfg.n_steps)
+    noises = []
+    blocks = _recorded_blocks(monkeypatch, noises)
+    res = ensemble_run(cfg)
+    eta_sum, inc_sum, inc_sq, inc_n = np.zeros(3), np.zeros(3), np.zeros(3), 0
+    for noise, paths in zip(noises, blocks):
+        inc = paths[:, 1:] - paths[:, :-1]
+        for a in (noise, inc):
+            assert np.array_equal(np.einsum("pnk->k", a), a.sum(axis=(0, 1)))
+        eta_sum += noise.sum(axis=(0, 1))
+        inc_sum += inc.sum(axis=(0, 1))
+        inc_sq += np.einsum("pnk,pnk->k", inc, inc)
+        inc_n += inc.shape[0] * inc.shape[1]
+        # the lag-1 sum from the caller's increments is the one formed anew
+        for got, want in zip(simulate._lag_sq_sums(paths, lags, inc),
+                             simulate._lag_sq_sums(paths, lags)):
+            assert np.array_equal(got, want)
+    if block == 512:
+        assert [len(p) for p in blocks] == [512, 512, 276]
+    mean_inc = inc_sum / inc_n
+    assert np.array_equal(res.eta_mean, eta_sum / (n_traj * cfg.n_steps))
+    assert np.array_equal(res.increment_var,
+                          (inc_sq / inc_n - mean_inc ** 2) / cfg.dt)
