@@ -6,8 +6,9 @@ diffusion constant can be given directly as D or through a Compton pair
 lambda_c and c with 2 D = lambda_c * c.
 
 Exit codes: 0 success, 1 check failure, 2 config error, 3 numerical or
-geometric failure.  Relative --out paths resolve inside the directory
-named by FRACTALSPIN_OUTDIR when that variable is set.
+geometric failure, including output that would hold an inf or a nan.
+Relative --out paths resolve inside the directory named by
+FRACTALSPIN_OUTDIR when that variable is set.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import __version__, checks
 from .algebra import Biquaternion
-from .errors import ConfigError, FractalSpinError
+from .errors import ConfigError, FractalSpinError, NumericalError
 from .fields import PlaneWaveTerm, SpacetimePoint, spiral_pair_field
 from .hyperhelix import (construction_rulers, curve_spin,
                          flag_unreproduced_reference, helical_generator,
@@ -148,11 +149,14 @@ def _emit(text: str, out):
 
 
 _CSV_ROWS = 4096  # trajectory rows formatted per str.format call
+_NON_FINITE = "output holds a non-finite number (inf or nan); nothing written"
 
 
 def _trajectory_csv(traj) -> str:
     """t,x,y,z rows, each number as its float repr (shortest round trip)."""
     table = np.column_stack((traj.times, traj.positions))
+    if not np.isfinite(table).all():
+        raise NumericalError(_NON_FINITE)
     parts = ["t,x,y,z\n"]
     for start in range(0, len(table), _CSV_ROWS):
         chunk = table[start:start + _CSV_ROWS]
@@ -162,7 +166,11 @@ def _trajectory_csv(traj) -> str:
 
 
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:  # JSON has no inf or nan
+        raise NumericalError(_NON_FINITE) from None
+    return text + "\n"
 
 
 def _exit_codes(fn):

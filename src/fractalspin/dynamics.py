@@ -22,12 +22,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import PAULI, Biquaternion, sigma_dot
-from .errors import GeometryInvalid  # noqa: F401  (re-exported for CLI use)
+from .algebra import _IDENT2, PAULI, Biquaternion, sigma_dot
 from .fields import _left_sum, central_difference
-
-_E2 = Biquaternion(0, 0, 1.0)
-_IDENT2 = np.eye(2, dtype=complex)
 
 
 def _d(field, pt, *axes):

@@ -141,19 +141,15 @@ class SpinorField:
         -m c^2 exactly (the factor is a commuting scalar, so this is an
         analytic transformation of the term list, not a numerical one)."""
         shift = self.m * self.c**2
-        terms = [PlaneWaveTerm(t.amplitude, t.p, t.energy - shift, t.sigma)
-                 for t in self.terms]
+        terms = [t._replace(energy=t.energy - shift) for t in self.terms]
         return SpinorField(terms, hbar=self.hbar, m=self.m, c=self.c,
                            s0=self.s0)
 
     def project_large(self) -> "SpinorField":
         """Keep only the 1 and e1 parts of every amplitude (the subalgebra
         carrying the upper 2-spinor)."""
-        terms = []
-        for t in self.terms:
-            a = t.amplitude.a
-            terms.append(PlaneWaveTerm(Biquaternion(a[0], a[1]), t.p,
-                                       t.energy, t.sigma))
+        terms = [t._replace(amplitude=Biquaternion(*t.amplitude.a[:2]))
+                 for t in self.terms]
         return SpinorField(terms, hbar=self.hbar, m=self.m, c=self.c,
                            s0=self.s0)
 

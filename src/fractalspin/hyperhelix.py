@@ -251,10 +251,10 @@ def _first_crossing(starts, dirs, start_idx, start_t, anchor, eps):
     return None
 
 
-def _check_ruler(eps) -> None:
-    if not (math.isfinite(eps) and eps > 0):
-        raise GeometryInvalid(f"a ruler must be a finite number > 0, "
-                              f"got {eps!r}")
+def _check_positive(name: str, value) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise GeometryInvalid(f"{name} must be a finite number > 0, "
+                              f"got {value!r}")
 
 
 def divider_walk(vertices: np.ndarray, eps: float) -> float:
@@ -272,7 +272,7 @@ def divider_walk(vertices: np.ndarray, eps: float) -> float:
     crossing.  Segment data is read as Python floats one chunk at a time.
     Raises GeometryInvalid for a ruler that is not a finite number above 0.
     """
-    _check_ruler(eps)
+    _check_positive("a ruler", eps)
     verts = np.asarray(vertices, dtype=float)
     starts = verts[:-1]
     dirs = verts[1:] - verts[:-1]
@@ -397,7 +397,7 @@ def measured_dimension(vertices: np.ndarray, rulers=None,
             f"need a flat list of at least one ruler, got shape "
             f"{rulers.shape}")
     for eps in rulers.tolist():
-        _check_ruler(eps)
+        _check_positive("a ruler", eps)
     span = math.log10(rulers.max() / rulers.min())
     if not span >= min_decades:
         raise InsufficientData(
@@ -460,15 +460,14 @@ def curve_spin(vertices: np.ndarray, m: float, v: float, *,
     sigma = 2 pi hbar * spin_kernel / period_factor, which is what this
     computes; m and v are checked but otherwise unused.
     """
-    if m <= 0 or v <= 0:
-        raise GeometryInvalid("mass and speed must be positive")
+    _check_positive("the mass m", m)
+    _check_positive("the speed v", v)
     return 2.0 * math.pi * hbar * spin_kernel(vertices) / period_factor
 
 
 def shrink_transverse(vertices: np.ndarray, q: float) -> np.ndarray:
     """Contract the curve towards its span axis by 1/q, azimuths intact."""
-    if q <= 0:
-        raise GeometryInvalid("shrink factor must be positive")
+    _check_positive("the shrink factor q", q)
     verts = np.asarray(vertices, dtype=float)
     _, axial, t1, t2 = _axis_frame(verts)
     span_vec = verts[-1] - verts[0]
@@ -480,6 +479,7 @@ def shrink_transverse(vertices: np.ndarray, q: float) -> np.ndarray:
 def scaling_factor(q: float, d_f: float) -> float:
     """Spin rescaling q**(d_f - 2) under a transverse shrink by 1/q with
     the traversal period rescaled by q**(-d_f)."""
+    _check_positive("the shrink factor q", q)
     return q ** (d_f - 2.0)
 
 

@@ -4,7 +4,8 @@ Two parallel routes are provided on purpose and kept independent:
 
 * :func:`bq_velocity` uses the true ring inverse,
   V^mu = i (s0/(m c)) psi^-1 D^mu psi, and on unit plane waves returns the
-  physical 4-velocity (E/(m c), p/m).
+  physical 4-velocity (E/(m c), p/m); :func:`nonrel_reduce` takes the
+  Pauli 3-velocity from it.
 * :func:`component_velocities` evaluates the eight real component
   velocities as explicit bilinear sums over the interleaved real
   components (phi_k, chi_k), exactly as printed in the source derivation,
@@ -23,7 +24,7 @@ component of a rest field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -33,19 +34,25 @@ from .errors import NotNormalized, SmallComponentsNotSmall
 from .fields import SpinorField, central_difference
 
 
-def _partials(field: SpinorField, pt, method: str, h: float):
-    if method == "analytic":
-        return [field.partial(pt, mu) for mu in range(4)]
-    if method == "fd":
-        return [central_difference(field.value, pt, mu, h) for mu in range(4)]
-    raise ValueError(f"method must be 'analytic' or 'fd', got {method!r}")
-
-
 def _fed_partials(field: SpinorField, pt, method: str, h: float):
     """Raised-index derivatives D^mu psi = (-d_t, c d_x, c d_y, c d_z) psi."""
-    d = _partials(field, pt, method, h)
+    if method == "analytic":
+        d = [field.partial(pt, mu) for mu in range(4)]
+    elif method == "fd":
+        d = [central_difference(field.value, pt, mu, h) for mu in range(4)]
+    else:
+        raise ValueError(f"method must be 'analytic' or 'fd', got {method!r}")
     c = field.c
     return (d[0] * (-1.0), d[1] * c, d[2] * c, d[3] * c)
+
+
+def _route(left: Biquaternion, field: SpinorField, pt, method: str,
+           h: float) -> tuple[Biquaternion, ...]:
+    """i (s0/(m c)) left D^mu psi for mu = 0..3: the one product behind
+    both biquaternion routes."""
+    scale = 1j * field.s0 / (field.m * field.c)
+    return tuple((left * d) * scale
+                 for d in _fed_partials(field, pt, method, h))
 
 
 def bq_velocity(field: SpinorField, pt, method: str = "analytic",
@@ -54,10 +61,7 @@ def bq_velocity(field: SpinorField, pt, method: str = "analytic",
 
     Raises ZeroDivisor where the field value is not invertible.
     """
-    psi_inv = field.value(pt).inverse()
-    scale = 1j * field.s0 / (field.m * field.c)
-    return tuple((psi_inv * d) * scale
-                 for d in _fed_partials(field, pt, method, h))
+    return _route(field.value(pt).inverse(), field, pt, method, h)
 
 
 def conjugate_velocity(field: SpinorField, pt, method: str = "analytic",
@@ -67,19 +71,16 @@ def conjugate_velocity(field: SpinorField, pt, method: str = "analytic",
     Equal to N(psi) * bq_velocity(...); needs no inversion, so it is
     defined even at zero divisors.
     """
-    psi_bar = field.value(pt).conjugate()
-    scale = 1j * field.s0 / (field.m * field.c)
-    return tuple((psi_bar * d) * scale
-                 for d in _fed_partials(field, pt, method, h))
+    return _route(field.value(pt).conjugate(), field, pt, method, h)
 
 
 def _pq_sums(f, x, df, dx):
     """The eight bilinear sector sums over interleaved real components.
 
-    f, x are (phi_0..phi_3), (chi_0..chi_3) of the field value; df, dx the
-    same for one raised derivative.  Spelled out term by term rather than
-    through complex products: this is the literal component route that the
-    product-form tests cross-check.
+    f, x are (phi_0..phi_3), (chi_0..chi_3) of the field value and df, dx
+    the same for one raised derivative, as Python floats; returns the tuples
+    (P_0..P_3), (Q_0..Q_3).  Spelled out term by term rather than through
+    complex products: the literal component route that tests cross-check.
     """
     p0 = (f[0]*dx[0] + x[0]*df[0] + f[1]*dx[1] + x[1]*df[1]
           + f[2]*dx[2] + x[2]*df[2] + f[3]*dx[3] + x[3]*df[3])
@@ -97,7 +98,7 @@ def _pq_sums(f, x, df, dx):
           + f[2]*dx[1] + x[2]*df[1] - f[3]*dx[0] - x[3]*df[0])
     q3 = (f[0]*df[3] - x[0]*dx[3] - f[1]*df[2] + x[1]*dx[2]
           + f[2]*df[1] - x[2]*dx[1] - f[3]*df[0] + x[3]*dx[0])
-    return np.array([p0, p1, p2, p3]), np.array([q0, q1, q2, q3])
+    return (p0, p1, p2, p3), (q0, q1, q2, q3)
 
 
 @dataclass
@@ -122,9 +123,7 @@ class VelocityComponents:
                          (self.vt_pp, self.vt_pm, self.vt_mp, self.vt_mm)))
 
     def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in
-                ("v_pp", "v_pm", "v_mp", "v_mm",
-                 "vt_pp", "vt_pm", "vt_mp", "vt_mm")}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def component_velocities(field: SpinorField, pt, method: str = "analytic",
@@ -135,21 +134,14 @@ def component_velocities(field: SpinorField, pt, method: str = "analytic",
     derivative feed as the biquaternion routes.
     """
     v = field.value(pt)
-    f, x = v.phi, v.chi
+    f, x = v.phi.tolist(), v.chi.tolist()
     scale = -field.s0 / (field.m * field.c)
-    out = {k: np.empty(4) for k in ("v_pp", "v_pm", "v_mp", "v_mm",
-                                    "vt_pp", "vt_pm", "vt_mp", "vt_mm")}
-    for mu, d in enumerate(_fed_partials(field, pt, method, h)):
-        p, q = _pq_sums(f, x, d.phi, d.chi)
-        out["v_pp"][mu] = scale * (p[0] + q[0])
-        out["v_mm"][mu] = scale * (p[0] - q[0])
-        out["v_pm"][mu] = scale * (p[1] + q[1])
-        out["v_mp"][mu] = scale * (p[1] - q[1])
-        out["vt_pp"][mu] = scale * (p[2] + q[2])
-        out["vt_mm"][mu] = scale * (p[2] - q[2])
-        out["vt_pm"][mu] = scale * (p[3] + q[3])
-        out["vt_mp"][mu] = scale * (p[3] - q[3])
-    return VelocityComponents(**out)
+    sums = np.array([_pq_sums(f, x, d.phi.tolist(), d.chi.tolist())
+                     for d in _fed_partials(field, pt, method, h)])
+    p, q = sums[:, 0].T, sums[:, 1].T  # sector k by raised index mu
+    plus, minus = scale * (p + q), scale * (p - q)
+    return VelocityComponents(plus[0], plus[1], minus[1], minus[0],
+                              plus[2], plus[3], minus[3], minus[2])
 
 
 def _pair(a, b):
@@ -207,8 +199,8 @@ def nonrel_reduce(field: SpinorField, pt, method: str = "analytic",
 
         v0 = c * (a0'^2 + a1'^2)        (complex; = c when the primed
                                          components are real and unit)
-        v_k = i (s0/m) psi'^-1 d_k psi' (lives in the commutative
-                                         (1, e1) subalgebra)
+        v_k = bq_velocity(psi')[k]      (= i (s0/m) psi'^-1 d_k psi', in
+                                         the commutative (1, e1) subalgebra)
 
     Raises:
         SmallComponentsNotSmall: lower/upper amplitude ratio exceeds
@@ -235,12 +227,7 @@ def nonrel_reduce(field: SpinorField, pt, method: str = "analytic",
 
     pa = pval.a
     v0 = complex(field.c * (pa[0] ** 2 + pa[1] ** 2))
-
-    psi_inv = pval.inverse()
-    scale = 1j * field.s0 / field.m
-    d = _partials(primed, pt, method, h)
-    vk = tuple((psi_inv * d[k]) * scale for k in (1, 2, 3))
-    return ReducedVelocity(v0, vk)
+    return ReducedVelocity(v0, bq_velocity(primed, pt, method, h)[1:])
 
 
 def pauli_recompose(field: SpinorField, pt, method: str = "analytic",

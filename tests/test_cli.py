@@ -6,9 +6,9 @@ from click.testing import CliRunner
 
 from fractalspin import checks
 from fractalspin.algebra import Biquaternion
-from fractalspin.cli import (_SIM_KEYS, _trajectory_csv, main,
+from fractalspin.cli import (_SIM_KEYS, _json_text, _trajectory_csv, main,
                              parse_config_text, resolve_sim_config)
-from fractalspin.errors import ConfigError, ZeroDivisor
+from fractalspin.errors import ConfigError, NumericalError, ZeroDivisor
 from fractalspin.simulate import Trajectory, spiral_preset
 
 
@@ -208,6 +208,10 @@ def test_preset_loading(runner):
     ["simulate", "--r-min", "-0.5"],
     ["simulate", "--x0", "0,0,0", "--r-min", "0"],
     ["spiral", "--r-min", "0"],
+    ["simulate", "--n-traj", "3", "--n-steps", "20", "--sigma0", "nan"],
+    ["simulate", "--n-steps", "3", "--p0", "inf"],
+    ["spiral", "--n-steps", "3", "--sigma0", "nan"],
+    ["spiral", "--n-steps", "3", "--p0", "-inf"],
     ["extract", "--m", "0"],
     ["extract", "--hbar", "0"],
     ["extract", "--c", "0"],
@@ -323,3 +327,39 @@ def test_trajectory_csv_equals_per_row_oracle(rows):
     assert text.count("\n") == rows + 1
     for token in ("-0.0", "1e-300", "1e+16"):
         assert token in text
+
+
+# finite inputs whose runs overflow: numpy's overflow warnings on the way
+# are expected here, the run must still end in exit 3 with no file
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("args", [
+    ["simulate", "--n-traj", "3", "--n-steps", "20", "--sigma0", "1e308",
+     "--p0", "1e308"],
+    ["simulate", "--n-steps", "20", "--sigma0", "1e308", "--p0", "1e308"],
+    ["spiral", "--n-steps", "3", "--sigma0", "1e308"],
+])
+def test_non_finite_output_exits_3_and_writes_nothing(runner, tmp_path, args):
+    out = tmp_path / "run.out"
+    result = runner.invoke(main, [*args, "--out", str(out)])
+    assert result.exit_code == 3
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.stderr.startswith("numerical error: ")
+    assert "non-finite" in result.stderr
+    assert not out.exists()
+    # and nothing on stdout when no --out is given
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_output_writers_refuse_non_finite_numbers(bad):
+    with pytest.raises(NumericalError, match="non-finite"):
+        _json_text({"value": bad})
+    with pytest.raises(NumericalError, match="non-finite"):
+        _json_text({"nested": {"values": [1.0, float(bad)]}})
+    positions = np.zeros((3, 3))
+    positions[2, 1] = bad
+    with pytest.raises(NumericalError, match="non-finite"):
+        _trajectory_csv(Trajectory(np.arange(3) * 0.01, positions,
+                                   spiral_preset()))

@@ -192,6 +192,31 @@ def test_measured_dimension_refuses_a_ruler_not_finite_and_positive(rulers):
         measured_dimension(verts, rulers=rulers, min_decades=0.5)
 
 
+_NOT_POSITIVE = [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("bad", _NOT_POSITIVE)
+def test_curve_spin_refuses_a_mass_or_speed_not_finite_and_positive(bad):
+    verts = iterate(helical_generator(), 2)
+    with pytest.raises(GeometryInvalid, match="mass m must be a finite"):
+        curve_spin(verts, m=bad, v=1.0)
+    with pytest.raises(GeometryInvalid, match="speed v must be a finite"):
+        curve_spin(verts, m=1.0, v=bad)
+
+
+@pytest.mark.parametrize("bad", _NOT_POSITIVE)
+def test_shrink_transverse_refuses_a_factor_not_finite_and_positive(bad):
+    verts = iterate(helical_generator(), 2)
+    with pytest.raises(GeometryInvalid, match="q must be a finite number > 0"):
+        shrink_transverse(verts, bad)
+
+
+@pytest.mark.parametrize("bad", _NOT_POSITIVE)
+def test_scaling_factor_refuses_a_factor_not_finite_and_positive(bad):
+    with pytest.raises(GeometryInvalid, match="q must be a finite number > 0"):
+        scaling_factor(bad, 2.0)
+
+
 @pytest.mark.parametrize("rulers", [[], [[1.0, 0.1], [0.01, 0.001]], 0.5])
 def test_measured_dimension_refuses_rulers_not_a_flat_list(rulers):
     verts = iterate(helical_generator(), 2)

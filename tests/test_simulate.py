@@ -69,6 +69,21 @@ def test_rk4_conserves_radius_and_lz():
     assert np.allclose(traj.positions[:, 2], traj.times, atol=1e-12)
 
 
+def test_rk4_round_off_accuracy_needs_a_small_turn_per_step():
+    # the README quick-start orbit turns dt sigma0/(m rho^2) = 5e-4 rad a
+    # step: over 10^4 steps rho and L_z move at round-off level only
+    traj = integrate_deterministic(spiral_preset(dt=1e-3, n_steps=10_000))
+    rho = np.hypot(traj.positions[:, 0], traj.positions[:, 1])
+    assert np.max(np.abs(rho - 1.0)) < 1e-13  # about 3e-15
+    lz = lz_series(traj, mode="central")
+    assert np.max(np.abs(lz - lz[0])) < 1e-12 * 0.5  # about 7e-14
+    # at rho = 0.05 and dt = 0.01 one step turns 2 rad and the orbit drifts
+    coarse = integrate_deterministic(
+        spiral_preset(dt=0.01, n_steps=200, x0=(0.05, 0.0, 0.0)))
+    rho = np.hypot(coarse.positions[:, 0], coarse.positions[:, 1])
+    assert rho[1] > 1.2 * 0.05 and rho[-1] > 1.7 * 0.05
+
+
 def test_rk4_hits_singularity_when_started_on_axis():
     cfg = SimConfig(dt=1e-3, n_steps=10, x0=(0.0, 0.0, 0.0))
     with pytest.raises(AxisSingularity):
@@ -277,6 +292,8 @@ def test_lz_series_modes_and_validation():
     ("x0", (math.nan, 0.0, 0.0)), ("x0", (1.0, math.inf, 0.0)),
     ("r_min", math.nan), ("r_min", math.inf),
     ("seed", -1), ("r_min", 0.0), ("r_min", -0.5),
+    ("p0", math.inf), ("p0", math.nan), ("sigma0", math.nan),
+    ("sigma0", -math.inf),
 ])
 def test_sim_config_rejects_unusable_values(key, bad):
     name = {"diffusion": "D"}.get(key, key)

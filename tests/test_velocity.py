@@ -5,14 +5,18 @@ compared against complex-coefficient products computed directly here, and
 against the biquaternion conjugate/inverse routes.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from fractalspin.algebra import Biquaternion, E1, E2, ONE
 from fractalspin.errors import NotNormalized, SmallComponentsNotSmall
-from fractalspin.fields import PlaneWaveTerm, SpinorField, plane_wave, spiral_pair_field
+from fractalspin.fields import (PlaneWaveTerm, SpinorField, central_difference,
+                                plane_wave, spiral_pair_field)
 from fractalspin.simulate import spiral_drift
 from fractalspin.velocity import (
+    _pq_sums,
     bq_velocity,
     component_velocities,
     conjugate_velocity,
@@ -23,7 +27,7 @@ from fractalspin.velocity import (
 )
 
 
-def _rand_field(rng, n_terms=2, large_only=False, sigma=0.0):
+def _rand_field(rng, n_terms=2, large_only=False, sigma=0.0, c=2.0):
     terms = []
     for _ in range(n_terms):
         a = rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4)
@@ -32,7 +36,7 @@ def _rand_field(rng, n_terms=2, large_only=False, sigma=0.0):
         terms.append(PlaneWaveTerm(Biquaternion.from_array(a),
                                    tuple(rng.uniform(-1, 1, 3)),
                                    rng.uniform(-1, 1), sigma))
-    return SpinorField(terms, hbar=0.8, m=1.3, c=2.0, s0=0.5)
+    return SpinorField(terms, hbar=0.8, m=1.3, c=c, s0=0.5)
 
 
 def _rand_point(rng):
@@ -242,3 +246,104 @@ def test_spiral_pair_velocity_is_the_simulated_drift():
         assert np.max(np.abs(coeffs[:, 0].real - drift)) <= 1e-13 * scale
         assert np.max(np.abs(coeffs[:, 0].imag)) <= 1e-13 * scale
         assert np.max(np.abs(coeffs[:, 1:])) <= 1e-13 * scale
+
+
+# -- oracles: the per-route products as written before they shared _route --
+
+def _old_raw_partials(field, pt, method, h=1e-4):
+    if method == "analytic":
+        return [field.partial(pt, mu) for mu in range(4)]
+    return [central_difference(field.value, pt, mu, h) for mu in range(4)]
+
+
+def _old_component_velocities(field, pt, method):
+    # numpy-scalar sums, filled into the eight arrays one raised index at a
+    # time
+    v = field.value(pt)
+    scale = -field.s0 / (field.m * field.c)
+    d = _old_raw_partials(field, pt, method)
+    fed = (d[0] * (-1.0), d[1] * field.c, d[2] * field.c, d[3] * field.c)
+    out = {k: np.empty(4) for k in ("v_pp", "v_pm", "v_mp", "v_mm",
+                                    "vt_pp", "vt_pm", "vt_mp", "vt_mm")}
+    for mu, dmu in enumerate(fed):
+        p, q = (np.array(s) for s in _pq_sums(v.phi, v.chi, dmu.phi, dmu.chi))
+        out["v_pp"][mu] = scale * (p[0] + q[0])
+        out["v_mm"][mu] = scale * (p[0] - q[0])
+        out["v_pm"][mu] = scale * (p[1] + q[1])
+        out["v_mp"][mu] = scale * (p[1] - q[1])
+        out["vt_pp"][mu] = scale * (p[2] + q[2])
+        out["vt_mm"][mu] = scale * (p[2] - q[2])
+        out["vt_pm"][mu] = scale * (p[3] + q[3])
+        out["vt_mp"][mu] = scale * (p[3] - q[3])
+    return out
+
+
+def _old_primed(field):
+    # rest phase removed and e2/e3 dropped, term by term
+    shift = field.m * field.c ** 2
+    terms = [PlaneWaveTerm(Biquaternion(t.amplitude.a[0], t.amplitude.a[1]),
+                           t.p, t.energy - shift, t.sigma)
+             for t in field.terms]
+    return SpinorField(terms, hbar=field.hbar, m=field.m, c=field.c,
+                       s0=field.s0)
+
+
+def _old_nonrel_v(field, pt, method):
+    # i (s0/m) psi'^-1 d_k psi' on the raw spatial derivatives
+    primed = _old_primed(field)
+    psi_inv = primed.value(pt).inverse()
+    scale = 1j * field.s0 / field.m
+    d = _old_raw_partials(primed, pt, method)
+    return tuple((psi_inv * d[k]) * scale for k in (1, 2, 3))
+
+
+def _bytes(bqs):
+    return b"".join(v.a.tobytes() for v in bqs)
+
+
+@pytest.mark.parametrize("method", ["analytic", "fd"])
+def test_component_velocities_equal_the_per_mu_oracle_bytewise(method):
+    rng = np.random.default_rng(31)
+    for i in range(60):
+        f = _rand_field(rng, n_terms=2 + i % 2, sigma=0.5 * (i % 3 == 0),
+                        c=[1.0, 1.7, 3.7][i % 3])
+        pt = _rand_point(rng)
+        comp = component_velocities(f, pt, method).as_dict()
+        oracle = _old_component_velocities(f, pt, method)
+        assert list(comp) == list(oracle)
+        for name, arr in oracle.items():
+            assert comp[name].dtype == arr.dtype
+            assert comp[name].tobytes() == arr.tobytes(), name
+
+
+@pytest.mark.parametrize("method", ["analytic", "fd"])
+@pytest.mark.parametrize("c, rel", [(1.0, 0.0), (3.7, 2e-15), (10.0, 2e-15)])
+def test_nonrel_reduce_equals_the_old_product(method, c, rel):
+    # bitwise at c = 1; elsewhere c (d psi)/(m c) rounds unlike d psi/m
+    rng = np.random.default_rng(32)
+    for i in range(100):
+        f = _rand_field(rng, large_only=True, sigma=0.5 * (i % 2), c=c)
+        pt = _rand_point(rng)
+        assert f.remove_rest_phase().project_large().terms == \
+            _old_primed(f).terms
+        got = nonrel_reduce(f, pt, method, norm_tol=math.inf).v
+        want = _old_nonrel_v(f, pt, method)
+        if rel == 0.0:
+            assert _bytes(got) == _bytes(want)
+        else:
+            size = max(v.max_abs() for v in want)
+            assert max((g - w).max_abs() for g, w in zip(got, want)) \
+                <= rel * size
+
+
+@pytest.mark.parametrize("c", [1.0, 1.7, 10.0])
+def test_nonrel_reduce_is_the_spatial_bq_velocity_of_the_primed_field(c):
+    # the Pauli 3-velocity is the non-relativistic degeneracy of the
+    # biquaternion 4-velocity
+    rng = np.random.default_rng(33)
+    for _ in range(50):
+        f = _rand_field(rng, large_only=True, c=c)
+        pt = _rand_point(rng)
+        primed = f.remove_rest_phase().project_large()
+        assert nonrel_reduce(f, pt, norm_tol=math.inf).v == \
+            bq_velocity(primed, pt)[1:]
