@@ -28,7 +28,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .algebra import Biquaternion
-from .errors import AxisSingularity
+from .errors import AxisSingularity, ConfigError
 
 #: squared cylinder radius below which the azimuth is treated as singular
 _AXIS_EPS2 = 1e-24
@@ -82,6 +82,9 @@ class SpinorField:
         hbar, m, c: physical constants used by phase and velocity scales.
         s0: spin action scale; defaults to hbar (equivalently 2 m D with
             D = hbar / 2m).
+
+    Raises ConfigError, naming the key, when hbar, m, c or the resolved
+    s0 is not a finite number > 0.
     """
 
     def __init__(self, terms: Iterable[PlaneWaveTerm], *, hbar: float = 1.0,
@@ -97,6 +100,11 @@ class SpinorField:
         self.m = float(m)
         self.c = float(c)
         self.s0 = float(s0 if s0 is not None else hbar)
+        for key, value in (("hbar", self.hbar), ("m", self.m),
+                           ("c", self.c), ("s0", self.s0)):
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(
+                    f"key {key}: need a finite number > 0, got {value!r}")
 
     # -- evaluation -----------------------------------------------------
 

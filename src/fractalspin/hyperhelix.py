@@ -462,6 +462,8 @@ def curve_spin(vertices: np.ndarray, m: float, v: float, *,
     """
     _check_positive("the mass m", m)
     _check_positive("the speed v", v)
+    _check_positive("hbar", hbar)
+    _check_positive("the period factor", period_factor)
     return 2.0 * math.pi * hbar * spin_kernel(vertices) / period_factor
 
 
@@ -480,6 +482,7 @@ def scaling_factor(q: float, d_f: float) -> float:
     """Spin rescaling q**(d_f - 2) under a transverse shrink by 1/q with
     the traversal period rescaled by q**(-d_f)."""
     _check_positive("the shrink factor q", q)
+    _check_positive("the dimension d_f", d_f)
     return q ** (d_f - 2.0)
 
 

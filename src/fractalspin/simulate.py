@@ -184,17 +184,20 @@ def _child_generators(seed, n: int):
             for child in master.spawn(n)]
 
 
-def _integrate_noise_block(cfg: SimConfig, noise: np.ndarray) -> np.ndarray:
+def _integrate_noise_block(cfg: SimConfig, noise: np.ndarray,
+                           out: np.ndarray | None = None) -> np.ndarray:
     """Euler-Maruyama for a block of paths sharing a config.
 
     noise has shape (n_paths, n_steps, 3) and is the raw eta draw; the
-    sqrt(2 D dt) scale is applied here.  Returns (n_paths, n_steps+1, 3).
+    sqrt(2 D dt) scale is applied here.  Returns (n_paths, n_steps+1, 3),
+    written into out when given.
     """
     n_paths, n_steps, _ = noise.shape
     r_min = cfg.core_radius()
     step_scale = math.sqrt(2.0 * cfg.diffusion * cfg.dt)
     x = np.tile(np.asarray(cfg.x0, dtype=float), (n_paths, 1))
-    out = np.empty((n_paths, n_steps + 1, 3))
+    if out is None:
+        out = np.empty((n_paths, n_steps + 1, 3))
     out[:, 0] = x
     for n in range(n_steps):
         v = _drift_block(x, cfg.m, cfg.p0, cfg.sigma0, r_min)
@@ -301,18 +304,28 @@ def rms_increments(positions: np.ndarray, lags) -> tuple[np.ndarray, np.ndarray]
     return counts, np.sqrt(sums / counts)
 
 
-def _lag_sq_sums(x: np.ndarray, lags, inc: np.ndarray | None = None
+def _lag_sq_sums(x: np.ndarray, lags, inc: np.ndarray | None = None,
+                 scratch: np.ndarray | None = None
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Count and sum of the squared vector increments per lag, pooled over
     positions of shape (..., n+1, k); each sum is one pass of numpy's own
     einsum kernel (not BLAS, whose threads and dispatch could move bits).
     inc, when given, is the lag-1 difference x[..., 1:, :] - x[..., :-1, :]
-    already formed by the caller and stands in for it."""
+    already formed by the caller and stands in for it.  Each difference is
+    written to the front of scratch, a flat float array of at least
+    x[..., 1:, :].size elements (one is allocated when none is given), so
+    every lag sums a contiguous array as a fresh difference would be."""
+    if scratch is None:
+        scratch = np.empty(x[..., 1:, :].size)
     counts = np.empty(len(lags), dtype=int)
     sums = np.empty(len(lags))
     for i, lag in enumerate(lags):
-        d = inc if lag == 1 and inc is not None \
-            else x[..., lag:, :] - x[..., :-lag, :]
+        if lag == 1 and inc is not None:
+            d = inc
+        else:
+            ahead, behind = x[..., lag:, :], x[..., :-lag, :]
+            d = np.subtract(ahead, behind,
+                            out=scratch[:ahead.size].reshape(ahead.shape))
         d = d.reshape(-1)
         counts[i] = d.size // x.shape[-1]
         sums[i] = float(np.einsum("i,i->", d, d))
@@ -431,25 +444,34 @@ def ensemble_run(cfg: SimConfig, lags=None) -> EnsembleResult:
     eta_sum = np.zeros(3)
     path_sum = np.zeros((cfg.n_steps + 1, 3))
 
+    # one set of block arrays for the whole run; each block uses their
+    # leading rows, which are contiguous.  Once eta_sum has its share, the
+    # noise array is spent and serves as scratch for the lag differences
+    # and the L_z velocities
+    block = min(_BLOCK, cfg.n_traj)
+    noise_buf = np.empty((block, cfg.n_steps, 3))
+    path_buf = np.empty((block, cfg.n_steps + 1, 3))
+    inc_buf = np.empty((block, cfg.n_steps, 3))
+
     for start in range(0, cfg.n_traj, _BLOCK):
-        block_gens = _child_generators(master,
-                                       min(_BLOCK, cfg.n_traj - start))
-        noise = np.stack([g.standard_normal((cfg.n_steps, 3))
-                          for g in block_gens])
-        paths = _integrate_noise_block(cfg, noise)
+        size = min(_BLOCK, cfg.n_traj - start)
+        noise = noise_buf[:size]
+        for gen, row in zip(_child_generators(master, size), noise):
+            gen.standard_normal(out=row)
+        paths = _integrate_noise_block(cfg, noise, out=path_buf[:size])
         eta_sum += np.einsum("pnk->k", noise)
         path_sum += paths.sum(axis=0)
 
-        inc = paths[:, 1:] - paths[:, :-1]
+        inc = np.subtract(paths[:, 1:], paths[:, :-1], out=inc_buf[:size])
         inc_sum += np.einsum("pnk->k", inc)
         inc_sq += np.einsum("pnk,pnk->k", inc, inc)
         inc_n += inc.shape[0] * inc.shape[1]
 
-        counts, sums = _lag_sq_sums(paths, lags, inc)
+        counts, sums = _lag_sq_sums(paths, lags, inc, noise_buf.reshape(-1))
         sq_sums += sums
         sq_counts += counts
-        lz_means.extend(np.mean(_lz(paths[:, :-1], inc / cfg.dt, cfg.m),
-                                axis=1))
+        velocity = np.divide(inc, cfg.dt, out=noise)
+        lz_means.extend(np.mean(_lz(paths[:, :-1], velocity, cfg.m), axis=1))
 
     mean_inc = inc_sum / inc_n
     inc_var = (inc_sq / inc_n - mean_inc ** 2) / cfg.dt

@@ -1,10 +1,13 @@
 """Tests for plane-wave spinor fields and their derivatives."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
 from fractalspin.algebra import Biquaternion, E1, E2, ONE
-from fractalspin.errors import AxisSingularity
+from fractalspin.errors import AxisSingularity, ConfigError
 from fractalspin.fields import (
     PlaneWaveTerm,
     SpacetimePoint,
@@ -137,6 +140,27 @@ def test_constants_stored():
     f = plane_wave(ONE, (0, 0, 1), 0.5, hbar=0.1, m=2.0, c=5.0, s0=0.25)
     assert (f.hbar, f.m, f.c, f.s0) == (0.1, 2.0, 5.0, 0.25)
     assert plane_wave(ONE, (0, 0, 1), 0.5, hbar=0.3).s0 == 0.3
+
+
+@pytest.mark.parametrize("key", ["hbar", "m", "c", "s0"])
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+def test_spinor_field_refuses_constants_not_finite_and_positive(key, bad):
+    message = f"key {key}: need a finite number > 0, got {bad!r}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        plane_wave(ONE, (0, 0, 1.0), 0.5, **{key: bad})
+
+
+def test_spinor_field_checks_the_s0_it_resolves():
+    # an integer 0 is read as 0.0, and s0 left to default follows hbar,
+    # which is named first
+    with pytest.raises(ConfigError, match=re.escape("key m: need a finite "
+                                                    "number > 0, got 0.0")):
+        plane_wave(ONE, (0, 0, 1.0), 0.5, m=0)
+    with pytest.raises(ConfigError, match="key hbar:"):
+        plane_wave(ONE, (0, 0, 1.0), 0.5, hbar=math.inf, s0=1.0)
+    with pytest.raises(ConfigError, match="key hbar:"):
+        plane_wave(ONE, (0, 0, 1.0), 0.5, hbar=-2.0)
+    assert plane_wave(ONE, (0, 0, 1.0), 0.5, hbar=0.4).s0 == 0.4
 
 
 def test_central_difference_reproduces_the_old_stencils_bitwise():

@@ -205,6 +205,20 @@ def test_curve_spin_refuses_a_mass_or_speed_not_finite_and_positive(bad):
 
 
 @pytest.mark.parametrize("bad", _NOT_POSITIVE)
+def test_curve_spin_refuses_an_hbar_not_finite_and_positive(bad):
+    verts = iterate(helical_generator(), 2)
+    with pytest.raises(GeometryInvalid, match="hbar must be a finite"):
+        curve_spin(verts, m=1.0, v=1.0, hbar=bad)
+
+
+@pytest.mark.parametrize("bad", _NOT_POSITIVE)
+def test_curve_spin_refuses_a_period_factor_not_finite_and_positive(bad):
+    verts = iterate(helical_generator(), 2)
+    with pytest.raises(GeometryInvalid, match="period factor must be a finite"):
+        curve_spin(verts, m=1.0, v=1.0, period_factor=bad)
+
+
+@pytest.mark.parametrize("bad", _NOT_POSITIVE)
 def test_shrink_transverse_refuses_a_factor_not_finite_and_positive(bad):
     verts = iterate(helical_generator(), 2)
     with pytest.raises(GeometryInvalid, match="q must be a finite number > 0"):
@@ -215,6 +229,12 @@ def test_shrink_transverse_refuses_a_factor_not_finite_and_positive(bad):
 def test_scaling_factor_refuses_a_factor_not_finite_and_positive(bad):
     with pytest.raises(GeometryInvalid, match="q must be a finite number > 0"):
         scaling_factor(bad, 2.0)
+
+
+@pytest.mark.parametrize("bad", _NOT_POSITIVE)
+def test_scaling_factor_refuses_a_dimension_not_finite_and_positive(bad):
+    with pytest.raises(GeometryInvalid, match="d_f must be a finite number"):
+        scaling_factor(2.0, bad)
 
 
 @pytest.mark.parametrize("rulers", [[], [[1.0, 0.1], [0.01, 0.001]], 0.5])

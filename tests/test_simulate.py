@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -317,16 +318,18 @@ def test_lags_outside_path_rejected_alike():
 
 
 def _recorded_blocks(monkeypatch, noises=None):
-    """Record the path blocks ensemble_run integrates, in order, and their
-    noise into noises when given."""
+    """Record copies of the path blocks ensemble_run integrates, in order,
+    and of their noise into noises when given; ensemble_run reuses its
+    block arrays, so a block kept by reference would be overwritten."""
     blocks = []
     integrate = simulate._integrate_noise_block
 
-    def recording(cfg, noise):
+    def recording(cfg, noise, out=None):
         if noises is not None:
-            noises.append(noise)
-        blocks.append(integrate(cfg, noise))
-        return blocks[-1]
+            noises.append(noise.copy())
+        paths = integrate(cfg, noise, out=out)
+        blocks.append(paths.copy())
+        return paths
 
     monkeypatch.setattr(simulate, "_integrate_noise_block", recording)
     return blocks
@@ -573,3 +576,124 @@ def test_einsum_sums_equal_strided_sums_bitwise(monkeypatch, seed, block,
     assert np.array_equal(res.eta_mean, eta_sum / (n_traj * cfg.n_steps))
     assert np.array_equal(res.increment_var,
                           (inc_sq / inc_n - mean_inc ** 2) / cfg.dt)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+def _fresh_lag_sq_sums(x, lags, inc=None):
+    # _lag_sq_sums with a freshly allocated difference per lag
+    counts = np.empty(len(lags), dtype=int)
+    sums = np.empty(len(lags))
+    for i, lag in enumerate(lags):
+        d = inc if lag == 1 and inc is not None \
+            else x[..., lag:, :] - x[..., :-lag, :]
+        d = d.reshape(-1)
+        counts[i] = d.size // x.shape[-1]
+        sums[i] = float(np.einsum("i,i->", d, d))
+    return counts, sums
+
+
+def _ensemble_allocating_per_block(cfg, lags):
+    # ensemble_run with fresh noise, path, increment and difference arrays
+    # in every block: the loop before its block arrays were reused
+    master = np.random.SeedSequence(cfg.seed)
+    sq_sums = np.zeros(len(lags))
+    sq_counts = np.zeros(len(lags), dtype=np.int64)
+    lz_means = []
+    inc_sum, inc_sq, inc_n = np.zeros(3), np.zeros(3), 0
+    eta_sum = np.zeros(3)
+    path_sum = np.zeros((cfg.n_steps + 1, 3))
+    for start in range(0, cfg.n_traj, simulate._BLOCK):
+        gens = _child_generators(master,
+                                 min(simulate._BLOCK, cfg.n_traj - start))
+        noise = np.stack([g.standard_normal((cfg.n_steps, 3)) for g in gens])
+        paths = _integrate_noise_block(cfg, noise)
+        eta_sum += np.einsum("pnk->k", noise)
+        path_sum += paths.sum(axis=0)
+        inc = paths[:, 1:] - paths[:, :-1]
+        inc_sum += np.einsum("pnk->k", inc)
+        inc_sq += np.einsum("pnk,pnk->k", inc, inc)
+        inc_n += inc.shape[0] * inc.shape[1]
+        counts, sums = _fresh_lag_sq_sums(paths, lags, inc)
+        sq_sums += sums
+        sq_counts += counts
+        lz_means.extend(np.mean(simulate._lz(paths[:, :-1], inc / cfg.dt,
+                                             cfg.m), axis=1))
+    mean_inc = inc_sum / inc_n
+    rms = np.sqrt(sq_sums / sq_counts)
+    lag_times = lags * cfg.dt
+    try:
+        hurst = simulate._hurst_fit(lags, lag_times, sq_counts, rms)
+    except InsufficientData:
+        hurst = None
+    return dict(
+        hurst=hurst,
+        lz_mean=float(np.mean(lz_means)),
+        lz_std=float(np.std(lz_means)),
+        increment_var=(inc_sq / inc_n - mean_inc ** 2) / cfg.dt,
+        mean_path=path_sum / cfg.n_traj,
+        mean_final=path_sum[-1] / cfg.n_traj,
+        lag_times=lag_times,
+        lag_rms=rms,
+        eta_mean=eta_sum / (cfg.n_traj * cfg.n_steps))
+
+
+@pytest.mark.parametrize("n_traj", [1, 2, 511, 512, 513, 1300])
+def test_reused_block_arrays_equal_fresh_ones_bitwise(n_traj):
+    # lag 1 comes from the increments; lag 2 and the L_z velocities fill
+    # the scratch furthest, the top lag n_steps least; a short last block
+    # (513, 1300) reads only the leading rows of every array
+    cfg = spiral_preset(n_traj=n_traj, n_steps=120, seed=31)
+    lags = np.array([1, 2, 7, 30, 120])
+    res = ensemble_run(cfg, lags=lags)
+    want = _ensemble_allocating_per_block(cfg, lags)
+    assert (res.hurst is None) == (n_traj < 1000)
+    for key, value in want.items():
+        got = getattr(res, key)
+        if value is None:
+            assert got is None, key
+        else:
+            assert _same_bits(got, value), key
+
+
+def test_lag_sums_with_scratch_equal_fresh_differences_bitwise():
+    cfg = spiral_preset(n_traj=40, n_steps=90, seed=8)
+    noise = np.random.Generator(np.random.Philox(8)).standard_normal(
+        (40, 90, 3))
+    block = _integrate_noise_block(cfg, noise)
+    lags = np.array([1, 2, 3, 10, 45, 90])
+    # one path, a block of them, and a block of 1-d walks (its y components)
+    for x in (block[5], block, block[..., 1:2]):
+        inc = x[..., 1:, :] - x[..., :-1, :]
+        counts, sums = _fresh_lag_sq_sums(x, lags)
+        # a scratch longer than needed and full of NaN: only the front of
+        # it is read, and only after each difference is written
+        scratch = np.full(inc.size + 7, np.nan)
+        for got_counts, got_sums in (
+                simulate._lag_sq_sums(x, lags),
+                simulate._lag_sq_sums(x, lags, scratch=scratch),
+                simulate._lag_sq_sums(x, lags, inc, scratch)):
+            assert _same_bits(got_counts, counts)
+            assert _same_bits(got_sums, sums)
+        rms_counts, rms = rms_increments(x, lags)
+        assert _same_bits(rms_counts, counts)
+        assert _same_bits(rms, np.sqrt(sums / counts))
+
+
+def test_ensemble_allocation_peak_stays_within_five_block_arrays():
+    # one block of positions: 512 paths x 201 positions x 3 floats; the
+    # run keeps one noise, one path and one increment array of about that
+    # size, plus the L_z temporaries of _lz
+    one_block = 512 * 201 * 3 * 8
+    cfg = spiral_preset(n_traj=1300, n_steps=200, seed=3)
+    tracemalloc.start()
+    try:
+        ensemble_run(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * one_block, peak / one_block
