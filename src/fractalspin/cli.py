@@ -34,8 +34,7 @@ from .hyperhelix import (construction_rulers, curve_spin,
                          measured_dimension)
 from .simulate import (SimConfig, ensemble_run, integrate_deterministic,
                        integrate_stochastic)
-from .velocity import (component_velocities, conjugate_velocity,
-                       recompose_velocity)
+from .velocity import closure
 
 
 def _triple(text: str) -> tuple:
@@ -167,7 +166,8 @@ def _trajectory_csv(traj) -> str:
 
 def _json_text(payload: dict) -> str:
     try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
+                          default=lambda o: o.tolist())  # numpy values
     except ValueError:  # JSON has no inf or nan
         raise NumericalError(_NON_FINITE) from None
     return text + "\n"
@@ -262,10 +262,6 @@ def extract(sigma0, pz, e0, e1, mix, m, hbar, c, point, out):
         pt = SpacetimePoint(*(float(p) for p in parts))
     except ValueError:
         raise ConfigError(f"key point: {point!r} is not numeric") from None
-    for key, value in (("m", m), ("hbar", hbar), ("c", c)):
-        if not (math.isfinite(value) and value > 0):
-            raise ConfigError(
-                f"key {key}: need a finite number > 0, got {value!r}")
     for key, value in (("sigma0", sigma0), ("pz", pz), ("e0", e0),
                        ("e1", e1), ("mix", mix)):
         if not math.isfinite(value):
@@ -276,19 +272,14 @@ def extract(sigma0, pz, e0, e1, mix, m, hbar, c, point, out):
     term1 = PlaneWaveTerm(Biquaternion(mix, 0.5j * mix), (0.0, 0.0, pz),
                           e1, sigma0)
     field = spiral_pair_field(term0, term1, m=m, hbar=hbar, c=c)
-    comp = component_velocities(field, pt)
-    rec = recompose_velocity(comp)
-    conj = conjugate_velocity(field, pt)
-    closure = max((rec[mu] - conj[mu]).max_abs() for mu in range(4))
+    comp, error, ok = closure(field, pt)
     payload = {
         "config": {"sigma0": sigma0, "pz": pz, "e0": e0, "e1": e1,
-                   "mix": mix, "m": m, "hbar": hbar, "c": c,
-                   "point": [float(p) for p in parts]},
-        "components": {name: [float(v) for v in vec]
-                       for name, vec in comp.as_dict().items()},
-        "tilde_max_abs": float(comp.tilde_max_abs()),
-        "max_closure_error": float(closure),
-        "closure_ok": bool(closure < 1e-10),
+                   "mix": mix, "m": m, "hbar": hbar, "c": c, "point": pt},
+        "components": comp.as_dict(),
+        "tilde_max_abs": comp.tilde_max_abs(),
+        "max_closure_error": error,
+        "closure_ok": ok,
     }
     _emit(_json_text(payload), out)
 
@@ -323,17 +314,15 @@ def hyperhelix(generator, winding, level, measure, min_decades, out):
         "similarity_dimension": gen.dimension(),
         "sigma_over_hbar": curve_spin(verts, m=1.0, v=1.0),
         "reference_note": flag_unreproduced_reference(),
+        "measured_dimension": None,
     }
     if measure:
         est = measured_dimension(verts,
                                  rulers=construction_rulers(gen.divisions,
                                                             level),
                                  min_decades=min_decades)
-        payload["measured_dimension"] = float(est.dimension)
-        payload["rulers"] = [float(r) for r in est.rulers]
-        payload["lengths"] = [float(v) for v in est.lengths]
-    else:
-        payload["measured_dimension"] = None
+        payload.update(measured_dimension=est.dimension, rulers=est.rulers,
+                       lengths=est.lengths)
     _emit(_json_text(payload), out)
 
 

@@ -25,6 +25,9 @@ import numpy as np
 from .algebra import _IDENT2, PAULI, Biquaternion, sigma_dot
 from .fields import _left_sum, central_difference
 
+# central-difference steps: EMField's curl and divergence, the witness curl
+_EM_H, _CURL_H = 1e-5, 1e-4
+
 
 def _d(field, pt, *axes):
     """field's derivative at pt along each of the axes in turn (0..3 for
@@ -118,17 +121,15 @@ class EMField:
     """Scalar and vector potentials with optional analytic curl/divergence.
 
     a0 and a are callables of the spacetime point; b (the curl of a) and
-    div_a fall back to central differences when not supplied.
+    div_a fall back to central differences of step 1e-5 when not given.
     """
 
     def __init__(self, a0: Callable | None = None, a: Callable | None = None,
-                 b: Callable | None = None, div_a: Callable | None = None,
-                 h: float = 1e-5):
+                 b: Callable | None = None, div_a: Callable | None = None):
         self._a0 = a0
         self._a = a
         self._b = b
         self._div = div_a
-        self.h = float(h)
 
     def a0(self, pt) -> float:
         return float(self._a0(pt)) if self._a0 is not None else 0.0
@@ -141,7 +142,7 @@ class EMField:
     def b(self, pt) -> np.ndarray:
         if self._b is not None:
             return np.asarray(self._b(pt), dtype=float).reshape(3)
-        da = [central_difference(self.a, pt, j + 1, self.h) for j in range(3)]
+        da = [central_difference(self.a, pt, j + 1, _EM_H) for j in range(3)]
         return np.array([da[1][2] - da[2][1],
                          da[2][0] - da[0][2],
                          da[0][1] - da[1][0]])
@@ -149,7 +150,7 @@ class EMField:
     def div_a(self, pt) -> float:
         if self._div is not None:
             return float(self._div(pt))
-        return float(sum(central_difference(self.a, pt, j + 1, self.h)[j]
+        return float(sum(central_difference(self.a, pt, j + 1, _EM_H)[j]
                          for j in range(3)))
 
 
@@ -236,13 +237,13 @@ def acceleration_field(field, diffusion: float, pt) -> list:
     return out
 
 
-def gradient_witness(field, diffusion: float, points, h: float = 1e-4) -> float:
+def gradient_witness(field, diffusion: float, points) -> float:
     """Max curl component of the acceleration field over the sample points.
 
     The inner derivatives of E come from the field's own (exact or
     nested-FD) derivatives; only the outer curl is one central-difference
-    level, so the noise floor for gradient-type fields is O(h^2) times
-    local scale.
+    level, at the fixed step h = 1e-4, so the noise floor for gradient-type
+    fields is O(h^2) times local scale.
     """
     worst = 0.0
     for pt in points:
@@ -256,8 +257,10 @@ def gradient_witness(field, diffusion: float, points, h: float = 1e-4) -> float:
 
         for j in (1, 2, 3):
             for k in range(j + 1, 4):
-                d_j_ek = central_difference(lambda q: e_vec(q)[k - 1], pt, j, h)
-                d_k_ej = central_difference(lambda q: e_vec(q)[j - 1], pt, k, h)
+                d_j_ek = central_difference(lambda q: e_vec(q)[k - 1], pt, j,
+                                            _CURL_H)
+                d_k_ej = central_difference(lambda q: e_vec(q)[j - 1], pt, k,
+                                            _CURL_H)
                 worst = max(worst, (d_j_ek - d_k_ej).max_abs())
     return worst
 

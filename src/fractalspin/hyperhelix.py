@@ -32,6 +32,7 @@ import numpy as np
 from .errors import GeometryInvalid, InsufficientData
 
 _TOL = 1e-9
+_DEFAULT_RULERS = 10  # rulers in the default_rulers ladder
 
 
 def similarity_dimension(n_segments: int, divisions: int) -> float:
@@ -347,8 +348,8 @@ class DimensionEstimate:
     lengths: np.ndarray
 
 
-def default_rulers(vertices: np.ndarray, num: int = 10) -> np.ndarray:
-    """Geometric ruler ladder from the span chord down to twice the
+def default_rulers(vertices: np.ndarray) -> np.ndarray:
+    """Geometric ladder of ten rulers from the span chord down to twice the
     shortest segment (below that a polyline just reads as dimension 1).
 
     For generic curves only.  Divider lengths of self-similar curves
@@ -364,7 +365,7 @@ def default_rulers(vertices: np.ndarray, num: int = 10) -> np.ndarray:
         raise GeometryInvalid(
             f"no default ruler ladder from span {span!r} down to twice the "
             f"shortest segment {seg_min!r}; pass rulers")
-    return np.geomspace(span, 2.0 * seg_min, num)
+    return np.geomspace(span, 2.0 * seg_min, _DEFAULT_RULERS)
 
 
 def construction_rulers(divisions: int, level: int) -> np.ndarray:

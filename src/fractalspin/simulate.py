@@ -52,6 +52,8 @@ _CHUNK = 4096
 
 # every Hurst fit's gates: pooled increments at the largest lag, lag decades
 _MIN_INCREMENTS, _MIN_DECADES = 1000, 2.0
+_MAX_DEFAULT_LAG = 100  # largest lag default_lags picks
+_MID_SLOPE = 0.75  # between diffusive 1/2 and ballistic 1: crossover_lag
 
 
 @dataclass
@@ -276,10 +278,9 @@ def two_sided_velocity(traj: Trajectory, i: int) -> tuple[np.ndarray, np.ndarray
     return (x[i + 1] - x[i]) / dt, (x[i] - x[i - 1]) / dt
 
 
-def default_lags(n_steps: int, max_lag: int = 100) -> np.ndarray:
-    top = min(max_lag, max(n_steps // 5, 1))
-    lags = np.unique(np.geomspace(1, top, 16).astype(int))
-    return lags
+def default_lags(n_steps: int) -> np.ndarray:
+    top = min(_MAX_DEFAULT_LAG, max(n_steps // 5, 1))
+    return np.unique(np.geomspace(1, top, 16).astype(int))
 
 
 def _checked_lags(lags, n_steps: int) -> np.ndarray:
@@ -376,19 +377,18 @@ def increment_scaling(positions: np.ndarray, dt: float, lags=None,
     return ScalingResult(slope, 1.0 / slope, lag_times, rms)
 
 
-def crossover_lag(lag_times: np.ndarray, rms: np.ndarray,
-                  threshold: float = 0.75) -> float:
-    """Lag time where the local log-log slope first crosses the threshold
-    (1/2 on the diffusive side, 1 on the ballistic side), interpolated in
-    log space.  Raises InsufficientData if no crossing is bracketed."""
+def crossover_lag(lag_times: np.ndarray, rms: np.ndarray) -> float:
+    """Lag time where the local log-log slope first crosses 3/4 (1/2 on
+    the diffusive side, 1 on the ballistic side), interpolated in log
+    space.  Raises InsufficientData if no crossing is bracketed."""
     lt = np.log(np.asarray(lag_times, dtype=float))
     lr = np.log(np.asarray(rms, dtype=float))
     slopes = np.diff(lr) / np.diff(lt)
     mids = 0.5 * (lt[1:] + lt[:-1])
     for i in range(len(slopes) - 1):
         s0, s1 = slopes[i], slopes[i + 1]
-        if (s0 - threshold) * (s1 - threshold) <= 0 and s0 != s1:
-            f = (threshold - s0) / (s1 - s0)
+        if (s0 - _MID_SLOPE) * (s1 - _MID_SLOPE) <= 0 and s0 != s1:
+            f = (_MID_SLOPE - s0) / (s1 - s0)
             return float(np.exp(mids[i] + f * (mids[i + 1] - mids[i])))
     raise InsufficientData("no slope crossover bracketed by the lag range")
 

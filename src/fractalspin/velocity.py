@@ -19,7 +19,7 @@ raising of ((1/c) d_t, grad) scaled by c so that every returned component
 carries velocity units.  With the field convention of
 :mod:`fractalspin.fields` (energy operator -i hbar d_t) this is the unique
 feed for which plane waves give +p/m spatially and +c for the time
-component of a rest field.
+component of a rest field.  method="fd" uses the fixed FD step 1e-4.
 """
 
 from __future__ import annotations
@@ -33,45 +33,49 @@ from .algebra import Biquaternion
 from .errors import NotNormalized, SmallComponentsNotSmall
 from .fields import SpinorField, central_difference
 
+_FD_H = 1e-4  # central-difference step of method="fd"
+_SMALL_TOL = 1e-8  # largest lower/upper amplitude ratio nonrel_reduce takes
+_CLOSURE_RTOL = 1e-10  # closure error allowed per unit of conjugate velocity
 
-def _fed_partials(field: SpinorField, pt, method: str, h: float):
+
+def _fed_partials(field: SpinorField, pt, method: str):
     """Raised-index derivatives D^mu psi = (-d_t, c d_x, c d_y, c d_z) psi."""
     if method == "analytic":
         d = [field.partial(pt, mu) for mu in range(4)]
     elif method == "fd":
-        d = [central_difference(field.value, pt, mu, h) for mu in range(4)]
+        d = [central_difference(field.value, pt, mu, _FD_H) for mu in range(4)]
     else:
         raise ValueError(f"method must be 'analytic' or 'fd', got {method!r}")
     c = field.c
     return (d[0] * (-1.0), d[1] * c, d[2] * c, d[3] * c)
 
 
-def _route(left: Biquaternion, field: SpinorField, pt, method: str,
-           h: float) -> tuple[Biquaternion, ...]:
+def _route(left: Biquaternion, field: SpinorField, pt,
+           method: str) -> tuple[Biquaternion, ...]:
     """i (s0/(m c)) left D^mu psi for mu = 0..3: the one product behind
     both biquaternion routes."""
     scale = 1j * field.s0 / (field.m * field.c)
     return tuple((left * d) * scale
-                 for d in _fed_partials(field, pt, method, h))
+                 for d in _fed_partials(field, pt, method))
 
 
-def bq_velocity(field: SpinorField, pt, method: str = "analytic",
-                h: float = 1e-4) -> tuple[Biquaternion, ...]:
+def bq_velocity(field: SpinorField, pt,
+                method: str = "analytic") -> tuple[Biquaternion, ...]:
     """Four velocity biquaternions V^mu = i (s0/(m c)) psi^-1 D^mu psi.
 
     Raises ZeroDivisor where the field value is not invertible.
     """
-    return _route(field.value(pt).inverse(), field, pt, method, h)
+    return _route(field.value(pt).inverse(), field, pt, method)
 
 
-def conjugate_velocity(field: SpinorField, pt, method: str = "analytic",
-                       h: float = 1e-4) -> tuple[Biquaternion, ...]:
+def conjugate_velocity(field: SpinorField, pt,
+                       method: str = "analytic") -> tuple[Biquaternion, ...]:
     """Conjugate-route velocity V^mu = i (s0/(m c)) conj(psi) D^mu psi.
 
     Equal to N(psi) * bq_velocity(...); needs no inversion, so it is
     defined even at zero divisors.
     """
-    return _route(field.value(pt).conjugate(), field, pt, method, h)
+    return _route(field.value(pt).conjugate(), field, pt, method)
 
 
 def _pq_sums(f, x, df, dx):
@@ -126,8 +130,8 @@ class VelocityComponents:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def component_velocities(field: SpinorField, pt, method: str = "analytic",
-                         h: float = 1e-4) -> VelocityComponents:
+def component_velocities(field: SpinorField, pt,
+                         method: str = "analytic") -> VelocityComponents:
     """Evaluate the eight component velocities at pt.
 
     Prefactor -s0/(m c) on every (P +- Q) sum, with the same raised
@@ -137,7 +141,7 @@ def component_velocities(field: SpinorField, pt, method: str = "analytic",
     f, x = v.phi.tolist(), v.chi.tolist()
     scale = -field.s0 / (field.m * field.c)
     sums = np.array([_pq_sums(f, x, d.phi.tolist(), d.chi.tolist())
-                     for d in _fed_partials(field, pt, method, h)])
+                     for d in _fed_partials(field, pt, method)])
     p, q = sums[:, 0].T, sums[:, 1].T  # sector k by raised index mu
     plus, minus = scale * (p + q), scale * (p - q)
     return VelocityComponents(plus[0], plus[1], minus[1], minus[0],
@@ -164,9 +168,19 @@ def recompose_velocity(comp: VelocityComponents) -> tuple[Biquaternion, ...]:
                  for mu in range(4))
 
 
+def closure(field: SpinorField, pt) -> tuple[VelocityComponents, float, bool]:
+    """The component velocities at pt, the largest |recomposed - conjugate|
+    coefficient, and whether it is at most 1e-10 x the largest coefficient
+    of :func:`conjugate_velocity`."""
+    comp = component_velocities(field, pt)
+    conj = conjugate_velocity(field, pt)
+    error = max((r - v).max_abs()
+                for r, v in zip(recompose_velocity(comp), conj))
+    return comp, error, error <= _CLOSURE_RTOL * max(v.max_abs() for v in conj)
+
+
 def rejected_tilde_component(field: SpinorField, pt,
-                             method: str = "analytic",
-                             h: float = 1e-4) -> np.ndarray:
+                             method: str = "analytic") -> np.ndarray:
     """The tilde component predicted by the rejected index assignment.
 
     An alternative pairing of the eight real components with the
@@ -178,7 +192,7 @@ def rejected_tilde_component(field: SpinorField, pt,
     Returned per raised index mu = 0..3; it is the v_mm row of
     :func:`component_velocities`.
     """
-    return component_velocities(field, pt, method, h).v_mm
+    return component_velocities(field, pt, method).v_mm
 
 
 class ReducedVelocity(NamedTuple):
@@ -189,7 +203,6 @@ class ReducedVelocity(NamedTuple):
 
 
 def nonrel_reduce(field: SpinorField, pt, method: str = "analytic",
-                  h: float = 1e-4, small_tol: float = 1e-8,
                   norm_tol: float = 1e-8) -> ReducedVelocity:
     """Velocity extraction in the non-relativistic (two-component) regime.
 
@@ -204,18 +217,17 @@ def nonrel_reduce(field: SpinorField, pt, method: str = "analytic",
 
     Raises:
         SmallComponentsNotSmall: lower/upper amplitude ratio exceeds
-            small_tol at pt.
+            1e-8 at pt.
         NotNormalized: the primed value's eight-component square norm is
             not 1 within norm_tol.
     """
-    val = field.value(pt)
-    a = val.a
+    a = field.value(pt).a
     upper = float(np.hypot(abs(a[0]), abs(a[1])))
     lower = float(np.hypot(abs(a[2]), abs(a[3])))
-    if lower > small_tol * max(upper, 1e-300):
+    if lower > _SMALL_TOL * max(upper, 1e-300):
         raise SmallComponentsNotSmall(
             f"lower/upper amplitude ratio {lower / max(upper, 1e-300):.3e} "
-            f"exceeds {small_tol:.1e}")
+            f"exceeds {_SMALL_TOL:.1e}")
 
     primed = field.remove_rest_phase().project_large()
     pval = primed.value(pt)
@@ -227,11 +239,11 @@ def nonrel_reduce(field: SpinorField, pt, method: str = "analytic",
 
     pa = pval.a
     v0 = complex(field.c * (pa[0] ** 2 + pa[1] ** 2))
-    return ReducedVelocity(v0, bq_velocity(primed, pt, method, h)[1:])
+    return ReducedVelocity(v0, _route(pval.inverse(), primed, pt, method)[1:])
 
 
-def pauli_recompose(field: SpinorField, pt, method: str = "analytic",
-                    h: float = 1e-4) -> tuple[Biquaternion, ...]:
+def pauli_recompose(field: SpinorField, pt,
+                    method: str = "analytic") -> tuple[Biquaternion, ...]:
     """Spatial velocity from the (1, e1) block of the component route.
 
     Intended for fields that already live in the (1, e1) subalgebra (for
@@ -241,5 +253,5 @@ def pauli_recompose(field: SpinorField, pt, method: str = "analytic",
     ignored.  Agrees identically with the spatial part of
     :func:`conjugate_velocity`, i.e. with N(psi) * bq_velocity spatially.
     """
-    rec = recompose_velocity(component_velocities(field, pt, method, h))
+    rec = recompose_velocity(component_velocities(field, pt, method))
     return tuple(Biquaternion(*v.a[:2]) for v in rec[1:])

@@ -147,7 +147,7 @@ def test_ac03_plane_wave_velocity():
         pt = rng.uniform(-1, 1, 4)
         pt[1] += 2.0
         va = bq_velocity(f, pt)
-        vf = bq_velocity(f, pt, method="fd", h=1e-4)
+        vf = bq_velocity(f, pt, method="fd")
         for k in range(3):
             worst_an = max(worst_an, abs(va[k + 1].a[0] - p[k] / m),
                            float(np.max(np.abs(va[k + 1].a[1:]))))

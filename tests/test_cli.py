@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from fractalspin import checks
+from fractalspin import checks, cli, velocity
 from fractalspin.algebra import Biquaternion
 from fractalspin.cli import (_SIM_KEYS, _json_text, _trajectory_csv, main,
                              parse_config_text, resolve_sim_config)
@@ -124,6 +124,32 @@ def test_extract_reports_closure(runner):
         "v_pp", "v_pm", "v_mp", "v_mm",
         "vt_pp", "vt_pm", "vt_mp", "vt_mm"}
     assert runner.invoke(main, ["extract", "--point", "1,2"]).exit_code == 2
+    # velocities of order 1e11: the closure error is far above 1e-10 in
+    # absolute terms but about 1e-16 of the velocity, so it closes
+    for args in (["--mix", "1e6", "--c", "3"],
+                 ["--mix", "1e7", "--c", "3", "--m", "1.7"]):
+        result = runner.invoke(main, ["extract", "--point", "0.3,0.7,-0.4,0.2",
+                                      *args])
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        assert payload["max_closure_error"] > 1e-10
+        assert payload["closure_ok"] is True
+
+
+def test_a_recomposition_off_by_1e_9_fails_extract_and_check(runner,
+                                                            monkeypatch):
+    exact = velocity.recompose_velocity
+    monkeypatch.setattr(velocity, "recompose_velocity",
+                        lambda comp: tuple(v * (1.0 + 1e-9)
+                                           for v in exact(comp)))
+    result = runner.invoke(main, ["extract"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["closure_ok"] is False
+    result = runner.invoke(main, ["check", "--suite", "velocity"])
+    assert result.exit_code == 1
+    closure, = (c for c in json.loads(result.output)["suites"][0]["checks"]
+                if c["name"] == "decompose/recompose closure")
+    assert closure["passed"] is False
 
 
 def test_hyperhelix_command(runner):
@@ -198,6 +224,17 @@ def test_preset_loading(runner):
     assert both.exit_code == 2
 
 
+# extract leaves its physical constants to SpinorField, which names the key
+_SPINOR_FIELD_REFUSALS = {
+    ("extract", "--m", "0"):
+        "config error: key m: need a finite number > 0, got 0.0\n",
+    ("extract", "--hbar", "nan"):
+        "config error: key hbar: need a finite number > 0, got nan\n",
+    ("extract", "--c", "inf"):
+        "config error: key c: need a finite number > 0, got inf\n",
+}
+
+
 @pytest.mark.parametrize("args", [
     ["simulate", "--n-traj", "100", "--n-steps", "0"],
     ["simulate", "--n-steps", "0"],
@@ -221,6 +258,7 @@ def test_preset_loading(runner):
     ["extract", "--mix", "inf"],
     ["hyperhelix", "--min-decades", "nan", "--level", "2"],
     ["hyperhelix", "--min-decades", "inf", "--no-measure"],
+    ["extract", "--hbar", "nan"],
 ])
 def test_unusable_sim_config_exit_code(runner, args):
     result = runner.invoke(main, args)
@@ -228,6 +266,8 @@ def test_unusable_sim_config_exit_code(runner, args):
     assert isinstance(result.exception, SystemExit)  # no traceback
     assert result.stderr.startswith("config error: key ")
     assert result.stdout == ""
+    if tuple(args) in _SPINOR_FIELD_REFUSALS:
+        assert result.stderr == _SPINOR_FIELD_REFUSALS[tuple(args)]
 
 
 @pytest.mark.parametrize("args, flag", [
@@ -352,12 +392,39 @@ def test_non_finite_output_exits_3_and_writes_nothing(runner, tmp_path, args):
     assert result.stdout == ""
 
 
+def test_json_text_writes_numpy_values_as_python_ones():
+    assert _json_text({"a": np.array([0.1, 1 / 3, -0.0]),
+                       "b": np.float64(0.3), "c": np.bool_(True),
+                       "d": np.int64(3), "e": np.zeros((2, 2))}) == \
+        _json_text({"a": [0.1, 1 / 3, -0.0], "b": 0.3, "c": True, "d": 3,
+                    "e": [[0.0, 0.0], [0.0, 0.0]]})
+
+
+def test_nan_inside_an_array_exits_3_and_writes_nothing(runner, tmp_path,
+                                                       monkeypatch):
+    exact = velocity.closure
+
+    def closure_with_nan(field, pt):
+        comp, error, ok = exact(field, pt)
+        comp.v_pp[2] = np.nan
+        return comp, error, ok
+    monkeypatch.setattr(cli, "closure", closure_with_nan)
+    out = tmp_path / "extract.json"
+    result = runner.invoke(main, ["extract", "--out", str(out)])
+    assert result.exit_code == 3
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert "non-finite" in result.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_output_writers_refuse_non_finite_numbers(bad):
     with pytest.raises(NumericalError, match="non-finite"):
         _json_text({"value": bad})
     with pytest.raises(NumericalError, match="non-finite"):
         _json_text({"nested": {"values": [1.0, float(bad)]}})
+    with pytest.raises(NumericalError, match="non-finite"):
+        _json_text({"array": np.array([1.0, bad])})
     positions = np.zeros((3, 3))
     positions[2, 1] = bad
     with pytest.raises(NumericalError, match="non-finite"):

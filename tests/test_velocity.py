@@ -79,7 +79,7 @@ def test_fd_route_matches_analytic():
     f = _rand_field(rng)
     pt = _rand_point(rng)
     va = bq_velocity(f, pt, method="analytic")
-    vf = bq_velocity(f, pt, method="fd", h=1e-4)
+    vf = bq_velocity(f, pt, method="fd")
     for mu in range(4):
         assert (va[mu] - vf[mu]).max_abs() < 1e-6
 
@@ -334,6 +334,18 @@ def test_nonrel_reduce_equals_the_old_product(method, c, rel):
             size = max(v.max_abs() for v in want)
             assert max((g - w).max_abs() for g, w in zip(got, want)) \
                 <= rel * size
+
+
+def test_nonrel_reduce_evaluates_each_field_once(monkeypatch):
+    # once the field, to test the lower components; once the primed field
+    calls = []
+    value = SpinorField.value
+    monkeypatch.setattr(SpinorField, "value",
+                        lambda self, pt: calls.append(pt) or value(self, pt))
+    f = _rand_field(np.random.default_rng(34), large_only=True)
+    nonrel_reduce(f, _rand_point(np.random.default_rng(35)),
+                  norm_tol=math.inf)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("c", [1.0, 1.7, 10.0])
