@@ -55,8 +55,9 @@ class _Ring:
     """The ring shared by real quaternions and biquaternions: four
     coefficients a0..a3, a tuple of Python floats or complex numbers, and
     the ring operations on them.  Subclasses name the scalars they may be
-    scaled by (``_scalar``) and how a scalar is stored (``_cast``); an
-    operation mixing a Quaternion with a Biquaternion gives a Biquaternion."""
+    scaled by (``_scalar``, whose exact built-in types ``_exact`` skip the
+    ABC test) and how a scalar is stored (``_cast``); an operation mixing
+    a Quaternion with a Biquaternion gives a Biquaternion."""
 
     __slots__ = ("_c",)
 
@@ -88,10 +89,12 @@ class _Ring:
 
     def _scale(self, other, op):
         """Each coefficient op a scalar other."""
-        if not isinstance(other, self._scalar):
+        if type(other) not in self._exact and not isinstance(other,
+                                                             self._scalar):
             return NotImplemented
         s = self._cast(other)
-        return self._new([op(a, s) for a in self._c])
+        a0, a1, a2, a3 = self._c
+        return self._new((op(a0, s), op(a1, s), op(a2, s), op(a3, s)))
 
     def __add__(self, other):
         return self._combine(other, operator.add)
@@ -153,7 +156,7 @@ class Quaternion(_Ring):
     """Real quaternion w + x*e1 + y*e2 + z*e3 with read-only coefficients."""
 
     __slots__ = ()
-    _scalar, _cast = numbers.Real, float
+    _scalar, _exact, _cast = numbers.Real, (float, int), float
 
     def __init__(self, w: float, x: float = 0.0, y: float = 0.0, z: float = 0.0):
         self._c = (float(w), float(x), float(y), float(z))
@@ -181,7 +184,7 @@ class Biquaternion(_Ring):
     """
 
     __slots__ = ()
-    _scalar, _cast = numbers.Complex, complex
+    _scalar, _exact, _cast = numbers.Complex, (complex, float, int), complex
 
     def __init__(self, a0=0.0, a1=0.0, a2=0.0, a3=0.0):
         self._c = (complex(a0), complex(a1), complex(a2), complex(a3))

@@ -12,6 +12,10 @@ cut along the negative-x half plane; finite differences that straddle it
 see the jump.  On the z-axis the azimuth is undefined and any term with
 sigma != 0 raises AxisSingularity.
 
+Each term's constant wave vector (-E, p_x, p_y, p_z) / hbar is fixed when
+the field is built; only the azimuthal part of the phase gradient is
+evaluated per point, and the phase factor comes from cmath.exp.
+
 Sign conventions implied by the phase above: the momentum operator is
 p_hat = +i hbar grad and the energy operator is E_hat = -i hbar d/dt, i.e.
 a single term satisfies d_t psi = +(i/hbar) E psi and
@@ -20,6 +24,7 @@ d_k psi = -(i/hbar) p_k psi (for sigma = 0).
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import operator
@@ -84,7 +89,9 @@ class SpinorField:
             D = hbar / 2m).
 
     Raises ConfigError, naming the key, when hbar, m, c or the resolved
-    s0 is not a finite number > 0.
+    s0 is not a finite number > 0, and, naming the term and key, when a
+    term's amplitude is not a Biquaternion or its p, energy, sigma or an
+    amplitude coefficient is not finite.
     """
 
     def __init__(self, terms: Iterable[PlaneWaveTerm], *, hbar: float = 1.0,
@@ -105,42 +112,59 @@ class SpinorField:
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(
                     f"key {key}: need a finite number > 0, got {value!r}")
+        hbar = self.hbar
+        waves = []
+        for i, t in enumerate(self.terms):
+            if not isinstance(t.amplitude, Biquaternion):
+                raise ConfigError(f"term {i} amplitude: need a Biquaternion, "
+                                  f"got {t.amplitude!r}")
+            for key, value, parts in (
+                    ("p", t.p, t.p), ("energy", t.energy, (t.energy,)),
+                    ("sigma", t.sigma, (t.sigma,)),
+                    ("amplitude", t.amplitude, t.amplitude.a)):
+                if not all(map(cmath.isfinite, parts)):
+                    raise ConfigError(f"term {i} {key}: need finite numbers, "
+                                      f"got {value!r}")
+            px, py, pz = t.p
+            waves.append((-t.energy / hbar, px / hbar, py / hbar, pz / hbar))
+        self._waves = tuple(waves)
 
     # -- evaluation -----------------------------------------------------
 
-    def _phase_and_grad(self, term: PlaneWaveTerm, pt):
-        """theta and (d_t, d_x, d_y, d_z) theta at pt."""
-        t, x, y, z = (float(v) for v in pt)
-        px, py, pz = term.p
-        theta = (px * x + py * y + pz * z - term.energy * t) / self.hbar
-        grad = [-term.energy / self.hbar, px / self.hbar, py / self.hbar,
-                pz / self.hbar]
-        if term.sigma != 0.0:
-            rho2 = x * x + y * y
-            if rho2 <= _AXIS_EPS2:
-                raise AxisSingularity(
-                    "azimuthal phase is undefined on the z-axis "
-                    f"(rho^2 = {rho2:.3e}, sigma = {term.sigma})")
-            theta += term.sigma * math.atan2(y, x) / self.hbar
-            grad[1] += term.sigma * (-y / rho2) / self.hbar
-            grad[2] += term.sigma * (x / rho2) / self.hbar
-        return theta, grad
+    def _phases(self, pt):
+        """(amplitude, theta, (d_t, d_x, d_y, d_z) theta) of each term at
+        pt; the gradient is the term's wave vector plus, for sigma != 0,
+        the azimuthal part."""
+        t, x, y, z = map(float, pt)
+        hbar = self.hbar
+        out = []
+        for term, wave in zip(self.terms, self._waves):
+            px, py, pz = term.p
+            theta = (px * x + py * y + pz * z - term.energy * t) / hbar
+            sigma = term.sigma
+            if sigma != 0.0:
+                rho2 = x * x + y * y
+                if rho2 <= _AXIS_EPS2:
+                    raise AxisSingularity(
+                        "azimuthal phase is undefined on the z-axis "
+                        f"(rho^2 = {rho2:.3e}, sigma = {sigma})")
+                theta += sigma * math.atan2(y, x) / hbar
+                w0, w1, w2, w3 = wave
+                wave = (w0, w1 + sigma * (-y / rho2) / hbar,
+                        w2 + sigma * (x / rho2) / hbar, w3)
+            out.append((term.amplitude, theta, wave))
+        return out
 
     def value(self, pt) -> Biquaternion:
-        def piece(term):
-            theta, _ = self._phase_and_grad(term, pt)
-            return term.amplitude * complex(np.exp(-1j * theta))
-        return _left_sum(map(piece, self.terms))
+        return _left_sum([amp * cmath.exp(-1j * theta)
+                          for amp, theta, _ in self._phases(pt)])
 
     def partial(self, pt, mu: int) -> Biquaternion:
         """Analytic coordinate derivative d_mu psi, mu in 0..3 = (t,x,y,z)."""
         if mu not in (0, 1, 2, 3):
             raise ValueError(f"mu must be 0..3, got {mu}")
-
-        def piece(term):
-            theta, grad = self._phase_and_grad(term, pt)
-            return term.amplitude * complex(-1j * grad[mu] * np.exp(-1j * theta))
-        return _left_sum(map(piece, self.terms))
+        return _left_sum([amp * (-1j * grad[mu] * cmath.exp(-1j * theta))
+                          for amp, theta, grad in self._phases(pt)])
 
     # -- derived fields ---------------------------------------------------
 

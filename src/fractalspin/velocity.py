@@ -39,7 +39,13 @@ _CLOSURE_RTOL = 1e-10  # closure error allowed per unit of conjugate velocity
 
 
 def _fed_partials(field: SpinorField, pt, method: str):
-    """Raised-index derivatives D^mu psi = (-d_t, c d_x, c d_y, c d_z) psi."""
+    """Raised-index derivatives D^mu psi = (-d_t, c d_x, c d_y, c d_z) psi.
+
+    The analytic feed makes one SpinorField.partial call per mu, and each
+    route one SpinorField.value call: the per-layer benchmark trace
+    (``--trace 1``) counts and times these calls, so a route that takes
+    its derivatives from one joint evaluation waits until that trace
+    counts the joint evaluation as well."""
     if method == "analytic":
         d = [field.partial(pt, mu) for mu in range(4)]
     elif method == "fd":

@@ -5,6 +5,9 @@ oracle for the Hamilton product: it is implemented here directly from the
 Pauli matrices, not via the bridge methods under test.
 """
 
+import operator
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -316,3 +319,63 @@ def test_hash_agrees_with_eq_on_signed_zeros():
     assert hash(pos) == hash(neg)
     assert len({Biquaternion(0.0), Biquaternion(-0.0)}) == 1
     assert len({pos, neg, Biquaternion(0.0, 1.0, 0.0, 2.5)}) == 2
+
+
+def _coeff_bytes(q):
+    return np.array(q._c).tobytes()
+
+
+def test_scale_refuses_scalars_outside_the_ring():
+    with pytest.raises(TypeError):
+        Quaternion(1.0) * 1j
+    with pytest.raises(TypeError):
+        1j * Quaternion(1.0)
+    with pytest.raises(TypeError):
+        Quaternion(1.0) / 1j
+    with pytest.raises(TypeError):
+        Biquaternion(1.0) * "a"
+    with pytest.raises(ZeroDivisionError):
+        Biquaternion(1.0) / 0j
+    with pytest.raises(ZeroDivisionError):
+        Quaternion(1.0) / 0
+
+
+@pytest.mark.parametrize("cls, scalars", [
+    (Quaternion, (0.7, -3, 2 ** 80, -0.0)),
+    (Biquaternion, (0.7, -3, 2 ** 80, -0.0, 1.5 - 0.25j, complex(-0.0, 2.0))),
+])
+def test_scale_fast_path_equals_the_cast_product_bitwise(cls, scalars):
+    # each coefficient op the cast scalar, as the product was spelled
+    # before the exact-type test
+    rng = np.random.default_rng(41)
+    for _ in range(50):
+        c = rng.uniform(-2, 2, 4)
+        q = cls(*c) if cls is Quaternion else \
+            Biquaternion.from_array(c + 1j * rng.uniform(-2, 2, 4))
+        for s in scalars:
+            assert type(s) in cls._exact
+            products = [(operator.mul, q * s), (operator.mul, s * q)]
+            if s:
+                products.append((operator.truediv, q / s))
+            for op, got in products:
+                want = [op(a, cls._cast(s)) for a in q._c]
+                assert type(got) is cls
+                assert _coeff_bytes(got) == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("cls, scalar, plain", [
+    (Quaternion, np.float64(1.7), 1.7),
+    (Quaternion, True, 1.0),
+    (Quaternion, Fraction(1, 3), 1 / 3),
+    (Biquaternion, np.float64(1.7), 1.7),
+    (Biquaternion, True, 1.0),
+    (Biquaternion, Fraction(1, 3), 1 / 3),
+    (Biquaternion, np.complex128(1.7 - 0.2j), 1.7 - 0.2j),
+])
+def test_scale_abc_path_equals_the_python_scalar_product(cls, scalar, plain):
+    assert type(scalar) not in cls._exact  # taken by the ABC test
+    q = Quaternion(1.0, 2.0, -3.0, 0.5) if cls is Quaternion else \
+        Biquaternion(1 + 2j, -0.3j, 0.7, 2.0)
+    assert _coeff_bytes(q * scalar) == _coeff_bytes(q * plain)
+    assert _coeff_bytes(scalar * q) == _coeff_bytes(plain * q)
+    assert _coeff_bytes(q / scalar) == _coeff_bytes(q / plain)

@@ -1,14 +1,17 @@
 """Tests for plane-wave spinor fields and their derivatives."""
 
+import functools
 import math
+import operator
 import re
 
 import numpy as np
 import pytest
 
-from fractalspin.algebra import Biquaternion, E1, E2, ONE
+from fractalspin.algebra import Biquaternion, E1, E2, ONE, Quaternion
 from fractalspin.errors import AxisSingularity, ConfigError
 from fractalspin.fields import (
+    _AXIS_EPS2,
     PlaneWaveTerm,
     SpacetimePoint,
     SpinorField,
@@ -163,6 +166,51 @@ def test_spinor_field_checks_the_s0_it_resolves():
     assert plane_wave(ONE, (0, 0, 1.0), 0.5, hbar=0.4).s0 == 0.4
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_spinor_field_refuses_a_non_finite_momentum(bad):
+    message = f"term 1 p: need finite numbers, got (0.0, {bad!r}, 1.0)"
+    good = PlaneWaveTerm(ONE, (0.0, 0.0, 1.0), 0.5)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        SpinorField([good, PlaneWaveTerm(E1, (0, bad, 1), 0.5)])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_spinor_field_refuses_a_non_finite_energy(bad):
+    message = f"term 0 energy: need finite numbers, got {bad!r}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        plane_wave(ONE, (0.0, 0.0, 1.0), bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_spinor_field_refuses_a_non_finite_sigma(bad):
+    message = f"term 0 sigma: need finite numbers, got {bad!r}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        plane_wave(ONE, (0.0, 0.0, 1.0), 0.5, sigma=bad)
+
+
+@pytest.mark.parametrize("coeff", [complex(math.nan, 0.0),
+                                   complex(0.0, math.inf),
+                                   complex(-math.inf, 1.0)])
+def test_spinor_field_refuses_a_non_finite_amplitude(coeff):
+    amp = Biquaternion(1.0, 0.0, 0.0, coeff)
+    message = f"term 0 amplitude: need finite numbers, got {amp!r}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        plane_wave(amp, (0.0, 0.0, 1.0), 0.5)
+
+
+def test_spinor_field_refuses_an_amplitude_outside_the_biquaternions():
+    # a real quaternion cannot take the complex phase factor
+    message = "term 0 amplitude: need a Biquaternion, got Quaternion(1.0, "
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        plane_wave(Quaternion(1.0), (0.0, 0.0, 1.0), 0.5)
+
+
+def test_spinor_field_checks_its_constants_before_its_terms():
+    # a bad hbar is named, not a division by it
+    with pytest.raises(ConfigError, match="key hbar:"):
+        plane_wave(ONE, (math.nan, 0.0, 1.0), 0.5, hbar=0.0)
+
+
 def test_central_difference_reproduces_the_old_stencils_bitwise():
     # the four stencils central_difference replaced, copied as they were;
     # every route that now goes through it must give the same bits
@@ -257,3 +305,102 @@ def test_central_difference_reproduces_the_old_stencils_bitwise():
 
     pts = sample_box(((-0.4, 0.4),) * 4, 3, seed=3)
     assert gradient_witness(rot, 0.5, pts) == old_witness(rot, 0.5, pts)
+
+
+# -- the evaluation that the wave vectors and cmath.exp replaced, copied
+# as it was: numpy exp, the whole gradient rebuilt per term and call ----
+
+def _old_phase_and_grad(field, term, pt):
+    t, x, y, z = (float(v) for v in pt)
+    px, py, pz = term.p
+    theta = (px * x + py * y + pz * z - term.energy * t) / field.hbar
+    grad = [-term.energy / field.hbar, px / field.hbar, py / field.hbar,
+            pz / field.hbar]
+    if term.sigma != 0.0:
+        rho2 = x * x + y * y
+        if rho2 <= 1e-24:
+            raise AxisSingularity("azimuthal phase is undefined on the z-axis")
+        theta += term.sigma * math.atan2(y, x) / field.hbar
+        grad[1] += term.sigma * (-y / rho2) / field.hbar
+        grad[2] += term.sigma * (x / rho2) / field.hbar
+    return theta, grad
+
+
+def _old_value(field, pt):
+    def piece(term):
+        theta, _ = _old_phase_and_grad(field, term, pt)
+        return term.amplitude * complex(np.exp(-1j * theta))
+    return functools.reduce(operator.add, map(piece, field.terms))
+
+
+def _old_partial(field, pt, mu):
+    def piece(term):
+        theta, grad = _old_phase_and_grad(field, term, pt)
+        return term.amplitude * complex(-1j * grad[mu] * np.exp(-1j * theta))
+    return functools.reduce(operator.add, map(piece, field.terms))
+
+
+def _oracle_field(rng, n_terms, spiral, hbar):
+    terms = [PlaneWaveTerm(
+        Biquaternion.from_array(rng.uniform(-1, 1, 4)
+                                + 1j * rng.uniform(-1, 1, 4)),
+        tuple(rng.uniform(-2, 2, 3)), rng.uniform(-2, 2),
+        rng.uniform(-1.5, 1.5) if spiral else 0.0)
+        for _ in range(n_terms)]
+    return SpinorField(terms, hbar=hbar)
+
+
+def _oracle_points(rng):
+    """Random points, points beside the atan2 cut and points just off
+    the axis."""
+    pts = [tuple(rng.uniform(-3, 3, 4)) for _ in range(6)]
+    for y in (0.0, -0.0, 1e-300, -1e-300):
+        pts.append((rng.uniform(-1, 1), -rng.uniform(0.1, 3), y,
+                    rng.uniform(-1, 1)))
+    for _ in range(3):
+        r = math.sqrt(_AXIS_EPS2) * (1 + rng.uniform(1e-6, 1e-3))
+        a = rng.uniform(-math.pi, math.pi)
+        pts.append((rng.uniform(-1, 1), r * math.cos(a), r * math.sin(a),
+                    rng.uniform(-1, 1)))
+    return pts
+
+
+def _coeff_bytes(q):
+    return q.a.tobytes()
+
+
+@pytest.mark.parametrize("hbar", [1.0, 0.1, 3.7])
+@pytest.mark.parametrize("n_terms", [1, 2, 3])
+@pytest.mark.parametrize("spiral", [False, True])
+def test_field_evaluation_equals_the_old_evaluation_bitwise(hbar, n_terms,
+                                                             spiral):
+    # hbar = 1 makes every division by it exact; 0.1 and 3.7 catch a
+    # reordered sigma * (-y / rho^2) / hbar
+    rng = np.random.default_rng([47, n_terms, int(spiral), int(hbar * 10)])
+    for _ in range(12):
+        field = _oracle_field(rng, n_terms, spiral, hbar)
+        for pt in _oracle_points(rng):
+            assert _coeff_bytes(field.value(pt)) == \
+                _coeff_bytes(_old_value(field, pt))
+            for mu in range(4):
+                assert _coeff_bytes(field.partial(pt, mu)) == \
+                    _coeff_bytes(_old_partial(field, pt, mu))
+
+
+def test_axis_singularity_at_and_below_the_threshold():
+    rng = np.random.default_rng(48)
+    field = _oracle_field(rng, 2, True, 0.1)
+    flat = _oracle_field(rng, 2, False, 0.1)
+    side = math.sqrt(0.5e-24)
+    for x, y in ((0.0, 0.0), (-0.0, 0.0), (1e-12, 0.0), (0.0, -1e-12),
+                 (side, -side), (3e-13, 4e-13)):
+        assert x * x + y * y <= _AXIS_EPS2
+        pt = (0.3, x, y, -0.2)
+        with pytest.raises(AxisSingularity):
+            field.value(pt)
+        for mu in range(4):
+            with pytest.raises(AxisSingularity):
+                field.partial(pt, mu)
+        # sigma = 0 terms carry no azimuth and stay defined on the axis
+        assert _coeff_bytes(flat.value(pt)) == \
+            _coeff_bytes(_old_value(flat, pt))

@@ -359,3 +359,26 @@ def test_nonrel_reduce_is_the_spatial_bq_velocity_of_the_primed_field(c):
         primed = f.remove_rest_phase().project_large()
         assert nonrel_reduce(f, pt, norm_tol=math.inf).v == \
             bq_velocity(primed, pt)[1:]
+
+
+@pytest.mark.parametrize("route", [bq_velocity, conjugate_velocity,
+                                   component_velocities])
+def test_each_route_makes_one_value_and_four_partial_calls(monkeypatch,
+                                                           route):
+    # the per-layer trace counts and times these calls
+    calls = {"value": 0, "partial": 0}
+    value, partial = SpinorField.value, SpinorField.partial
+
+    def counted_value(self, pt):
+        calls["value"] += 1
+        return value(self, pt)
+
+    def counted_partial(self, pt, mu):
+        calls["partial"] += 1
+        return partial(self, pt, mu)
+
+    monkeypatch.setattr(SpinorField, "value", counted_value)
+    monkeypatch.setattr(SpinorField, "partial", counted_partial)
+    rng = np.random.default_rng(36)
+    route(_rand_field(rng, sigma=0.5), _rand_point(rng))
+    assert calls == {"value": 1, "partial": 4}
