@@ -94,9 +94,18 @@ class _Ring:
             return NotImplemented
         s = self._cast(other)
         a0, a1, a2, a3 = self._c
-        return self._new((op(a0, s), op(a1, s), op(a2, s), op(a3, s)))
+        out = object.__new__(type(self))
+        out._c = (op(a0, s), op(a1, s), op(a2, s), op(a3, s))
+        return out
 
     def __add__(self, other):
+        cls = type(self)
+        if type(other) is cls:  # fast path: same class, no promotion
+            a0, a1, a2, a3 = self._c
+            b0, b1, b2, b3 = other._c
+            out = object.__new__(cls)
+            out._c = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
+            return out
         return self._combine(other, operator.add)
 
     __radd__ = __add__
@@ -111,6 +120,18 @@ class _Ring:
         return self._new([-a for a in self._c])
 
     def __mul__(self, other):
+        cls = type(self)
+        kind = type(other)
+        if kind is cls:  # fast path: same class, no promotion
+            out = object.__new__(cls)
+            out._c = _hamilton(self._c, other._c)
+            return out
+        if kind in self._exact:  # fast path: _scale by a built-in scalar
+            s = self._cast(other)
+            a0, a1, a2, a3 = self._c
+            out = object.__new__(cls)
+            out._c = (a0 * s, a1 * s, a2 * s, a3 * s)
+            return out
         if isinstance(other, _Ring):
             cls, a, b = self._promote(other)
             return cls._new(_hamilton(a, b))

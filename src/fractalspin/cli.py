@@ -138,30 +138,39 @@ def _resolve_out(out):
     return path
 
 
-def _emit(text: str, out):
+def _emit(text, out):
+    """Write text, a str or an iterable of str chunks, to out or stdout."""
+    chunks = [text] if isinstance(text, str) else text
     path = _resolve_out(out)
     if path is None:
-        click.echo(text, nl=False)
+        for chunk in chunks:
+            click.echo(chunk, nl=False)
     else:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        with path.open("w") as fh:
+            fh.writelines(chunks)
 
 
 _CSV_ROWS = 4096  # trajectory rows formatted per str.format call
 _NON_FINITE = "output holds a non-finite number (inf or nan); nothing written"
 
 
-def _trajectory_csv(traj) -> str:
-    """t,x,y,z rows, each number as its float repr (shortest round trip)."""
+def _trajectory_csv(traj):
+    """t,x,y,z rows, each number as its float repr (shortest round trip),
+    as text chunks of at most 4096 rows after the header.  A table that
+    holds an inf or a nan is refused here, before any chunk is made."""
     table = np.column_stack((traj.times, traj.positions))
     if not np.isfinite(table).all():
         raise NumericalError(_NON_FINITE)
-    parts = ["t,x,y,z\n"]
+    return _csv_chunks(table)
+
+
+def _csv_chunks(table):
+    yield "t,x,y,z\n"
     for start in range(0, len(table), _CSV_ROWS):
         chunk = table[start:start + _CSV_ROWS]
-        parts.append(("{!r},{!r},{!r},{!r}\n" * len(chunk))
-                     .format(*chunk.ravel().tolist()))
-    return "".join(parts)
+        yield (("{!r},{!r},{!r},{!r}\n" * len(chunk))
+               .format(*chunk.ravel().tolist()))
 
 
 def _json_text(payload: dict) -> str:

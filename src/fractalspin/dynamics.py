@@ -27,6 +27,9 @@ from .fields import _left_sum, central_difference
 
 # central-difference steps: EMField's curl and divergence, the witness curl
 _EM_H, _CURL_H = 1e-5, 1e-4
+#: highest derivative order per axis whose k powers ExponentialField
+#: stores; the package asks for at most third derivatives
+_POWERS = 3
 
 
 def _d(field, pt, *axes):
@@ -48,6 +51,9 @@ class ExponentialField:
                       for amp, k in terms]
         if not self.terms:
             raise ValueError("need at least one term")
+        # k_mu ** n for n = 1.._POWERS of each term, as Python complex
+        self._powers = [[[complex(k[mu] ** n) for n in range(1, _POWERS + 1)]
+                         for mu in range(4)] for _, k in self.terms]
 
     def value(self, pt):
         return self.derivative(pt, (0, 0, 0, 0))
@@ -55,11 +61,11 @@ class ExponentialField:
     def derivative(self, pt, orders):
         pt = np.asarray(pt, dtype=float).reshape(4)
         pieces = []
-        for amp, k in self.terms:
+        for (amp, k), powers in zip(self.terms, self._powers):
             factor = complex(np.exp(k @ pt))
             for mu, n in enumerate(orders):
                 if n:
-                    factor *= k[mu] ** n
+                    factor *= powers[mu][n - 1] if n <= _POWERS else k[mu] ** n
             pieces.append(amp * factor)
         return _left_sum(pieces)
 

@@ -113,7 +113,7 @@ class SpinorField:
                 raise ConfigError(
                     f"key {key}: need a finite number > 0, got {value!r}")
         hbar = self.hbar
-        waves = []
+        flat = []
         for i, t in enumerate(self.terms):
             if not isinstance(t.amplitude, Biquaternion):
                 raise ConfigError(f"term {i} amplitude: need a Biquaternion, "
@@ -126,33 +126,37 @@ class SpinorField:
                     raise ConfigError(f"term {i} {key}: need finite numbers, "
                                       f"got {value!r}")
             px, py, pz = t.p
-            waves.append((-t.energy / hbar, px / hbar, py / hbar, pz / hbar))
-        self._waves = tuple(waves)
+            wave = (-t.energy / hbar, px / hbar, py / hbar, pz / hbar)
+            flat.append((t.amplitude, px, py, pz, t.energy, t.sigma, wave))
+        # (amplitude, px, py, pz, energy, sigma, wave vector) per term
+        self._flat = tuple(flat)
 
     # -- evaluation -----------------------------------------------------
 
     def _phases(self, pt):
         """(amplitude, theta, (d_t, d_x, d_y, d_z) theta) of each term at
         pt; the gradient is the term's wave vector plus, for sigma != 0,
-        the azimuthal part."""
+        the azimuthal part.  The azimuth and its gradient (-y, x)/rho^2
+        are computed once, at the first spiraling term."""
         t, x, y, z = map(float, pt)
         hbar = self.hbar
         out = []
-        for term, wave in zip(self.terms, self._waves):
-            px, py, pz = term.p
-            theta = (px * x + py * y + pz * z - term.energy * t) / hbar
-            sigma = term.sigma
+        azimuth = None
+        for amplitude, px, py, pz, energy, sigma, wave in self._flat:
+            theta = (px * x + py * y + pz * z - energy * t) / hbar
             if sigma != 0.0:
-                rho2 = x * x + y * y
-                if rho2 <= _AXIS_EPS2:
-                    raise AxisSingularity(
-                        "azimuthal phase is undefined on the z-axis "
-                        f"(rho^2 = {rho2:.3e}, sigma = {sigma})")
-                theta += sigma * math.atan2(y, x) / hbar
+                if azimuth is None:
+                    rho2 = x * x + y * y
+                    if rho2 <= _AXIS_EPS2:
+                        raise AxisSingularity(
+                            "azimuthal phase is undefined on the z-axis "
+                            f"(rho^2 = {rho2:.3e}, sigma = {sigma})")
+                    azimuth = math.atan2(y, x), -y / rho2, x / rho2
+                phi, gx, gy = azimuth
+                theta += sigma * phi / hbar
                 w0, w1, w2, w3 = wave
-                wave = (w0, w1 + sigma * (-y / rho2) / hbar,
-                        w2 + sigma * (x / rho2) / hbar, w3)
-            out.append((term.amplitude, theta, wave))
+                wave = (w0, w1 + sigma * gx / hbar, w2 + sigma * gy / hbar, w3)
+            out.append((amplitude, theta, wave))
         return out
 
     def value(self, pt) -> Biquaternion:

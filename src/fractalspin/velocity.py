@@ -24,6 +24,7 @@ component of a rest field.  method="fd" uses the fixed FD step 1e-4.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -143,19 +144,25 @@ def component_velocities(field: SpinorField, pt,
     Prefactor -s0/(m c) on every (P +- Q) sum, with the same raised
     derivative feed as the biquaternion routes.
     """
-    v = field.value(pt)
-    f, x = v.phi.tolist(), v.chi.tolist()
+    c = field.value(pt)._c
+    f, x = [a.real for a in c], [a.imag for a in c]
     scale = -field.s0 / (field.m * field.c)
-    sums = np.array([_pq_sums(f, x, d.phi.tolist(), d.chi.tolist())
-                     for d in _fed_partials(field, pt, method)])
-    p, q = sums[:, 0].T, sums[:, 1].T  # sector k by raised index mu
-    plus, minus = scale * (p + q), scale * (p - q)
-    return VelocityComponents(plus[0], plus[1], minus[1], minus[0],
-                              plus[2], plus[3], minus[3], minus[2])
+    sums = [_pq_sums(f, x, [a.real for a in d._c], [a.imag for a in d._c])
+            for d in _fed_partials(field, pt, method)]
+    # sector k by raised index mu
+    plus = [[scale * (p[k] + q[k]) for p, q in sums] for k in range(4)]
+    minus = [[scale * (p[k] - q[k]) for p, q in sums] for k in range(4)]
+    return VelocityComponents(*map(np.array, (
+        plus[0], plus[1], minus[1], minus[0],
+        plus[2], plus[3], minus[3], minus[2])))
 
 
-def _pair(a, b):
-    return 0.5 * (a + b) - 0.5j * (a - b)
+def _pair(a: float, b: float) -> complex:
+    """(a + b)/2 - i (a - b)/2 for real a, b, each part spelled out as the
+    complex evaluation of 0.5 (a + b) - 0.5j (a - b) forms it, signed zeros
+    included: the product 0.5j * d is (0 d - 0.5 * 0) + (0 * 0 + 0.5 d) i."""
+    d = a - b
+    return complex(0.5 * (a + b) - (0.0 * d - 0.0), 0.0 - (0.0 + 0.5 * d))
 
 
 def recompose_velocity(comp: VelocityComponents) -> tuple[Biquaternion, ...]:
@@ -166,12 +173,10 @@ def recompose_velocity(comp: VelocityComponents) -> tuple[Biquaternion, ...]:
     applied to (v_pp, v_mm) for the scalar part, (v_pm, v_mp) for e1,
     (vt_pp, vt_mm) for e2 and (vt_pm, vt_mp) for e3.
     """
-    s = _pair(comp.v_pp, comp.v_mm)
-    e1 = _pair(comp.v_pm, comp.v_mp)
-    e2 = _pair(comp.vt_pp, comp.vt_mm)
-    e3 = _pair(comp.vt_pm, comp.vt_mp)
-    return tuple(Biquaternion(s[mu], e1[mu], e2[mu], e3[mu])
-                 for mu in range(4))
+    sectors = [map(_pair, a.tolist(), b.tolist()) for a, b in (
+        (comp.v_pp, comp.v_mm), (comp.v_pm, comp.v_mp),
+        (comp.vt_pp, comp.vt_mm), (comp.vt_pm, comp.vt_mp))]
+    return tuple(Biquaternion(*coeffs) for coeffs in zip(*sectors))
 
 
 def closure(field: SpinorField, pt) -> tuple[VelocityComponents, float, bool]:
@@ -223,16 +228,18 @@ def nonrel_reduce(field: SpinorField, pt, method: str = "analytic",
 
     Raises:
         SmallComponentsNotSmall: lower/upper amplitude ratio exceeds
-            1e-8 at pt.
+            1e-8 at pt, at any amplitude scale (inf where the upper
+            amplitude is 0 and the lower is not).
         NotNormalized: the primed value's eight-component square norm is
             not 1 within norm_tol.
     """
     a = field.value(pt).a
     upper = float(np.hypot(abs(a[0]), abs(a[1])))
     lower = float(np.hypot(abs(a[2]), abs(a[3])))
-    if lower > _SMALL_TOL * max(upper, 1e-300):
+    if lower > _SMALL_TOL * upper:
+        ratio = lower / upper if upper else math.inf
         raise SmallComponentsNotSmall(
-            f"lower/upper amplitude ratio {lower / max(upper, 1e-300):.3e} "
+            f"lower/upper amplitude ratio {ratio:.3e} "
             f"exceeds {_SMALL_TOL:.1e}")
 
     primed = field.remove_rest_phase().project_large()

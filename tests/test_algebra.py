@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from fractalspin.algebra import (
+    _hamilton,
     E1,
     E2,
     E3,
@@ -379,3 +380,39 @@ def test_scale_abc_path_equals_the_python_scalar_product(cls, scalar, plain):
     assert _coeff_bytes(q * scalar) == _coeff_bytes(q * plain)
     assert _coeff_bytes(scalar * q) == _coeff_bytes(plain * q)
     assert _coeff_bytes(q / scalar) == _coeff_bytes(q / plain)
+
+
+def _promoted(op, p, q):
+    """The class and coefficients of p op q by the generic route: both
+    operands promoted, then the Hamilton product or the coefficient sum."""
+    cls, a, b = p._promote(q)
+    return cls, (_hamilton(a, b) if op is operator.mul
+                 else tuple(map(op, a, b)))
+
+
+@pytest.mark.parametrize("left, right", [
+    (Quaternion, Quaternion), (Biquaternion, Biquaternion),
+    (Quaternion, Biquaternion), (Biquaternion, Quaternion)])
+@pytest.mark.parametrize("op", [operator.mul, operator.add])
+def test_ring_fast_paths_equal_the_promoted_route_bitwise(left, right, op):
+    # Q.Q, B.B and B+B take the same-class fast path, a mixed pair the
+    # promotion; both must give the promoted route's bytes and class
+    rng = np.random.default_rng([42, left is Quaternion, right is Quaternion,
+                                 op is operator.mul])
+    special = [0.0, -0.0, 5e-324, -1.0, 1e300]
+
+    def make(cls):
+        c = rng.uniform(-2, 2, (2, 4))
+        for i, j in zip(*np.nonzero(rng.random((2, 4)) < 0.3)):
+            c[i, j] = special[rng.integers(len(special))]
+        if cls is Quaternion:
+            return Quaternion(*c[0])
+        return Biquaternion.from_array(c[0] + 1j * c[1])
+
+    for _ in range(200):
+        p, q = make(left), make(right)
+        got = op(p, q)
+        cls, want = _promoted(op, p, q)
+        assert type(got) is cls
+        assert type(got._c) is tuple
+        assert _coeff_bytes(got) == np.array(want).tobytes()

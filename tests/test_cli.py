@@ -362,12 +362,25 @@ def test_trajectory_csv_equals_per_row_oracle(rows):
     positions.reshape(-1)[3:3 + len(special)] = special[:3 * rows - 3]
     times[-1] = -0.0 if rows == 1 else times[-1]
     traj = Trajectory(times, positions, spiral_preset())
-    text = _trajectory_csv(traj)
+    text = "".join(_trajectory_csv(traj))
     assert text == _old_trajectory_csv(traj)
     assert text.count("\n") == rows + 1
     for token in ("-0.0", "1e-300", "1e+16"):
         assert token in text
 
+
+
+def test_streamed_csv_is_the_same_on_stdout_and_in_a_file(runner, tmp_path):
+    # 5000 steps give 5001 rows: two chunks after the header
+    args = ["spiral", "--preset", "spiral_demo", "--n-steps", "5000"]
+    shown = runner.invoke(main, args)
+    out = tmp_path / "spiral.csv"
+    written = runner.invoke(main, [*args, "--out", str(out)])
+    assert shown.exit_code == written.exit_code == 0
+    assert written.stdout == ""
+    assert out.read_bytes() == shown.stdout_bytes
+    assert shown.stdout.count("\n") == 5002
+    assert shown.stdout.startswith("t,x,y,z\n0.0,")
 
 # finite inputs whose runs overflow: numpy's overflow warnings on the way
 # are expected here, the run must still end in exit 3 with no file

@@ -448,3 +448,47 @@ def test_operators_match_explicit_order_oracles_bitwise(name):
             _bits(_old_acceleration_field(field, d, pt))
         assert _bits([covariant_derivative(lambda q: v, d, field, pt)]) == \
             _bits([_old_covariant_derivative(lambda q: v, d, field, pt)])
+
+
+# -- oracle: ExponentialField.derivative with every power k_mu ** n taken
+# on the call, before the field stored the powers up to third order ------
+
+def _old_exponential_derivative(field, pt, orders):
+    pt = np.asarray(pt, dtype=float).reshape(4)
+    pieces = []
+    for amp, k in field.terms:
+        factor = complex(np.exp(k @ pt))
+        for mu, n in enumerate(orders):
+            if n:
+                factor *= k[mu] ** n
+        pieces.append(amp * factor)
+    out = pieces[0]
+    for piece in pieces[1:]:
+        out = out + piece
+    return out
+
+
+def _exponential_oracle_fields():
+    rng = np.random.default_rng(43)
+    k = rng.uniform(-1.5, 1.5, (3, 4)) + 1j * rng.uniform(-1.5, 1.5, (3, 4))
+    vectors = ExponentialField([
+        (rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4), k[0]),
+        (np.array([0.3, -0.0, 1.0j, -2.0]), k[1])])
+    base = _oracle_fields()
+    return {"rotor": base["rotor"], "control": base["control"],
+            "bq": ExponentialField([(Biquaternion.from_array(
+                rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4)), k[2])]),
+            "vectors": vectors,
+            "dirac": dirac_plane_wave([0.6, 0.8j], [0.3, -0.4, 1.2], m=1.3)}
+
+
+@pytest.mark.parametrize("name", ["rotor", "control", "bq", "vectors",
+                                  "dirac"])
+def test_exponential_derivative_equals_the_inline_power_oracle(name):
+    field = _exponential_oracle_fields()[name]
+    orders = list(np.ndindex(4, 4, 4, 4))  # each axis up to third order
+    orders += [(4, 0, 0, 0), (0, 5, 1, 0), (1, 2, 3, 4), (0, 0, 0, 7)]
+    for pt in sample_box(((-1, 1),) * 4, 3, seed=6):
+        for o in orders:
+            assert _bits([field.derivative(pt, o)]) == \
+                _bits([_old_exponential_derivative(field, pt, o)]), o

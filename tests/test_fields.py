@@ -404,3 +404,62 @@ def test_axis_singularity_at_and_below_the_threshold():
         # sigma = 0 terms carry no azimuth and stay defined on the axis
         assert _coeff_bytes(flat.value(pt)) == \
             _coeff_bytes(_old_value(flat, pt))
+
+
+# -- oracle: _phases as it was before it shared one azimuth between the
+# spiraling terms of a point --------------------------------------------
+
+def _old_phases(field, pt):
+    t, x, y, z = map(float, pt)
+    hbar = field.hbar
+    out = []
+    for term in field.terms:
+        px, py, pz = term.p
+        wave = (-term.energy / hbar, px / hbar, py / hbar, pz / hbar)
+        theta = (px * x + py * y + pz * z - term.energy * t) / hbar
+        sigma = term.sigma
+        if sigma != 0.0:
+            rho2 = x * x + y * y
+            if rho2 <= _AXIS_EPS2:
+                raise AxisSingularity(
+                    "azimuthal phase is undefined on the z-axis "
+                    f"(rho^2 = {rho2:.3e}, sigma = {sigma})")
+            theta += sigma * math.atan2(y, x) / hbar
+            w0, w1, w2, w3 = wave
+            wave = (w0, w1 + sigma * (-y / rho2) / hbar,
+                    w2 + sigma * (x / rho2) / hbar, w3)
+        out.append((term.amplitude, theta, wave))
+    return out
+
+
+@pytest.mark.parametrize("hbar", [1.0, 0.1, 3.7])
+@pytest.mark.parametrize("sigmas", [(0.7, 0.0, -1.3), (0.0, 0.5, 0.0, 0.5),
+                                    (1.1, 0.0, 0.0, 2.0), (0.0, -0.4)])
+def test_phases_equal_the_per_term_azimuth_oracle_bitwise(hbar, sigmas):
+    # a sigma = 0 term between spiraling terms carries the bare wave
+    # vector; the spiraling terms share one azimuth, with the bytes of the
+    # azimuth computed term by term
+    rng = np.random.default_rng([49, len(sigmas), int(hbar * 10)])
+    for _ in range(8):
+        field = _oracle_field(rng, len(sigmas), False, hbar)
+        field = SpinorField([t._replace(sigma=s)
+                             for t, s in zip(field.terms, sigmas)], hbar=hbar)
+        for pt in _oracle_points(rng):
+            got, want = field._phases(pt), _old_phases(field, pt)
+            assert [a for a, _, _ in got] == [a for a, _, _ in want]
+            assert np.array([(th, *w) for _, th, w in got]).tobytes() == \
+                np.array([(th, *w) for _, th, w in want]).tobytes()
+
+
+def test_axis_refusal_names_the_first_spiraling_term():
+    rng = np.random.default_rng(50)
+    field = _oracle_field(rng, 3, False, 1.0)
+    field = SpinorField([t._replace(sigma=s) for t, s in
+                         zip(field.terms, (0.0, 0.7, -1.3))], hbar=1.0)
+    pt = (0.3, 1e-13, -2e-13, 0.1)
+    with pytest.raises(AxisSingularity) as got:
+        field._phases(pt)
+    with pytest.raises(AxisSingularity) as want:
+        _old_phases(field, pt)
+    assert str(got.value) == str(want.value)
+    assert "sigma = 0.7)" in str(got.value)

@@ -17,6 +17,7 @@ from fractalspin.fields import (PlaneWaveTerm, SpinorField, central_difference,
 from fractalspin.simulate import spiral_drift
 from fractalspin.velocity import (
     _pq_sums,
+    VelocityComponents,
     bq_velocity,
     component_velocities,
     conjugate_velocity,
@@ -382,3 +383,79 @@ def test_each_route_makes_one_value_and_four_partial_calls(monkeypatch,
     rng = np.random.default_rng(36)
     route(_rand_field(rng, sigma=0.5), _rand_point(rng))
     assert calls == {"value": 1, "partial": 4}
+
+
+# -- oracle: the recomposition as numpy arrays, before it paired Python
+# floats ------------------------------------------------------------------
+
+def _old_recompose_velocity(comp):
+    def pair(a, b):
+        return 0.5 * (a + b) - 0.5j * (a - b)
+    s = pair(comp.v_pp, comp.v_mm)
+    e1 = pair(comp.v_pm, comp.v_mp)
+    e2 = pair(comp.vt_pp, comp.vt_mm)
+    e3 = pair(comp.vt_pm, comp.vt_mp)
+    return tuple(Biquaternion(s[mu], e1[mu], e2[mu], e3[mu])
+                 for mu in range(4))
+
+
+def _seeded_components(rng):
+    """Eight rows of four floats mixing signs, magnitudes, signed zeros,
+    equal and opposite pairs and subnormals."""
+    rows = rng.standard_normal((8, 4)) * 10.0 ** rng.integers(-5, 5, (8, 4))
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1.0, 1.0, 2.5]
+    for i, j in zip(*np.nonzero(rng.random((8, 4)) < 0.35)):
+        rows[i, j] = special[rng.integers(len(special))]
+    for i, j in ((0, 3), (1, 2), (4, 7), (5, 6)):  # the paired rows
+        mu = rng.integers(4)
+        rows[j, mu] = rows[i, mu] if rng.random() < 0.5 else -rows[i, mu]
+    return VelocityComponents(*rows)
+
+
+def test_recompose_velocity_equals_the_numpy_oracle_bytewise():
+    rng = np.random.default_rng(37)
+    for _ in range(300):
+        comp = _seeded_components(rng)
+        got = recompose_velocity(comp)
+        assert all(type(v) is Biquaternion for v in got)
+        assert _bytes(got) == _bytes(_old_recompose_velocity(comp))
+
+
+@pytest.mark.parametrize("a, b, want", [
+    # (a + b)/2 - i (a - b)/2 with each part as the complex product forms
+    # it: real 0.5 (a + b) - (0 (a - b) - 0), imag 0 - (0 + 0.5 (a - b))
+    (0.0, 0.0, (0.0, 0.0)),
+    (-0.0, -0.0, (-0.0, 0.0)),
+    (-0.0, 0.0, (0.0, 0.0)),
+    (0.0, -0.0, (0.0, 0.0)),
+    (1.0, 1.0, (1.0, 0.0)),
+    (-1.0, -1.0, (-1.0, 0.0)),
+    (0.0, 1.0, (0.5, 0.5)),
+    (3.0, -1.0, (1.0, -2.0)),
+])
+def test_recompose_pairs_signed_zeros_as_the_complex_product(a, b, want):
+    comp = VelocityComponents(*(np.full(4, v) for v in
+                                (a, 0.0, 0.0, b, 0.0, 0.0, 0.0, 0.0)))
+    s = recompose_velocity(comp)[0]._c[0]
+    assert (math.copysign(1.0, s.real), math.copysign(1.0, s.imag)) == \
+        (math.copysign(1.0, want[0]), math.copysign(1.0, want[1]))
+    assert (s.real, s.imag) == want
+    assert _bytes([recompose_velocity(comp)[0]]) == \
+        _bytes([_old_recompose_velocity(comp)[0]])
+
+
+def test_nonrel_reduce_tests_small_components_at_any_amplitude_scale():
+    # a lower/upper ratio of 1e-5 is not small, whatever the size of psi
+    for scale in (1.0, 1e-300, 1e-305):
+        f = plane_wave(Biquaternion(scale, 0.0, 1e-5 * scale), (0, 0, 0),
+                       1.0)
+        with pytest.raises(SmallComponentsNotSmall, match="1.000e-05"):
+            nonrel_reduce(f, (0, 0.5, 0, 0))
+    # and a field with no upper components at all has an infinite ratio
+    f = plane_wave(Biquaternion(0.0, 0.0, 1e-305), (0, 0, 0), 1.0)
+    with pytest.raises(SmallComponentsNotSmall, match="ratio inf exceeds"):
+        nonrel_reduce(f, (0, 0.5, 0, 0))
+    # a lower part below the ratio passes on to the norm test
+    f = plane_wave(Biquaternion(1e-305, 0.0, 1e-315), (0, 0, 0), 1.0)
+    with pytest.raises(NotNormalized):
+        nonrel_reduce(f, (0, 0.5, 0, 0))
