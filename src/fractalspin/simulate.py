@@ -28,6 +28,15 @@ numpy arrays.  Both evaluate the drift through the one kernel _swirl,
 with the same operations in the same order, so a single path equals the
 matching ensemble path bit for bit.
 
+An ensemble runs in blocks of paths.  The main thread draws a block's
+noise into rows 1..n of a path array and steps it there in place, while
+a helper thread pools the previous block's statistics (increments, lag
+sums, L_z means) from the other path array; those are large numpy
+passes that release the GIL, so a second CPU takes them.  Blocks are
+pooled one at a time in block order, so every sum is added in the same
+order as a serial run and the results are the same bits.  With one CPU
+the helper shares it with the main thread.
+
 Seeding: one master integer seed; per-trajectory generators are
 Philox(SeedSequence(master).spawn(i)), so every trajectory is independent
 and bit-reproducible regardless of how the ensemble is blocked.
@@ -35,8 +44,10 @@ and bit-reproducible regardless of how the ensemble is blocked.
 
 from __future__ import annotations
 
+import contextvars
 import math
 from array import array
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -192,7 +203,8 @@ def _integrate_noise_block(cfg: SimConfig, noise: np.ndarray,
 
     noise has shape (n_paths, n_steps, 3) and is the raw eta draw; the
     sqrt(2 D dt) scale is applied here.  Returns (n_paths, n_steps+1, 3),
-    written into out when given.
+    written into out when given.  noise may be out[:, 1:] itself: step n
+    reads noise row n before it writes position n+1 into the same memory.
     """
     n_paths, n_steps, _ = noise.shape
     r_min = cfg.core_radius()
@@ -253,16 +265,29 @@ def lz_series(traj: Trajectory, mode: str = "forward") -> np.ndarray:
     """
     x, dt, m = traj.positions, traj.config.dt, traj.config.m
     if mode == "forward":
-        return _lz(x[..., :-1, :], (x[..., 1:, :] - x[..., :-1, :]) / dt, m)
-    if mode == "central":
+        lz = _lz(x[..., :-1, :], (x[..., 1:, :] - x[..., :-1, :]) / dt, m)
+    elif mode == "central":
         v = (x[..., 2:, :] - x[..., :-2, :]) / (2 * dt)
-        return _lz(x[..., 1:-1, :], v, m)
-    raise ValueError(f"mode must be 'forward' or 'central', got {mode!r}")
+        lz = _lz(x[..., 1:-1, :], v, m)
+    else:
+        raise ValueError(f"mode must be 'forward' or 'central', got {mode!r}")
+    # a series of its own, not a view that keeps the velocities alive
+    return np.ascontiguousarray(lz)
 
 
 def _lz(base: np.ndarray, v: np.ndarray, m: float) -> np.ndarray:
-    """m (x vy - y vx) for positions and velocities of shape (..., 3)."""
-    return m * (base[..., 0] * v[..., 1] - base[..., 1] * v[..., 0])
+    """m (x vy - y vx) for positions and velocities of shape (..., 3),
+    formed in v's own memory: v is overwritten and the result is the
+    view v[..., 1].  It allocates no temporaries, so the ensemble's
+    helper thread makes no large allocations: the C allocator keeps a
+    thread's freed blocks in an arena of its own, and the four L_z
+    temporaries per block raised the ensemble's peak RSS by up to
+    12 MB that way."""
+    lz, vx = v[..., 1], v[..., 0]
+    np.multiply(base[..., 0], lz, out=lz)
+    np.multiply(base[..., 1], vx, out=vx)
+    np.subtract(lz, vx, out=lz)
+    return np.multiply(m, lz, out=lz)
 
 
 def two_sided_velocity(traj: Trajectory, i: int) -> tuple[np.ndarray, np.ndarray]:
@@ -429,6 +454,16 @@ def ensemble_run(cfg: SimConfig, lags=None) -> EnsembleResult:
     displacement increments divided by dt (so pure diffusion gives 2D per
     component); the Hurst exponent is fitted on pooled RMS increments
     (None when the lag window would be too narrow to be meaningful).
+
+    Paths run in blocks through two path arrays.  Each block's noise is
+    drawn into rows 1..n of its path array, which is then stepped in
+    place.  While the main thread draws and steps the next block into the
+    other array, a helper thread pools this one, with the one increment
+    array as its only scratch.  The main thread waits for a block's
+    pooling before it hands over the next, so blocks are pooled in order
+    and the result is the same bits as a serial run.  An exception on the
+    helper is raised here, unless the main thread is already raising its
+    own, and no helper is left running on return.
     """
     lags = _checked_lags(lags, cfg.n_steps)
     # spawned a block at a time: successive spawns continue one sequence,
@@ -440,39 +475,59 @@ def ensemble_run(cfg: SimConfig, lags=None) -> EnsembleResult:
     lz_means = []
     inc_sum = np.zeros(3)
     inc_sq = np.zeros(3)
-    inc_n = 0
     eta_sum = np.zeros(3)
     path_sum = np.zeros((cfg.n_steps + 1, 3))
 
-    # one set of block arrays for the whole run; each block uses their
-    # leading rows, which are contiguous.  Once eta_sum has its share, the
-    # noise array is spent and serves as scratch for the lag differences
-    # and the L_z velocities
+    # two path arrays, so the main thread fills one while the helper
+    # pools the other, and one increment array for the whole run; each
+    # block uses their leading rows, which are contiguous
     block = min(_BLOCK, cfg.n_traj)
-    noise_buf = np.empty((block, cfg.n_steps, 3))
-    path_buf = np.empty((block, cfg.n_steps + 1, 3))
+    path_bufs = [np.empty((block, cfg.n_steps + 1, 3)) for _ in range(2)]
     inc_buf = np.empty((block, cfg.n_steps, 3))
+    one = lags == 1
 
-    for start in range(0, cfg.n_traj, _BLOCK):
-        size = min(_BLOCK, cfg.n_traj - start)
-        noise = noise_buf[:size]
-        for gen, row in zip(_child_generators(master, size), noise):
-            gen.standard_normal(out=row)
-        paths = _integrate_noise_block(cfg, noise, out=path_buf[:size])
-        eta_sum += np.einsum("pnk->k", noise)
+    def pool(paths):
+        nonlocal inc_sum, inc_sq, path_sum, sq_sums, sq_counts
         path_sum += paths.sum(axis=0)
-
-        inc = np.subtract(paths[:, 1:], paths[:, :-1], out=inc_buf[:size])
+        inc = np.subtract(paths[:, 1:], paths[:, :-1],
+                          out=inc_buf[:len(paths)])
         inc_sum += np.einsum("pnk->k", inc)
         inc_sq += np.einsum("pnk,pnk->k", inc, inc)
-        inc_n += inc.shape[0] * inc.shape[1]
-
-        counts, sums = _lag_sq_sums(paths, lags, inc, noise_buf.reshape(-1))
+        counts = np.empty(len(lags), dtype=int)
+        sums = np.empty(len(lags))
+        # lag 1 is the increments themselves (and writes no scratch); then
+        # the increment array holds the L_z velocities, then each other
+        # lag's difference
+        scratch = inc_buf.reshape(-1)
+        counts[one], sums[one] = _lag_sq_sums(paths, lags[one], inc, scratch)
+        velocity = np.divide(inc, cfg.dt, out=inc)
+        lz_means.extend(np.mean(_lz(paths[:, :-1], velocity, cfg.m), axis=1))
+        counts[~one], sums[~one] = _lag_sq_sums(paths, lags[~one],
+                                                scratch=scratch)
         sq_sums += sums
         sq_counts += counts
-        velocity = np.divide(inc, cfg.dt, out=noise)
-        lz_means.extend(np.mean(_lz(paths[:, :-1], velocity, cfg.m), axis=1))
 
+    # one helper thread; each block is pooled in a copy of the caller's
+    # context, so numpy's errstate holds there too.  Leaving the with
+    # waits for the helper, and a failure already on its way out is not
+    # replaced by the helper's
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        pooled = None  # the block being pooled
+        for i, start in enumerate(range(0, cfg.n_traj, _BLOCK)):
+            size = min(_BLOCK, cfg.n_traj - start)
+            buf = path_bufs[i % 2][:size]
+            noise = buf[:, 1:]
+            for gen, row in zip(_child_generators(master, size), noise):
+                gen.standard_normal(out=row)
+            eta_sum += np.einsum("pnk->k", noise)
+            paths = _integrate_noise_block(cfg, noise, out=buf)
+            if pooled is not None:
+                pooled.result()
+            pooled = helper.submit(contextvars.copy_context().run, pool,
+                                   paths)
+        pooled.result()
+
+    inc_n = cfg.n_traj * cfg.n_steps
     mean_inc = inc_sum / inc_n
     inc_var = (inc_sq / inc_n - mean_inc ** 2) / cfg.dt
     rms = np.sqrt(sq_sums / sq_counts)

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -280,8 +283,10 @@ def test_ensemble_statistics_match_single_path_tools():
 def test_lz_series_modes_and_validation():
     cfg = SimConfig(dt=1e-3, n_steps=100, x0=(1.0, 0.0, 0.0))
     traj = integrate_deterministic(cfg)
-    assert len(lz_series(traj, "forward")) == 100
-    assert len(lz_series(traj, "central")) == 99
+    for mode, n in (("forward", 100), ("central", 99)):
+        lz = lz_series(traj, mode)
+        # a series of its own, not a view of the velocity temporary
+        assert lz.shape == (n,) and lz.flags.c_contiguous and lz.flags.owndata
     with pytest.raises(ValueError):
         lz_series(traj, "sideways")
 
@@ -686,8 +691,8 @@ def test_lag_sums_with_scratch_equal_fresh_differences_bitwise():
 
 def test_ensemble_allocation_peak_stays_within_five_block_arrays():
     # one block of positions: 512 paths x 201 positions x 3 floats; the
-    # run keeps one noise, one path and one increment array of about that
-    # size, plus the L_z temporaries of _lz
+    # run keeps two path arrays and one increment array of about that
+    # size
     one_block = 512 * 201 * 3 * 8
     cfg = spiral_preset(n_traj=1300, n_steps=200, seed=3)
     tracemalloc.start()
@@ -697,3 +702,184 @@ def test_ensemble_allocation_peak_stays_within_five_block_arrays():
     finally:
         tracemalloc.stop()
     assert peak <= 5 * one_block, peak / one_block
+
+
+def test_warm_ensemble_run_allocates_little_beyond_its_block_arrays():
+    # two path arrays and an increment array are about 3 blocks; L_z and
+    # the lag sums form everything in them, so the rest (generators,
+    # per-step drift arrays) stays under half a block once the first
+    # call's one-off allocations are made
+    one_block = 512 * 201 * 3 * 8
+    cfg = spiral_preset(n_traj=1300, n_steps=200, seed=3)
+    ensemble_run(cfg)
+    tracemalloc.start()
+    try:
+        ensemble_run(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * one_block, peak / one_block
+
+
+def _assert_result_bits(res, want):
+    for key, value in want.items():
+        got = getattr(res, key)
+        if value is None:
+            assert got is None, key
+        else:
+            assert _same_bits(got, value), key
+
+
+@pytest.mark.parametrize("n_traj", [513, 1300])
+@pytest.mark.parametrize("lags", [[5, 1, 30, 2], [2, 3, 10], [1, 1, 4]])
+def test_pooled_lags_in_any_order_equal_fresh_arrays_bitwise(n_traj, lags):
+    # the pooling takes lag 1 from the increments before the L_z
+    # velocities overwrite them, then every other lag; lags out of order,
+    # repeated, or without lag 1 must still land in their own slots
+    cfg = spiral_preset(n_traj=n_traj, n_steps=60, seed=n_traj)
+    lags = np.array(lags)
+    _assert_result_bits(ensemble_run(cfg, lags=lags),
+                        _ensemble_allocating_per_block(cfg, lags))
+
+
+def test_many_small_blocks_under_a_short_switch_interval_bitwise(
+        monkeypatch):
+    # 82 blocks of 16 paths, the interpreter switching threads as often
+    # as it can: a block pooled twice, skipped, out of order or over a
+    # path array still being filled would move the bits
+    monkeypatch.setattr(simulate, "_BLOCK", 16)
+    cfg = spiral_preset(n_traj=1300, n_steps=30, seed=6)
+    lags = default_lags(cfg.n_steps)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        res = ensemble_run(cfg, lags=lags)
+    finally:
+        sys.setswitchinterval(interval)
+    _assert_result_bits(res, _ensemble_allocating_per_block(cfg, lags))
+
+
+def test_lz_in_place_equals_the_expression_bitwise():
+    # formed in the velocity array's own memory, with the operations of
+    # m * (x vy - y vx); signed zeros and exact cancellations included
+    rng = np.random.default_rng(9)
+    for shape in ((2000, 3), (7, 500, 3)):
+        base = rng.standard_normal(shape)
+        v = rng.standard_normal(shape)
+        base.reshape(-1, 3)[:5] = [[0.0, -0.0, 1], [-0.0, 0.0, 1],
+                                   [2.0, 2.0, 1], [1e-300, 3.0, 1],
+                                   [-1.5, 0.0, 1]]
+        v.reshape(-1, 3)[:5] = [[1.0, 0.0, 1], [1.0, 0.0, 1],
+                                [3.0, 3.0, 1], [1e-10, -1e-300, 1],
+                                [0.0, -0.0, 1]]
+        for m in (1.0, 0.3, -2.5):
+            want = m * (base[..., 0] * v[..., 1] - base[..., 1] * v[..., 0])
+            scratch = v.copy()
+            tracemalloc.start()
+            try:
+                got = simulate._lz(base, scratch, m)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert np.shares_memory(got, scratch)
+            assert peak < want.nbytes // 4, peak
+            assert _same_bits(np.ascontiguousarray(got), want)
+
+
+def test_noise_block_steps_in_place_bitwise():
+    # noise drawn into rows 1..n of the path array and stepped there: step
+    # n reads noise row n before it writes position n+1 over it
+    cfg = spiral_preset(n_steps=400, x0=(0.01, 0.0, 0.0))
+    noise = np.random.Generator(np.random.Philox(12)).standard_normal(
+        (64, cfg.n_steps, 3))
+    want = _integrate_noise_block(cfg, noise)
+    rho2 = want[:, :-1, 0] ** 2 + want[:, :-1, 1] ** 2
+    assert np.count_nonzero(rho2 <= cfg.core_radius() ** 2) > 1000
+    buf = np.empty((64, cfg.n_steps + 1, 3))
+    buf[:, 1:] = noise
+    got = _integrate_noise_block(cfg, buf[:, 1:], out=buf)
+    assert got is buf
+    assert _same_bits(got, want)
+
+
+def test_pooling_runs_in_the_callers_numpy_errstate(monkeypatch):
+    # the helper thread runs in a copy of the caller's context, where
+    # numpy keeps its errstate; a plain thread would see the defaults
+    seen = []
+    lz = simulate._lz
+
+    def recording(*args):
+        seen.append((np.geterr(), threading.current_thread()))
+        return lz(*args)
+
+    monkeypatch.setattr(simulate, "_lz", recording)
+    with np.errstate(all="raise"):
+        caller = np.geterr()
+        ensemble_run(spiral_preset(n_traj=1300, n_steps=20, seed=1))
+    assert caller == dict(divide="raise", over="raise", under="raise",
+                          invalid="raise")
+    assert len(seen) == 3
+    for errs, thread in seen:
+        assert errs == caller
+        assert thread is not threading.main_thread()
+
+
+@pytest.mark.parametrize("failing", [2, 3])
+def test_pooling_failure_is_raised_and_no_helper_outlives_the_run(
+        monkeypatch, failing):
+    # 3 blocks: block 2's failure surfaces before block 3 is handed over,
+    # the last block's only after the loop
+    boom = RuntimeError("pooling failed")
+    calls = []
+    lz = simulate._lz
+
+    def failing_block(*args):
+        calls.append(threading.current_thread())
+        if len(calls) == failing:
+            raise boom
+        return lz(*args)
+
+    monkeypatch.setattr(simulate, "_lz", failing_block)
+    cfg = spiral_preset(n_traj=1300, n_steps=30, seed=2)
+    lags = default_lags(cfg.n_steps)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError) as raised:
+        ensemble_run(cfg)
+    assert raised.value is boom
+    assert threading.active_count() == threads
+    assert all(t is not threading.main_thread() for t in calls)
+    # the next run on the same (patched, now passing) module is right
+    _assert_result_bits(ensemble_run(cfg, lags=lags),
+                        _ensemble_allocating_per_block(cfg, lags))
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("helper_fails", [False, True])
+def test_main_thread_failure_waits_for_the_helper(monkeypatch, helper_fails):
+    # the main thread fails on block 2 while block 1 is still pooling; its
+    # error is the one raised, even when the helper then fails too
+    integrate = simulate._integrate_noise_block
+    pooled = []
+    lz = simulate._lz
+    blocks = []
+
+    def slow_lz(*args):
+        time.sleep(0.2)
+        pooled.append(len(args[0]))
+        if helper_fails:
+            raise RuntimeError("pooling failed")
+        return lz(*args)
+
+    def failing_second(cfg, noise, out=None):
+        blocks.append(len(noise))
+        if len(blocks) == 2:
+            raise ValueError("stepping failed")
+        return integrate(cfg, noise, out=out)
+
+    monkeypatch.setattr(simulate, "_lz", slow_lz)
+    monkeypatch.setattr(simulate, "_integrate_noise_block", failing_second)
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="stepping failed"):
+        ensemble_run(spiral_preset(n_traj=1300, n_steps=30, seed=3))
+    assert pooled == [512]
+    assert threading.active_count() == threads
