@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ZeroDivisor
+from .errors import NumericalError, ZeroDivisor
 
 #: Inversion refuses an element whose |N| is at most this fraction of
 #: sum_k |a_k|^2, the bound on |N|; a real quaternion only when it is zero.
@@ -163,10 +163,14 @@ class _Ring:
 
     def inverse(self):
         """conj / N.  Raises ZeroDivisor where N vanishes relative to the
-        size of the element (see ZERO_DIVISOR_EPS)."""
+        size of the element (see ZERO_DIVISOR_EPS), NumericalError where
+        that size is not finite."""
         n = self._norm2()
         size = self._abs2()
-        if abs(n) <= ZERO_DIVISOR_EPS * size:
+        if not abs(n) > ZERO_DIVISOR_EPS * size:
+            if not math.isfinite(size):
+                raise NumericalError(f"{type(self).__name__} is not finite: "
+                                     f"sum |a_k|^2 = {size}")
             raise ZeroDivisor(
                 f"{type(self).__name__} is a (near-)zero divisor: "
                 f"|N| = {abs(n):.3e}, sum |a_k|^2 = {size:.3e}")

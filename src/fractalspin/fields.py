@@ -91,7 +91,8 @@ class SpinorField:
     Raises ConfigError, naming the key, when hbar, m, c or the resolved
     s0 is not a finite number > 0, and, naming the term and key, when a
     term's amplitude is not a Biquaternion or its p, energy, sigma or an
-    amplitude coefficient is not finite.
+    amplitude coefficient is not finite.  value and partial raise
+    ConfigError, naming the point, where a coordinate is not finite.
     """
 
     def __init__(self, terms: Iterable[PlaneWaveTerm], *, hbar: float = 1.0,
@@ -137,8 +138,13 @@ class SpinorField:
         """(amplitude, theta, (d_t, d_x, d_y, d_z) theta) of each term at
         pt; the gradient is the term's wave vector plus, for sigma != 0,
         the azimuthal part.  The azimuth and its gradient (-y, x)/rho^2
-        are computed once, at the first spiraling term."""
+        are computed once, at the first spiraling term.  Raises ConfigError
+        where a coordinate of pt is not finite."""
         t, x, y, z = map(float, pt)
+        if not (math.isfinite(t) and math.isfinite(x) and math.isfinite(y)
+                and math.isfinite(z)):
+            raise ConfigError(
+                f"key point: need finite numbers, got {(t, x, y, z)}")
         hbar = self.hbar
         out = []
         azimuth = None
@@ -170,7 +176,7 @@ class SpinorField:
         return _left_sum([amp * (-1j * grad[mu] * cmath.exp(-1j * theta))
                           for amp, theta, grad in self._phases(pt)])
 
-    # -- derived fields ---------------------------------------------------
+    # -- derived fields, of the same class as self -----------------------
 
     def remove_rest_phase(self) -> "SpinorField":
         """Multiply by exp(-i m c^2 t / hbar): shifts every term's energy by
@@ -178,16 +184,16 @@ class SpinorField:
         analytic transformation of the term list, not a numerical one)."""
         shift = self.m * self.c**2
         terms = [t._replace(energy=t.energy - shift) for t in self.terms]
-        return SpinorField(terms, hbar=self.hbar, m=self.m, c=self.c,
-                           s0=self.s0)
+        return type(self)(terms, hbar=self.hbar, m=self.m, c=self.c,
+                          s0=self.s0)
 
     def project_large(self) -> "SpinorField":
         """Keep only the 1 and e1 parts of every amplitude (the subalgebra
         carrying the upper 2-spinor)."""
         terms = [t._replace(amplitude=Biquaternion(*t.amplitude.a[:2]))
                  for t in self.terms]
-        return SpinorField(terms, hbar=self.hbar, m=self.m, c=self.c,
-                           s0=self.s0)
+        return type(self)(terms, hbar=self.hbar, m=self.m, c=self.c,
+                          s0=self.s0)
 
 
 def plane_wave(amplitude: Biquaternion, p, energy: float, sigma: float = 0.0,

@@ -19,7 +19,7 @@ raising of ((1/c) d_t, grad) scaled by c so that every returned component
 carries velocity units.  With the field convention of
 :mod:`fractalspin.fields` (energy operator -i hbar d_t) this is the unique
 feed for which plane waves give +p/m spatially and +c for the time
-component of a rest field.  method="fd" uses the fixed FD step 1e-4.
+component of a rest field.  Every route reads D^mu from field.partial.
 """
 
 from __future__ import annotations
@@ -32,57 +32,49 @@ import numpy as np
 
 from .algebra import Biquaternion
 from .errors import NotNormalized, SmallComponentsNotSmall
-from .fields import SpinorField, central_difference
+from .fields import SpinorField
 
-_FD_H = 1e-4  # central-difference step of method="fd"
 _SMALL_TOL = 1e-8  # largest lower/upper amplitude ratio nonrel_reduce takes
+_NORM_TOL = 1e-8  # largest |N8 - 1| of the primed value nonrel_reduce takes
 _CLOSURE_RTOL = 1e-10  # closure error allowed per unit of conjugate velocity
 
 
-def _fed_partials(field: SpinorField, pt, method: str):
+def _fed_partials(field: SpinorField, pt):
     """Raised-index derivatives D^mu psi = (-d_t, c d_x, c d_y, c d_z) psi.
 
-    The analytic feed makes one SpinorField.partial call per mu, and each
-    route one SpinorField.value call: the per-layer benchmark trace
-    (``--trace 1``) counts and times these calls, so a route that takes
-    its derivatives from one joint evaluation waits until that trace
-    counts the joint evaluation as well."""
-    if method == "analytic":
-        d = [field.partial(pt, mu) for mu in range(4)]
-    elif method == "fd":
-        d = [central_difference(field.value, pt, mu, _FD_H) for mu in range(4)]
-    else:
-        raise ValueError(f"method must be 'analytic' or 'fd', got {method!r}")
+    The feed makes one SpinorField.partial call per mu, and each route one
+    SpinorField.value call: the per-layer benchmark trace (``--trace 1``)
+    counts and times these calls, so a route that takes its derivatives
+    from one joint evaluation waits until that trace counts the joint
+    evaluation as well."""
+    d = [field.partial(pt, mu) for mu in range(4)]
     c = field.c
     return (d[0] * (-1.0), d[1] * c, d[2] * c, d[3] * c)
 
 
-def _route(left: Biquaternion, field: SpinorField, pt,
-           method: str) -> tuple[Biquaternion, ...]:
+def _route(left: Biquaternion, field: SpinorField,
+           pt) -> tuple[Biquaternion, ...]:
     """i (s0/(m c)) left D^mu psi for mu = 0..3: the one product behind
     both biquaternion routes."""
     scale = 1j * field.s0 / (field.m * field.c)
-    return tuple((left * d) * scale
-                 for d in _fed_partials(field, pt, method))
+    return tuple((left * d) * scale for d in _fed_partials(field, pt))
 
 
-def bq_velocity(field: SpinorField, pt,
-                method: str = "analytic") -> tuple[Biquaternion, ...]:
+def bq_velocity(field: SpinorField, pt) -> tuple[Biquaternion, ...]:
     """Four velocity biquaternions V^mu = i (s0/(m c)) psi^-1 D^mu psi.
 
     Raises ZeroDivisor where the field value is not invertible.
     """
-    return _route(field.value(pt).inverse(), field, pt, method)
+    return _route(field.value(pt).inverse(), field, pt)
 
 
-def conjugate_velocity(field: SpinorField, pt,
-                       method: str = "analytic") -> tuple[Biquaternion, ...]:
+def conjugate_velocity(field: SpinorField, pt) -> tuple[Biquaternion, ...]:
     """Conjugate-route velocity V^mu = i (s0/(m c)) conj(psi) D^mu psi.
 
     Equal to N(psi) * bq_velocity(...); needs no inversion, so it is
     defined even at zero divisors.
     """
-    return _route(field.value(pt).conjugate(), field, pt, method)
+    return _route(field.value(pt).conjugate(), field, pt)
 
 
 def _pq_sums(f, x, df, dx):
@@ -137,8 +129,7 @@ class VelocityComponents:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def component_velocities(field: SpinorField, pt,
-                         method: str = "analytic") -> VelocityComponents:
+def component_velocities(field: SpinorField, pt) -> VelocityComponents:
     """Evaluate the eight component velocities at pt.
 
     Prefactor -s0/(m c) on every (P +- Q) sum, with the same raised
@@ -148,7 +139,7 @@ def component_velocities(field: SpinorField, pt,
     f, x = [a.real for a in c], [a.imag for a in c]
     scale = -field.s0 / (field.m * field.c)
     sums = [_pq_sums(f, x, [a.real for a in d._c], [a.imag for a in d._c])
-            for d in _fed_partials(field, pt, method)]
+            for d in _fed_partials(field, pt)]
     # sector k by raised index mu
     plus = [[scale * (p[k] + q[k]) for p, q in sums] for k in range(4)]
     minus = [[scale * (p[k] - q[k]) for p, q in sums] for k in range(4)]
@@ -190,8 +181,7 @@ def closure(field: SpinorField, pt) -> tuple[VelocityComponents, float, bool]:
     return comp, error, error <= _CLOSURE_RTOL * max(v.max_abs() for v in conj)
 
 
-def rejected_tilde_component(field: SpinorField, pt,
-                             method: str = "analytic") -> np.ndarray:
+def rejected_tilde_component(field: SpinorField, pt) -> np.ndarray:
     """The tilde component predicted by the rejected index assignment.
 
     An alternative pairing of the eight real components with the
@@ -203,7 +193,7 @@ def rejected_tilde_component(field: SpinorField, pt,
     Returned per raised index mu = 0..3; it is the v_mm row of
     :func:`component_velocities`.
     """
-    return component_velocities(field, pt, method).v_mm
+    return component_velocities(field, pt).v_mm
 
 
 class ReducedVelocity(NamedTuple):
@@ -213,8 +203,7 @@ class ReducedVelocity(NamedTuple):
     v: tuple[Biquaternion, Biquaternion, Biquaternion]
 
 
-def nonrel_reduce(field: SpinorField, pt, method: str = "analytic",
-                  norm_tol: float = 1e-8) -> ReducedVelocity:
+def nonrel_reduce(field: SpinorField, pt) -> ReducedVelocity:
     """Velocity extraction in the non-relativistic (two-component) regime.
 
     Checks that the e2/e3 (lower 2-spinor) content at pt is negligible,
@@ -231,7 +220,7 @@ def nonrel_reduce(field: SpinorField, pt, method: str = "analytic",
             1e-8 at pt, at any amplitude scale (inf where the upper
             amplitude is 0 and the lower is not).
         NotNormalized: the primed value's eight-component square norm is
-            not 1 within norm_tol.
+            not 1 within 1e-8.
     """
     a = field.value(pt).a
     upper = float(np.hypot(abs(a[0]), abs(a[1])))
@@ -245,18 +234,17 @@ def nonrel_reduce(field: SpinorField, pt, method: str = "analytic",
     primed = field.remove_rest_phase().project_large()
     pval = primed.value(pt)
     n8 = pval.eight_square_norm()
-    if abs(n8 - 1.0) > norm_tol:
+    if abs(n8 - 1.0) > _NORM_TOL:
         raise NotNormalized(
             f"eight-component square norm is {n8:.12g}, not 1 "
-            f"(tolerance {norm_tol:.1e})")
+            f"(tolerance {_NORM_TOL:.1e})")
 
     pa = pval.a
     v0 = complex(field.c * (pa[0] ** 2 + pa[1] ** 2))
-    return ReducedVelocity(v0, _route(pval.inverse(), primed, pt, method)[1:])
+    return ReducedVelocity(v0, _route(pval.inverse(), primed, pt)[1:])
 
 
-def pauli_recompose(field: SpinorField, pt,
-                    method: str = "analytic") -> tuple[Biquaternion, ...]:
+def pauli_recompose(field: SpinorField, pt) -> tuple[Biquaternion, ...]:
     """Spatial velocity from the (1, e1) block of the component route.
 
     Intended for fields that already live in the (1, e1) subalgebra (for
@@ -266,5 +254,5 @@ def pauli_recompose(field: SpinorField, pt,
     ignored.  Agrees identically with the spatial part of
     :func:`conjugate_velocity`, i.e. with N(psi) * bq_velocity spatially.
     """
-    rec = recompose_velocity(component_velocities(field, pt, method))
+    rec = recompose_velocity(component_velocities(field, pt))
     return tuple(Biquaternion(*v.a[:2]) for v in rec[1:])

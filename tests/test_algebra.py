@@ -5,6 +5,7 @@ oracle for the Hamilton product: it is implemented here directly from the
 Pauli matrices, not via the bridge methods under test.
 """
 
+import math
 import operator
 from fractions import Fraction
 
@@ -28,7 +29,7 @@ from fractalspin.algebra import (
     symplectic_join,
     symplectic_split,
 )
-from fractalspin.errors import ZeroDivisor
+from fractalspin.errors import NumericalError, ZeroDivisor
 
 N_CASES = 1000
 
@@ -190,6 +191,17 @@ def test_inverse_threshold_is_scale_relative():
     for zero in (Biquaternion(), Quaternion(0.0), Biquaternion(-0.0)):
         with pytest.raises(ZeroDivisor):  # not ZeroDivisionError
             zero.inverse()
+
+
+@pytest.mark.parametrize("element", [
+    Biquaternion(math.nan), Biquaternion(1.0, 0.0, math.inf),
+    Biquaternion(0.5, complex(0.0, math.nan)), Quaternion(math.nan),
+    Quaternion(1.0, 0.0, 0.0, -math.inf)])
+def test_inverse_refuses_a_non_finite_element(element):
+    # a NaN norm compares False against the zero-divisor threshold
+    with pytest.raises(NumericalError, match="is not finite") as info:
+        element.inverse()
+    assert type(info.value) is NumericalError
 
 
 def test_one_plus_e1_is_invertible():

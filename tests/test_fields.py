@@ -23,6 +23,8 @@ from fractalspin.fields import (
     spiral_pair_field,
 )
 
+from fd_reference import fd_field
+
 HBAR = 1.0
 
 
@@ -73,6 +75,20 @@ def test_axis_singularity():
         f.partial((0.0, 0.0, 0.0, 1.0), 1)
     # sigma = 0 is fine on the axis
     assert _wave(sigma=0.0).value((0.0, 0.0, 0.0, 1.0)) is not None
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_value_and_partial_refuse_a_non_finite_point(bad):
+    f = _wave(sigma=0.5)
+    for k in range(4):
+        pt = [0.0, 1.0, 0.0, 0.0]
+        pt[k] = bad
+        message = f"key point: need finite numbers, got {tuple(pt)}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            f.value(pt)
+        for mu in range(4):
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                f.partial(np.array(pt), mu)
 
 
 def test_remove_rest_phase_is_exact_scalar_factor():
@@ -236,13 +252,14 @@ def test_central_difference_reproduces_the_old_stencils_bitwise():
     pt = (0.2, 1.0, 0.4, -0.3)
     for mu in range(4):
         assert central_difference(new.value, pt, mu, 1e-4) == old.partial(pt, mu)
+    fd = fd_field(new)
     for route in (velocity.bq_velocity, velocity.conjugate_velocity,
                   velocity.pauli_recompose):
-        assert route(new, pt, "fd") == route(old, pt, "analytic")
-    for name, got in velocity.component_velocities(new, pt, "fd").as_dict().items():
+        assert route(fd, pt) == route(old, pt)
+    for name, got in velocity.component_velocities(fd, pt).as_dict().items():
         assert np.array_equal(got, getattr(
-            velocity.component_velocities(old, pt, "analytic"), name))
-    assert np.array_equal(velocity.rejected_tilde_component(new, pt, "fd"),
+            velocity.component_velocities(old, pt), name))
+    assert np.array_equal(velocity.rejected_tilde_component(fd, pt),
                           velocity.rejected_tilde_component(old, pt))
 
     def old_nested(fn, q, orders, h):

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from fractalspin.algebra import Biquaternion, E1, E2, ONE
-from fractalspin.errors import NotNormalized, SmallComponentsNotSmall
+from fractalspin.errors import (ConfigError, NotNormalized,
+                               SmallComponentsNotSmall)
 from fractalspin.fields import (PlaneWaveTerm, SpinorField, central_difference,
                                 plane_wave, spiral_pair_field)
 from fractalspin.simulate import spiral_drift
@@ -26,6 +27,8 @@ from fractalspin.velocity import (
     recompose_velocity,
     rejected_tilde_component,
 )
+
+from fd_reference import fd_field
 
 
 def _rand_field(rng, n_terms=2, large_only=False, sigma=0.0, c=2.0):
@@ -44,6 +47,16 @@ def _rand_point(rng):
     pt = rng.uniform(-1, 1, 4)
     pt[1] += 2.0  # keep x positive: away from axis and azimuth cut
     return pt
+
+
+def _unit_at(field, pt):
+    """field scaled so that its primed value has unit eight-square norm at
+    pt, as nonrel_reduce requires."""
+    primed = field.remove_rest_phase().project_large()
+    scale = 1.0 / math.sqrt(primed.value(pt).eight_square_norm())
+    terms = [t._replace(amplitude=t.amplitude * scale) for t in field.terms]
+    return SpinorField(terms, hbar=field.hbar, m=field.m, c=field.c,
+                       s0=field.s0)
 
 
 def _sectors_of_conj_product(field, pt, mu):
@@ -79,10 +92,22 @@ def test_fd_route_matches_analytic():
     rng = np.random.default_rng(22)
     f = _rand_field(rng)
     pt = _rand_point(rng)
-    va = bq_velocity(f, pt, method="analytic")
-    vf = bq_velocity(f, pt, method="fd")
+    va = bq_velocity(f, pt)
+    vf = bq_velocity(fd_field(f), pt)
     for mu in range(4):
         assert (va[mu] - vf[mu]).max_abs() < 1e-6
+
+
+@pytest.mark.parametrize("route", [bq_velocity, conjugate_velocity,
+                                   component_velocities])
+def test_routes_refuse_a_non_finite_point(route):
+    f = _rand_field(np.random.default_rng(38), sigma=0.5)
+    for bad in (math.nan, math.inf, -math.inf):
+        for k in range(4):
+            pt = [0.0, 1.0, 0.0, 0.0]
+            pt[k] = bad
+            with pytest.raises(ConfigError, match="key point: need finite"):
+                route(f, pt)
 
 
 def test_conjugate_equals_norm_times_inverse_route():
@@ -309,7 +334,8 @@ def test_component_velocities_equal_the_per_mu_oracle_bytewise(method):
         f = _rand_field(rng, n_terms=2 + i % 2, sigma=0.5 * (i % 3 == 0),
                         c=[1.0, 1.7, 3.7][i % 3])
         pt = _rand_point(rng)
-        comp = component_velocities(f, pt, method).as_dict()
+        fed = fd_field(f) if method == "fd" else f
+        comp = component_velocities(fed, pt).as_dict()
         oracle = _old_component_velocities(f, pt, method)
         assert list(comp) == list(oracle)
         for name, arr in oracle.items():
@@ -325,9 +351,10 @@ def test_nonrel_reduce_equals_the_old_product(method, c, rel):
     for i in range(100):
         f = _rand_field(rng, large_only=True, sigma=0.5 * (i % 2), c=c)
         pt = _rand_point(rng)
+        f = _unit_at(f, pt)
         assert f.remove_rest_phase().project_large().terms == \
             _old_primed(f).terms
-        got = nonrel_reduce(f, pt, method, norm_tol=math.inf).v
+        got = nonrel_reduce(fd_field(f) if method == "fd" else f, pt).v
         want = _old_nonrel_v(f, pt, method)
         if rel == 0.0:
             assert _bytes(got) == _bytes(want)
@@ -339,13 +366,13 @@ def test_nonrel_reduce_equals_the_old_product(method, c, rel):
 
 def test_nonrel_reduce_evaluates_each_field_once(monkeypatch):
     # once the field, to test the lower components; once the primed field
+    pt = _rand_point(np.random.default_rng(35))
+    f = _unit_at(_rand_field(np.random.default_rng(34), large_only=True), pt)
     calls = []
     value = SpinorField.value
     monkeypatch.setattr(SpinorField, "value",
                         lambda self, pt: calls.append(pt) or value(self, pt))
-    f = _rand_field(np.random.default_rng(34), large_only=True)
-    nonrel_reduce(f, _rand_point(np.random.default_rng(35)),
-                  norm_tol=math.inf)
+    nonrel_reduce(f, pt)
     assert len(calls) == 2
 
 
@@ -357,9 +384,9 @@ def test_nonrel_reduce_is_the_spatial_bq_velocity_of_the_primed_field(c):
     for _ in range(50):
         f = _rand_field(rng, large_only=True, c=c)
         pt = _rand_point(rng)
+        f = _unit_at(f, pt)
         primed = f.remove_rest_phase().project_large()
-        assert nonrel_reduce(f, pt, norm_tol=math.inf).v == \
-            bq_velocity(primed, pt)[1:]
+        assert nonrel_reduce(f, pt).v == bq_velocity(primed, pt)[1:]
 
 
 @pytest.mark.parametrize("route", [bq_velocity, conjugate_velocity,
