@@ -8,14 +8,8 @@ from .algebra import (
     E3,
     ONE,
     Quaternion,
-    SymplecticPair,
-    q_conj,
-    q_inverse,
-    q_mul,
     pauli_identity_residual,
     sigma_dot,
-    symplectic_join,
-    symplectic_split,
 )
 from .errors import (
     AxisSingularity,
@@ -47,12 +41,10 @@ from .velocity import (
     nonrel_reduce,
     pauli_recompose,
     recompose_velocity,
-    rejected_tilde_component,
 )
 from .dynamics import (
     EMField,
     ExponentialField,
-    NumericField,
     acceleration_field,
     covariant_derivative,
     dirac_plane_wave,
@@ -80,7 +72,6 @@ from .simulate import (
     rms_increments,
     spiral_drift,
     spiral_preset,
-    two_sided_velocity,
 )
 from .hyperhelix import (
     DimensionEstimate,

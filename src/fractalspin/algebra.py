@@ -15,10 +15,10 @@ matrices; it is a ring isomorphism onto the full complex 2x2 matrix algebra.
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 import operator
-from typing import NamedTuple
 
 import numpy as np
 
@@ -163,16 +163,25 @@ class _Ring:
 
     def inverse(self):
         """conj / N.  Raises ZeroDivisor where N vanishes relative to the
-        size of the element (see ZERO_DIVISOR_EPS), NumericalError where
-        that size is not finite."""
+        size of the element (see ZERO_DIVISOR_EPS), NumericalError where a
+        coefficient or the inverse is not finite.  An element whose N or
+        size overflows or underflows is inverted as (self / s)^-1 / s, s
+        its largest real component."""
         n = self._norm2()
         size = self._abs2()
         if not abs(n) > ZERO_DIVISOR_EPS * size:
-            if not math.isfinite(size):
-                raise NumericalError(f"{type(self).__name__} is not finite: "
+            name = type(self).__name__
+            if not all(map(cmath.isfinite, self._c)):
+                raise NumericalError(f"{name} is not finite: "
                                      f"sum |a_k|^2 = {size}")
+            s = max(max(abs(a.real), abs(a.imag)) for a in self._c)
+            if s not in (0.0, 1.0):  # 1.0: already rescaled
+                out = (self / s).inverse() / s
+                if not all(map(cmath.isfinite, out._c)):
+                    raise NumericalError(f"the inverse of {self!r} overflows")
+                return out
             raise ZeroDivisor(
-                f"{type(self).__name__} is a (near-)zero divisor: "
+                f"{name} is a (near-)zero divisor: "
                 f"|N| = {abs(n):.3e}, sum |a_k|^2 = {size:.3e}")
         return self.conjugate() / n
 
@@ -285,48 +294,6 @@ ONE = Biquaternion(1.0)
 E1 = Biquaternion(0.0, 1.0)
 E2 = Biquaternion(0.0, 0.0, 1.0)
 E3 = Biquaternion(0.0, 0.0, 0.0, 1.0)
-
-
-def q_mul(p, q):
-    """Hamilton product; accepts Quaternion or Biquaternion arguments."""
-    return p * q
-
-
-def q_conj(q):
-    return q.conjugate()
-
-
-def q_inverse(q):
-    return q.inverse()
-
-
-class SymplecticPair(NamedTuple):
-    alpha: complex
-    beta: complex
-
-
-def symplectic_split(q) -> SymplecticPair:
-    """Split a quaternion into its symplectic complex pair
-
-        alpha = c0 + i*c1,   beta = c2 - i*c3
-
-    where (c0..c3) are the coefficients of q, so that q = alpha + e2*beta
-    holds for real quaternions (with i realized as e1 acting from the
-    right).  For a real quaternion this is a bijection onto C^2 and
-    :func:`symplectic_join` inverts it exactly.  For a biquaternion
-    (complex coefficients) it is the projection onto the upper/lower
-    2-spinor scalars and discards half the real dimensions.
-    """
-    if not isinstance(q, _Ring):
-        raise TypeError(f"expected Quaternion or Biquaternion, got {type(q)!r}")
-    c0, c1, c2, c3 = q._c
-    return SymplecticPair(complex(c0 + 1j * c1), complex(c2 - 1j * c3))
-
-
-def symplectic_join(pair) -> Quaternion:
-    """Inverse of :func:`symplectic_split` on real quaternions."""
-    alpha, beta = pair
-    return Quaternion(alpha.real, alpha.imag, beta.real, -beta.imag)
 
 
 def sigma_dot(v) -> np.ndarray:

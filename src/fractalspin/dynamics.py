@@ -3,12 +3,11 @@ non-integrability witness.
 
 Field objects here are deliberately generic: anything with ``value(pt)``
 and ``derivative(pt, orders)`` works, where ``orders`` is a 4-tuple of
-non-negative derivative counts for (t, x, y, z).  Two implementations are
-provided: :class:`ExponentialField` (sums A * exp(k . (t,x,y,z)) with
-exact derivatives of every order) and :class:`NumericField` (an arbitrary
-callable differentiated by nested central differences).  Amplitudes may
-be biquaternions, complex scalars, or NumPy vectors; operators that need
-a ring inverse (geodesic residual, witness) require biquaternion values.
+non-negative derivative counts for (t, x, y, z).  The package provides
+:class:`ExponentialField`: sums A * exp(k . (t,x,y,z)) with exact
+derivatives of every order.  Amplitudes may be biquaternions, complex
+scalars, or NumPy vectors; operators that need a ring inverse (geodesic
+residual, witness) require biquaternion values.
 
 Sign conventions match :mod:`fractalspin.fields`: momentum operator
 +i hbar grad, energy operator -i hbar d/dt, minimal coupling through
@@ -95,29 +94,6 @@ def rotor_field(axis: int, omega: float, kvec) -> ExponentialField:
         ((one - 1j * e) * 0.5, k4),
         ((one + 1j * e) * 0.5, -k4),
     ])
-
-
-class NumericField:
-    """Wrap a plain callable pt -> value; derivatives by nested central
-    differences (exact for low-order polynomials, O(h^2) otherwise)."""
-
-    def __init__(self, fn: Callable, h: float = 1e-3):
-        self.fn = fn
-        self.h = float(h)
-
-    def value(self, pt):
-        return self.fn(np.asarray(pt, dtype=float).reshape(4))
-
-    def derivative(self, pt, orders):
-        total = int(sum(orders))
-        if total == 0:
-            return self.value(pt)
-        mu = next(i for i, n in enumerate(orders) if n)
-        rest = list(orders)
-        rest[mu] -= 1
-        rest = tuple(rest)
-        return central_difference(lambda q: self.derivative(q, rest), pt,
-                                  mu, self.h)
 
 
 # -- electromagnetic potentials ------------------------------------------
@@ -246,10 +222,10 @@ def acceleration_field(field, diffusion: float, pt) -> list:
 def gradient_witness(field, diffusion: float, points) -> float:
     """Max curl component of the acceleration field over the sample points.
 
-    The inner derivatives of E come from the field's own (exact or
-    nested-FD) derivatives; only the outer curl is one central-difference
-    level, at the fixed step h = 1e-4, so the noise floor for gradient-type
-    fields is O(h^2) times local scale.
+    The inner derivatives of E come from the field's own derivative
+    method; only the outer curl is one central-difference level, at the
+    fixed step h = 1e-4, so the noise floor for gradient-type fields is
+    O(h^2) times local scale.
     """
     worst = 0.0
     for pt in points:

@@ -33,7 +33,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .algebra import Biquaternion
-from .errors import AxisSingularity, ConfigError
+from .errors import AxisSingularity, ConfigError, NumericalError
 
 #: squared cylinder radius below which the azimuth is treated as singular
 _AXIS_EPS2 = 1e-24
@@ -92,7 +92,9 @@ class SpinorField:
     s0 is not a finite number > 0, and, naming the term and key, when a
     term's amplitude is not a Biquaternion or its p, energy, sigma or an
     amplitude coefficient is not finite.  value and partial raise
-    ConfigError, naming the point, where a coordinate is not finite.
+    ConfigError, naming the point, where a coordinate is not finite, and
+    NumericalError, naming the term and the point, where a phase theta
+    is not finite.
     """
 
     def __init__(self, terms: Iterable[PlaneWaveTerm], *, hbar: float = 1.0,
@@ -139,7 +141,8 @@ class SpinorField:
         pt; the gradient is the term's wave vector plus, for sigma != 0,
         the azimuthal part.  The azimuth and its gradient (-y, x)/rho^2
         are computed once, at the first spiraling term.  Raises ConfigError
-        where a coordinate of pt is not finite."""
+        where a coordinate of pt is not finite, NumericalError where a
+        term's theta is not finite."""
         t, x, y, z = map(float, pt)
         if not (math.isfinite(t) and math.isfinite(x) and math.isfinite(y)
                 and math.isfinite(z)):
@@ -162,6 +165,10 @@ class SpinorField:
                 theta += sigma * phi / hbar
                 w0, w1, w2, w3 = wave
                 wave = (w0, w1 + sigma * gx / hbar, w2 + sigma * gy / hbar, w3)
+            if not math.isfinite(theta):
+                raise NumericalError(
+                    f"term {len(out)} phase: not finite at {(t, x, y, z)}, "
+                    f"got {theta}")
             out.append((amplitude, theta, wave))
         return out
 

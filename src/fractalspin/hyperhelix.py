@@ -167,7 +167,7 @@ def iterate(gen: GeneratorSpec, level: int) -> np.ndarray:
     of the nine-segment helix has 4.8 million, level 8 has 43 million.
     """
     if level < 0:
-        raise ValueError("level must be non-negative")
+        raise GeometryInvalid(f"level must be non-negative, got {level}")
     # n_segments >= 2, so an exponent capped at 64 already exceeds the
     # limit and a huge level costs no huge power
     if gen.n_segments ** min(level, 64) + 1 > _MAX_VERTICES:

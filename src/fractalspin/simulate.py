@@ -290,19 +290,6 @@ def _lz(base: np.ndarray, v: np.ndarray, m: float) -> np.ndarray:
     return np.multiply(m, lz, out=lz)
 
 
-def two_sided_velocity(traj: Trajectory, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """Forward and backward difference quotients at step i:
-    v+ = (x_{i+1} - x_i)/dt,  v- = (x_i - x_{i-1})/dt.
-
-    For a diffusive path the two pick up independent noise of variance
-    2D/dt per component, so RMS(v+ - v-) = 2 sqrt(D/dt)."""
-    if not 0 < i < len(traj.positions) - 1:
-        raise IndexError(f"need an interior step, got i = {i}")
-    x = traj.positions
-    dt = traj.config.dt
-    return (x[i + 1] - x[i]) / dt, (x[i] - x[i - 1]) / dt
-
-
 def default_lags(n_steps: int) -> np.ndarray:
     top = min(_MAX_DEFAULT_LAG, max(n_steps // 5, 1))
     return np.unique(np.geomspace(1, top, 16).astype(int))
@@ -314,8 +301,8 @@ def _checked_lags(lags, n_steps: int) -> np.ndarray:
     lags = np.asarray(default_lags(n_steps) if lags is None else lags,
                       dtype=int)
     if lags.size == 0 or lags.min() < 1 or lags.max() > n_steps:
-        raise ValueError(f"lags must lie in [1, {n_steps}] for a path of "
-                         f"{n_steps} steps, got {lags.tolist()}")
+        raise ConfigError(f"lags must lie in [1, {n_steps}] for a path of "
+                          f"{n_steps} steps, got {lags.tolist()}")
     return lags
 
 
@@ -359,18 +346,17 @@ def _lag_sq_sums(x: np.ndarray, lags, inc: np.ndarray | None = None,
 
 
 def _hurst_fit(lags: np.ndarray, lag_times: np.ndarray, counts: np.ndarray,
-               rms: np.ndarray, min_increments: int = _MIN_INCREMENTS,
-               min_decades: float = _MIN_DECADES) -> float:
+               rms: np.ndarray) -> float:
     """Log-log slope of rms against lag_times, behind the gates of
     increment_scaling; raises InsufficientData when a gate fails."""
     span = math.log10(lags.max() / lags.min())
-    if not span >= min_decades:
+    if not span >= _MIN_DECADES:
         raise InsufficientData(
-            f"lag span {span:.2f} decades < {min_decades:.2f}")
-    if counts[-1] < min_increments:
+            f"lag span {span:.2f} decades < {_MIN_DECADES:.2f}")
+    if counts[-1] < _MIN_INCREMENTS:
         raise InsufficientData(
             f"only {counts[-1]} increments at the largest lag "
-            f"(need {min_increments})")
+            f"(need {_MIN_INCREMENTS})")
     slope, _ = np.polyfit(np.log(lag_times), np.log(rms), 1)
     return float(slope)
 
@@ -383,22 +369,21 @@ class ScalingResult:
     rms: np.ndarray
 
 
-def increment_scaling(positions: np.ndarray, dt: float, lags=None,
-                      min_increments: int = _MIN_INCREMENTS,
-                      min_decades: float = _MIN_DECADES) -> ScalingResult:
+def increment_scaling(positions: np.ndarray, dt: float,
+                      lags=None) -> ScalingResult:
     """Hurst exponent from the log-log slope of RMS increment vs lag,
     and the fractal dimension D_F = 1/H.
 
     Raises InsufficientData when the largest lag has fewer than
-    min_increments increments (pooled over paths) or the lags span fewer
-    than min_decades decades.
+    _MIN_INCREMENTS = 1000 increments (pooled over paths) or the lags
+    span fewer than _MIN_DECADES = 2 decades, and ConfigError when a lag
+    lies outside the path.
     """
     x = np.asarray(positions, dtype=float)
     lags = _checked_lags(lags, x.shape[-2] - 1)
     counts, rms = rms_increments(x, lags)
     lag_times = lags * dt
-    slope = _hurst_fit(lags, lag_times, counts, rms, min_increments,
-                       min_decades)
+    slope = _hurst_fit(lags, lag_times, counts, rms)
     return ScalingResult(slope, 1.0 / slope, lag_times, rms)
 
 

@@ -181,21 +181,6 @@ def closure(field: SpinorField, pt) -> tuple[VelocityComponents, float, bool]:
     return comp, error, error <= _CLOSURE_RTOL * max(v.max_abs() for v in conj)
 
 
-def rejected_tilde_component(field: SpinorField, pt) -> np.ndarray:
-    """The tilde component predicted by the rejected index assignment.
-
-    An alternative pairing of the eight real components with the
-    doubling/conjugation labels assigns -s0/(m c) (P_0 - Q_0) to a tilde
-    slot.  Were that pairing right, the quantity would vanish for fields
-    with no e2/e3 content; it does not (it oscillates with amplitude of
-    order |p|/m on a unit plane wave), which is the quantitative reason
-    the assignment used by :func:`component_velocities` is the right one.
-    Returned per raised index mu = 0..3; it is the v_mm row of
-    :func:`component_velocities`.
-    """
-    return component_velocities(field, pt).v_mm
-
-
 class ReducedVelocity(NamedTuple):
     """Result of the non-relativistic reduction at a point."""
 

@@ -23,11 +23,7 @@ from fractalspin.algebra import (
     Quaternion,
     ZERO_DIVISOR_EPS,
     pauli_identity_residual,
-    q_inverse,
-    q_mul,
     sigma_dot,
-    symplectic_join,
-    symplectic_split,
 )
 from fractalspin.errors import NumericalError, ZeroDivisor
 
@@ -204,6 +200,25 @@ def test_inverse_refuses_a_non_finite_element(element):
     assert type(info.value) is NumericalError
 
 
+def test_inverse_of_an_element_whose_size_overflows_or_underflows():
+    # N and sum |a_k|^2 overflow to inf or underflow to 0 unscaled, though
+    # the inverses are representable
+    assert Biquaternion(1e200).inverse() == Biquaternion(1e-200)
+    assert Biquaternion(1e-200).inverse() == Biquaternion(1e200)
+    assert Quaternion(0.0, -1e-200).inverse().coeffs == (0.0, 1e200, 0.0, 0.0)
+    rng = np.random.default_rng(109)
+    for scale in (1e200, 1e-200):
+        q = _rand_bq(rng)
+        got = (q * scale).inverse() * scale
+        assert got.allclose(q.inverse(), atol=0.0, rtol=1e-14)
+        # a zero divisor stays one at any scale
+        with pytest.raises(ZeroDivisor):
+            ((ONE + 1j * E1) * scale).inverse()
+    # an inverse beyond the largest float is refused, not returned as inf
+    with pytest.raises(NumericalError, match="overflows"):
+        Biquaternion(1e-310).inverse()
+
+
 def test_one_plus_e1_is_invertible():
     # contrast with the zero divisor: (1 + e1)(1 - e1) = 2
     p = ONE + E1
@@ -225,20 +240,6 @@ def test_eight_square_norm_and_component_order():
     assert q.a[3] == pytest.approx(0.7 + 0.8j)
     assert np.allclose(q.components, comps)
     assert q.eight_square_norm() == pytest.approx(float(np.sum(comps**2)))
-
-
-def test_symplectic_round_trip():
-    rng = np.random.default_rng(107)
-    for _ in range(N_CASES):
-        q = _rand_quat(rng)
-        back = symplectic_join(symplectic_split(q))
-        assert back.coeffs == q.coeffs  # bit-exact: pure repacking
-
-
-def test_symplectic_split_examples():
-    assert symplectic_split(Quaternion(1)) == (1 + 0j, 0j)
-    assert symplectic_split(Quaternion(0, 0, 1, 0)) == (0j, 1 + 0j)
-    assert symplectic_split(Quaternion(0, 0, 0, 1)) == (0j, -1j)
 
 
 def test_matrix_bridge_round_trip_and_homomorphism():

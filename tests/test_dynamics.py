@@ -7,7 +7,6 @@ from fractalspin.algebra import Biquaternion, ONE, PAULI, sigma_dot
 from fractalspin.dynamics import (
     EMField,
     ExponentialField,
-    NumericField,
     acceleration_field,
     covariant_derivative,
     dirac_plane_wave,
@@ -24,6 +23,8 @@ from fractalspin.dynamics import (
     uniform_b_field,
     upper_components,
 )
+
+from fd_reference import NumericField
 
 FREE = EMField()
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fractalspin.algebra import Biquaternion, E1, E2, ONE, Quaternion
-from fractalspin.errors import AxisSingularity, ConfigError
+from fractalspin.errors import AxisSingularity, ConfigError, NumericalError
 from fractalspin.fields import (
     _AXIS_EPS2,
     PlaneWaveTerm,
@@ -23,7 +23,7 @@ from fractalspin.fields import (
     spiral_pair_field,
 )
 
-from fd_reference import fd_field
+from fd_reference import NumericField, fd_field
 
 HBAR = 1.0
 
@@ -89,6 +89,24 @@ def test_value_and_partial_refuse_a_non_finite_point(bad):
         for mu in range(4):
             with pytest.raises(ConfigError, match=re.escape(message)):
                 f.partial(np.array(pt), mu)
+
+
+def test_value_and_partial_refuse_an_overflowing_phase():
+    # a finite point whose phase p.r/hbar overflows: exp(-i inf) is NaN
+    pt = (0.0, 1e308, 0.0, 0.0)
+    message = re.escape(f"term 0 phase: not finite at {pt}")
+    f = plane_wave(ONE, (2.0, 0.0, 0.0), 1.0)
+    with pytest.raises(NumericalError, match=message):
+        f.value(pt)
+    for mu in range(4):
+        with pytest.raises(NumericalError, match=message):
+            f.partial(pt, mu)
+    # the term is named: here the second one overflows through its azimuth
+    pair = SpinorField([PlaneWaveTerm(ONE, (0.0, 0.0, 1.0), 1.0),
+                        PlaneWaveTerm(ONE, (0.0, 0.0, 1.0), 1.0, 1e308)],
+                       hbar=1e-10)
+    with pytest.raises(NumericalError, match=re.escape("term 1 phase")):
+        pair.value((0.0, -1.0, -1e-3, 0.0))
 
 
 def test_remove_rest_phase_is_exact_scalar_factor():
@@ -231,9 +249,9 @@ def test_central_difference_reproduces_the_old_stencils_bitwise():
     # the four stencils central_difference replaced, copied as they were;
     # every route that now goes through it must give the same bits
     from fractalspin import velocity
-    from fractalspin.dynamics import (EMField, NumericField,
-                                      acceleration_field, gradient_witness,
-                                      product_field, rotor_field, sample_box)
+    from fractalspin.dynamics import (EMField, acceleration_field,
+                                      gradient_witness, product_field,
+                                      rotor_field, sample_box)
 
     class OldStencilField(SpinorField):
         """partial() is the old SpinorField.partial_fd at h = 1e-4."""
@@ -259,8 +277,6 @@ def test_central_difference_reproduces_the_old_stencils_bitwise():
     for name, got in velocity.component_velocities(fd, pt).as_dict().items():
         assert np.array_equal(got, getattr(
             velocity.component_velocities(old, pt), name))
-    assert np.array_equal(velocity.rejected_tilde_component(fd, pt),
-                          velocity.rejected_tilde_component(old, pt))
 
     def old_nested(fn, q, orders, h):
         if sum(orders) == 0:

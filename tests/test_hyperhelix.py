@@ -97,7 +97,7 @@ def test_iterate_counts_and_lengths():
     assert np.max(np.abs(segs - 1.0 / 9.0)) < 1e-12
     assert math.isclose(curve_length(lvl2), 9.0, rel_tol=1e-12)
     assert np.allclose(lvl2[0], [0, 0, 0]) and np.allclose(lvl2[-1], [1, 0, 0])
-    with pytest.raises(ValueError):
+    with pytest.raises(GeometryInvalid, match="level must be non-negative"):
         iterate(gen, -1)
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from fractalspin.algebra import Biquaternion, E1, E2, ONE
-from fractalspin.errors import (ConfigError, NotNormalized,
+from fractalspin.errors import (ConfigError, NotNormalized, NumericalError,
                                SmallComponentsNotSmall)
 from fractalspin.fields import (PlaneWaveTerm, SpinorField, central_difference,
                                 plane_wave, spiral_pair_field)
@@ -25,7 +25,6 @@ from fractalspin.velocity import (
     nonrel_reduce,
     pauli_recompose,
     recompose_velocity,
-    rejected_tilde_component,
 )
 
 from fd_reference import fd_field
@@ -108,6 +107,9 @@ def test_routes_refuse_a_non_finite_point(route):
             pt[k] = bad
             with pytest.raises(ConfigError, match="key point: need finite"):
                 route(f, pt)
+    # a finite point whose phase overflows: NaN velocities before
+    with pytest.raises(NumericalError, match="term 0 phase: not finite"):
+        route(plane_wave(ONE, (2.0, 0.0, 0.0), 1.0), (0.0, 1e308, 0.0, 0.0))
 
 
 def test_conjugate_equals_norm_times_inverse_route():
@@ -192,13 +194,14 @@ def test_spiral_azimuthal_velocity():
 
 
 def test_rejected_tilde_component_does_not_vanish():
-    # on a large-only unit plane wave the rejected assignment's tilde
-    # slot oscillates with amplitude |p|/m instead of vanishing
+    # an alternative pairing of the eight components assigns the v_mm row,
+    # -s0/(m c) (P - Q), to a tilde slot; on a large-only unit plane wave
+    # it oscillates with amplitude |p|/m instead of vanishing, which is why
+    # component_velocities pairs them as it does
     f = plane_wave(ONE, (0.0, 0.0, 1.0), 0.5, hbar=1.0, m=1.0)
-    vt = rejected_tilde_component(f, (0.0, 0.0, 0.0, 0.0))  # phase = 0 here
-    assert abs(vt[3] - 1.0) < 1e-12  # (p/m)(cos 0 - sin 0) = p/m
+    comp = component_velocities(f, (0.0, 0.0, 0.0, 0.0))  # phase = 0 here
+    assert abs(comp.v_mm[3] - 1.0) < 1e-12  # (p/m)(cos 0 - sin 0) = p/m
     # while the honest tilde components of the same field vanish
-    comp = component_velocities(f, (0.0, 0.0, 0.0, 0.0))
     assert comp.tilde_max_abs() < 1e-14
 
 
