@@ -91,7 +91,8 @@ class SpinorField:
     Raises ConfigError, naming the key, when hbar, m, c or the resolved
     s0 is not a finite number > 0, and, naming the term and key, when a
     term's amplitude is not a Biquaternion or its p, energy, sigma or an
-    amplitude coefficient is not finite.  value and partial raise
+    amplitude coefficient is not finite, or its wave vector
+    (-energy, p) / hbar is not.  value and partial raise
     ConfigError, naming the point, where a coordinate is not finite, and
     NumericalError, naming the term and the point, where a phase theta
     is not finite.
@@ -130,6 +131,12 @@ class SpinorField:
                                       f"got {value!r}")
             px, py, pz = t.p
             wave = (-t.energy / hbar, px / hbar, py / hbar, pz / hbar)
+            for key, value, parts in (("energy", t.energy, wave[:1]),
+                                      ("p", t.p, wave[1:])):
+                if not all(map(math.isfinite, parts)):
+                    raise ConfigError(
+                        f"term {i} {key}: need {key} / hbar finite, got "
+                        f"{value!r} / {hbar!r}")
             flat.append((t.amplitude, px, py, pz, t.energy, t.sigma, wave))
         # (amplitude, px, py, pz, energy, sigma, wave vector) per term
         self._flat = tuple(flat)

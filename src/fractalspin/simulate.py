@@ -37,9 +37,12 @@ pooled one at a time in block order, so every sum is added in the same
 order as a serial run and the results are the same bits.  With one CPU
 the helper shares it with the main thread.
 
-Seeding: one master integer seed; per-trajectory generators are
-Philox(SeedSequence(master).spawn(i)), so every trajectory is independent
-and bit-reproducible regardless of how the ensemble is blocked.
+Seeding: one master integer seed; trajectory i draws from the Philox
+stream of child i of SeedSequence(master), so every trajectory is
+independent and bit-reproducible regardless of how the ensemble is
+blocked.  An ensemble builds no children: it hashes a block's Philox keys
+in one numpy pass (_philox_keys, numpy's SeedSequence hash) and re-keys
+one Philox to each path's key before drawing its noise.
 """
 
 from __future__ import annotations
@@ -52,11 +55,16 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import AxisSingularity, ConfigError, InsufficientData
+from .errors import (AxisSingularity, ConfigError, InsufficientData,
+                     NumericalError)
 
 # paths per vectorized ensemble block: each path, and so Lz, is bitwise
 # independent of it; pooled sums are added per block and agree to rounding
 _BLOCK = 512
+
+# most paths an ensemble runs: _philox_keys hashes a path's spawn index as
+# one 32-bit word, as numpy does for indices below 2^32
+_MAX_PATHS = 2 ** 32
 
 # noise rows a single stochastic path reads as Python floats at a time
 _CHUNK = 4096
@@ -65,6 +73,12 @@ _CHUNK = 4096
 _MIN_INCREMENTS, _MIN_DECADES = 1000, 2.0
 _MAX_DEFAULT_LAG = 100  # largest lag default_lags picks
 _MID_SLOPE = 0.75  # between diffusive 1/2 and ballistic 1: crossover_lag
+
+# numpy SeedSequence's hash constants and pool size (_philox_keys)
+_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
+_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
+_MIX_MULT_L, _MIX_MULT_R = 0xca01f9dd, 0x4973f715
+_XSHIFT, _MASK32, _POOL = 16, 0xFFFFFFFF, 4
 
 
 @dataclass
@@ -89,6 +103,9 @@ class SimConfig:
             if value < least:
                 raise ConfigError(
                     f"key {key}: need at least {least}, got {value!r}")
+        if self.n_traj > _MAX_PATHS:
+            raise ConfigError(f"key n_traj: need at most {_MAX_PATHS}, "
+                              f"got {self.n_traj!r}")
         for key, value in (("D", self.diffusion), ("dt", self.dt),
                            ("m", self.m)):
             if not (math.isfinite(value) and value > 0):
@@ -190,11 +207,62 @@ def integrate_deterministic(cfg: SimConfig) -> Trajectory:
     return Trajectory(times, _positions(buf), cfg)
 
 
-def _child_generators(seed, n: int):
-    master = seed if isinstance(seed, np.random.SeedSequence) \
-        else np.random.SeedSequence(seed)
-    return [np.random.Generator(np.random.Philox(child))
-            for child in master.spawn(n)]
+def _hashmix(word, const: int, mult: int):
+    """numpy SeedSequence's hash of a 32-bit word, a Python int or a
+    uint32 array alike, under the constant const; returns the hashed word
+    and the next constant, const * mult."""
+    nxt = const * mult & _MASK32
+    word = (word ^ const) * nxt & _MASK32
+    return word ^ (word >> _XSHIFT), nxt
+
+
+def _mix(x, y):
+    """numpy SeedSequence's mix of two 32-bit words (ints or arrays)."""
+    word = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) \
+        & _MASK32
+    return word ^ (word >> _XSHIFT)
+
+
+def _philox_keys(seed: int, start: int, size: int) -> np.ndarray:
+    """Philox keys of children start .. start+size-1 of SeedSequence(seed),
+    as a (size, 2) uint64 array: row i is
+    SeedSequence(seed).spawn(start + size)[start + i].generate_state(2,
+    np.uint64), the key Philox takes from that child.
+
+    This is numpy's SeedSequence hash with pool size 4, run on all the
+    children at once.  A child's entropy is the seed's 32-bit words,
+    padded with zeros to the pool size, then its spawn index as one word
+    (so start + size may be at most 2^32).  Everything before the index
+    word is the same for every child and is hashed once per call, in
+    Python ints; the index word and the output hash run on uint32 arrays,
+    whose arithmetic wraps as the hash's does."""
+    seed = int(seed)
+    run = [seed >> 32 * i & _MASK32
+           for i in range(max(_POOL, (seed.bit_length() + 31) // 32))]
+    const = _INIT_A
+    pool = []
+    for word in run[:_POOL]:
+        word, const = _hashmix(word, const, _MULT_A)
+        pool.append(word)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                word, const = _hashmix(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], word)
+    index = np.arange(start, start + size, dtype=np.uint32)
+    for entropy in run[_POOL:] + [index]:
+        for dst in range(_POOL):
+            word, const = _hashmix(entropy, const, _MULT_A)
+            pool[dst] = _mix(pool[dst], word)
+    const = _INIT_B
+    state = []
+    for word in pool:
+        word, const = _hashmix(word, const, _MULT_B)
+        state.append(word.astype(np.uint64))
+    keys = np.empty((size, 2), dtype=np.uint64)
+    keys[:, 0] = state[0] | state[1] << 32
+    keys[:, 1] = state[2] | state[3] << 32
+    return keys
 
 
 def _integrate_noise_block(cfg: SimConfig, noise: np.ndarray,
@@ -224,9 +292,9 @@ def integrate_stochastic(cfg: SimConfig, seed=None) -> Trajectory:
     """One Euler-Maruyama path.
 
     seed defaults to cfg.seed and may be an int, a SeedSequence, or a
-    Generator.  Ensembles hand each trajectory i the child sequence
-    SeedSequence(master).spawn(i), so running this function with that
-    child reproduces ensemble path i bit for bit: the path draws the same
+    Generator.  Ensemble path i draws from child i of
+    SeedSequence(master), so running this function with the child
+    SeedSequence(master).spawn(n)[i] reproduces it bit for bit: the path draws the same
     noise and steps it with the operations of _integrate_noise_block, in
     Python floats (rho2 if rho2 > r2 else r2 is np.maximum for any
     non-NaN rho2).
@@ -440,6 +508,10 @@ def ensemble_run(cfg: SimConfig, lags=None) -> EnsembleResult:
     component); the Hurst exponent is fitted on pooled RMS increments
     (None when the lag window would be too narrow to be meaningful).
 
+    Path i draws from child i of SeedSequence(cfg.seed).  Each block's
+    Philox keys are hashed in one numpy pass, and one Philox is re-keyed
+    to each path's key before its noise is drawn.
+
     Paths run in blocks through two path arrays.  Each block's noise is
     drawn into rows 1..n of its path array, which is then stepped in
     place.  While the main thread draws and steps the next block into the
@@ -449,11 +521,30 @@ def ensemble_run(cfg: SimConfig, lags=None) -> EnsembleResult:
     and the result is the same bits as a serial run.  An exception on the
     helper is raised here, unless the main thread is already raising its
     own, and no helper is left running on return.
+
+    A run whose paths overflow raises NumericalError.  numpy's overflow
+    and invalid-value warnings on the way are silenced on both threads;
+    where the caller's errstate asks for more than a warning (raise,
+    call, print or log), that is kept.
     """
     lags = _checked_lags(lags, cfg.n_steps)
-    # spawned a block at a time: successive spawns continue one sequence,
-    # so path i still gets child i of SeedSequence(seed)
-    master = np.random.SeedSequence(cfg.seed)
+    quiet = {key: "ignore" for key in ("over", "invalid")
+             if np.geterr()[key] == "warn"}
+    with np.errstate(**quiet):
+        return _run_blocks(cfg, lags)
+
+
+def _run_blocks(cfg: SimConfig, lags: np.ndarray) -> EnsembleResult:
+    """ensemble_run on checked lags, inside its errstate."""
+    # every path draws through this one generator, re-keyed before each
+    # path to its own stream with counter, buffer and cached words reset;
+    # the seed it is built with is never drawn from
+    bitgen = np.random.Philox(cfg.seed)
+    gen = np.random.Generator(bitgen)
+    stream = {"counter": np.zeros(4, dtype=np.uint64), "key": None}
+    state = {"bit_generator": "Philox", "state": stream,
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
 
     sq_sums = np.zeros(len(lags))
     sq_counts = np.zeros(len(lags), dtype=np.int64)
@@ -502,7 +593,9 @@ def ensemble_run(cfg: SimConfig, lags=None) -> EnsembleResult:
             size = min(_BLOCK, cfg.n_traj - start)
             buf = path_bufs[i % 2][:size]
             noise = buf[:, 1:]
-            for gen, row in zip(_child_generators(master, size), noise):
+            for key, row in zip(_philox_keys(cfg.seed, start, size), noise):
+                stream["key"] = key
+                bitgen.state = state
                 gen.standard_normal(out=row)
             eta_sum += np.einsum("pnk->k", noise)
             paths = _integrate_noise_block(cfg, noise, out=buf)
@@ -511,6 +604,10 @@ def ensemble_run(cfg: SimConfig, lags=None) -> EnsembleResult:
             pooled = helper.submit(contextvars.copy_context().run, pool,
                                    paths)
         pooled.result()
+    if not all(np.isfinite(s).all()
+               for s in (path_sum, inc_sq, sq_sums, lz_means)):
+        raise NumericalError("ensemble paths overflow: a pooled sum is "
+                             "non-finite (inf or nan)")
 
     inc_n = cfg.n_traj * cfg.n_steps
     mean_inc = inc_sum / inc_n

@@ -405,6 +405,28 @@ def test_non_finite_output_exits_3_and_writes_nothing(runner, tmp_path, args):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("flags", [["--sigma0", "1e308"],
+                                   ["--x0", "1e308,1e308,0"]])
+def test_ensemble_overflow_prints_only_the_error_line(runner, flags):
+    # no numpy warning on the way: under pytest one would be an error
+    result = runner.invoke(main, ["simulate", "--preset", "spiral_demo",
+                                  "--n-traj", "2", "--n-steps", "5", *flags])
+    assert result.exit_code == 3
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.stderr == ("numerical error: ensemble paths overflow: a "
+                             "pooled sum is non-finite (inf or nan)\n")
+    assert result.stdout == ""
+
+
+def test_n_traj_beyond_one_spawn_index_word_exits_2(runner):
+    result = runner.invoke(main, ["simulate", "--n-traj", "4294967297"])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.stderr == ("config error: key n_traj: need at most "
+                             "4294967296, got 4294967297\n")
+    assert result.stdout == ""
+
+
 def test_json_text_writes_numpy_values_as_python_ones():
     assert _json_text({"a": np.array([0.1, 1 / 3, -0.0]),
                        "b": np.float64(0.3), "c": np.bool_(True),

@@ -215,6 +215,19 @@ def test_spinor_field_refuses_a_non_finite_energy(bad):
         plane_wave(ONE, (0.0, 0.0, 1.0), bad)
 
 
+@pytest.mark.parametrize("p, energy, message", [
+    ((0, 0, 1), 1e300, "term 0 energy: need energy / hbar finite, "
+                       "got 1e+300 / 1e-10"),
+    ((0, -1e300, 1), 0.5, "term 0 p: need p / hbar finite, "
+                          "got (0.0, -1e+300, 1.0) / 1e-10"),
+])
+def test_spinor_field_refuses_an_overflowing_wave_vector(p, energy, message):
+    # finite energy and momentum whose wave vector (-E, p) / hbar is not:
+    # the field built, and bq_velocity gave a NaN V^0 without an error
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        plane_wave(ONE, p, energy, hbar=1e-10)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_spinor_field_refuses_a_non_finite_sigma(bad):
     message = f"term 0 sigma: need finite numbers, got {bad!r}"

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from fractalspin import simulate
-from fractalspin.errors import AxisSingularity, ConfigError, InsufficientData
+from fractalspin.errors import (AxisSingularity, ConfigError, InsufficientData,
+                               NumericalError)
 from fractalspin.simulate import (
     EnsembleResult,
     SimConfig,
     Trajectory,
-    _child_generators,
     _integrate_noise_block,
     crossover_lag,
     default_lags,
@@ -108,8 +108,8 @@ def test_ensemble_path_matches_standalone_child_seed():
     children = np.random.SeedSequence(11).spawn(5)
     standalone = integrate_stochastic(cfg, seed=children[3])
 
-    from fractalspin.simulate import _child_generators, _integrate_noise_block
-    gens = _child_generators(11, 5)
+    gens = [np.random.Generator(np.random.Philox(child))
+            for child in np.random.SeedSequence(11).spawn(5)]
     noise = np.stack([g.standard_normal((80, 3)) for g in gens])
     paths = _integrate_noise_block(cfg, noise)
     assert np.array_equal(paths[3], standalone.positions)
@@ -254,8 +254,10 @@ def test_ensemble_statistics_match_single_path_tools():
     # single-path tools applied to the same paths
     cfg = spiral_preset(n_traj=40, n_steps=600, seed=5)
     res = ensemble_run(cfg)
-    noise = np.stack([g.standard_normal((cfg.n_steps, 3))
-                      for g in _child_generators(cfg.seed, cfg.n_traj)])
+    noise = np.stack([
+        np.random.Generator(np.random.Philox(child)).standard_normal(
+            (cfg.n_steps, 3))
+        for child in np.random.SeedSequence(cfg.seed).spawn(cfg.n_traj)])
     paths = _integrate_noise_block(cfg, noise)
     _, rms = rms_increments(paths, default_lags(cfg.n_steps))
     assert np.array_equal(res.lag_rms, rms)
@@ -285,7 +287,7 @@ def test_lz_series_modes_and_validation():
     ("r_min", math.nan), ("r_min", math.inf),
     ("seed", -1), ("r_min", 0.0), ("r_min", -0.5),
     ("p0", math.inf), ("p0", math.nan), ("sigma0", math.nan),
-    ("sigma0", -math.inf),
+    ("sigma0", -math.inf), ("n_traj", 2 ** 32 + 1),
 ])
 def test_sim_config_rejects_unusable_values(key, bad):
     name = {"diffusion": "D"}.get(key, key)
@@ -327,8 +329,8 @@ def _recorded_blocks(monkeypatch, noises=None):
 
 
 def test_ensemble_spawns_per_block_as_one_sequence(monkeypatch):
-    # blocks of 512 + 512 + 276 paths, each block spawning its own
-    # generators: path i still runs on child i of SeedSequence(seed)
+    # blocks of 512 + 512 + 276 paths, each block hashing its own keys:
+    # path i still runs on child i of SeedSequence(seed)
     cfg = spiral_preset(n_traj=1300, n_steps=20, seed=21)
     blocks = _recorded_blocks(monkeypatch)
     ensemble_run(cfg)
@@ -338,6 +340,52 @@ def test_ensemble_spawns_per_block_as_one_sequence(monkeypatch):
         for child in np.random.SeedSequence(21).spawn(1300)])
     rebuilt = _integrate_noise_block(cfg, noise)
     assert np.array_equal(np.concatenate(blocks), rebuilt)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5,
+                                  2 ** 130 + 5])
+def test_philox_keys_are_numpys_child_keys(seed):
+    # spawn(n)[i] is SeedSequence(seed, spawn_key=(i,)), and Philox takes
+    # its key from generate_state(2, uint64); the far indices are built
+    # from their spawn keys, as spawning 2^32 children is out of reach
+    children = np.random.SeedSequence(seed).spawn(1024)
+    assert children[600].spawn_key == (600,)
+    assert np.array_equal(np.random.Philox(children[600]).state["state"]["key"],
+                          children[600].generate_state(2, np.uint64))
+    assert np.array_equal(
+        simulate._philox_keys(seed, 0, 1024),
+        [child.generate_state(2, np.uint64) for child in children])
+    # block starts of 512-path blocks, and the last one-word indices
+    for start, size in [(511, 2), (512, 512), (9728, 272),
+                        (2 ** 32 - 5, 5)]:
+        want = [np.random.SeedSequence(seed, spawn_key=(i,))
+                .generate_state(2, np.uint64)
+                for i in range(start, start + size)]
+        got = simulate._philox_keys(seed, start, size)
+        assert got.dtype == np.uint64 and got.shape == (size, 2)
+        assert np.array_equal(got, want)
+
+
+def test_ensemble_builds_one_philox(monkeypatch):
+    # every path is drawn through one re-keyed Philox, not one per path
+    built = []
+    philox = np.random.Philox
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return philox(*args, **kwargs)
+    monkeypatch.setattr(np.random, "Philox", counting)
+    ensemble_run(spiral_preset(n_traj=1300, n_steps=20, seed=21))
+    assert len(built) <= 1
+
+
+@pytest.mark.parametrize("overrides", [{"sigma0": 1e308},
+                                       {"x0": (1e308, 1e308, 0.0)}])
+def test_ensemble_overflow_is_refused_without_numpy_warnings(overrides):
+    # RuntimeWarning is an error under pytest, on either thread
+    cfg = spiral_preset(n_traj=2, n_steps=5, **overrides)
+    with pytest.raises(NumericalError, match="non-finite"):
+        ensemble_run(cfg)
 
 
 def _old_lag_sq_sums(x, lags):
@@ -599,9 +647,11 @@ def _ensemble_allocating_per_block(cfg, lags):
     eta_sum = np.zeros(3)
     path_sum = np.zeros((cfg.n_steps + 1, 3))
     for start in range(0, cfg.n_traj, simulate._BLOCK):
-        gens = _child_generators(master,
-                                 min(simulate._BLOCK, cfg.n_traj - start))
-        noise = np.stack([g.standard_normal((cfg.n_steps, 3)) for g in gens])
+        children = master.spawn(min(simulate._BLOCK, cfg.n_traj - start))
+        noise = np.stack([
+            np.random.Generator(np.random.Philox(child)).standard_normal(
+                (cfg.n_steps, 3))
+            for child in children])
         paths = _integrate_noise_block(cfg, noise)
         eta_sum += np.einsum("pnk->k", noise)
         path_sum += paths.sum(axis=0)
