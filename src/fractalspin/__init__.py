@@ -7,7 +7,6 @@ from .algebra import (
     E2,
     E3,
     ONE,
-    Quaternion,
     pauli_identity_residual,
     sigma_dot,
 )

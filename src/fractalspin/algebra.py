@@ -1,4 +1,4 @@
-"""Quaternion and biquaternion arithmetic.
+"""Biquaternion arithmetic.
 
 A biquaternion is a quaternion whose four coefficients are complex numbers:
 
@@ -16,16 +16,15 @@ matrices; it is a ring isomorphism onto the full complex 2x2 matrix algebra.
 from __future__ import annotations
 
 import cmath
-import math
 import numbers
 import operator
 
 import numpy as np
 
-from .errors import NumericalError, ZeroDivisor
+from .errors import ConfigError, NumericalError, ZeroDivisor
 
 #: Inversion refuses an element whose |N| is at most this fraction of
-#: sum_k |a_k|^2, the bound on |N|; a real quaternion only when it is zero.
+#: sum_k |a_k|^2, the bound on |N|.
 ZERO_DIVISOR_EPS = 1e-12
 
 # Pauli matrices, indexed 1..3 in the usual way.
@@ -35,6 +34,9 @@ SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULI = (SIGMA1, SIGMA2, SIGMA3)
 
 _IDENT2 = np.eye(2, dtype=complex)
+
+# Built-in scalar types a biquaternion is scaled by without the ABC test.
+_SCALARS = (complex, float, int)
 
 
 def _hamilton(a, b):
@@ -51,48 +53,60 @@ def _hamilton(a, b):
     )
 
 
-class _Ring:
-    """The ring shared by real quaternions and biquaternions: four
-    coefficients a0..a3, a tuple of Python floats or complex numbers, and
-    the ring operations on them.  Subclasses name the scalars they may be
-    scaled by (``_scalar``, whose exact built-in types ``_exact`` skip the
-    ABC test) and how a scalar is stored (``_cast``); an operation mixing
-    a Quaternion with a Biquaternion gives a Biquaternion."""
+class Biquaternion:
+    """Complexified quaternion a0 + a1*e1 + a2*e2 + a3*e3 with read-only
+    Python complex coefficients; scalars are any numbers.Complex."""
 
     __slots__ = ("_c",)
 
+    def __init__(self, a0=0.0, a1=0.0, a2=0.0, a3=0.0):
+        self._c = (complex(a0), complex(a1), complex(a2), complex(a3))
+
     @classmethod
-    def _new(cls, coeffs) -> "_Ring":
+    def _new(cls, coeffs) -> "Biquaternion":
         out = object.__new__(cls)
         out._c = tuple(coeffs)
         return out
 
+    @classmethod
+    def from_array(cls, a) -> "Biquaternion":
+        return cls._new(np.asarray(a, dtype=complex).reshape(4).tolist())
+
+    @property
+    def a(self) -> np.ndarray:
+        """Complex coefficient vector (a0, a1, a2, a3), a fresh array."""
+        return np.array(self._c, dtype=complex)
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}({', '.join(map(repr, self._c))})"
 
-    def _promote(self, other: "_Ring"):
-        """The class of self op other, and both coefficient tuples in it."""
-        if type(other) is type(self):
-            return type(self), self._c, other._c
-        return (Biquaternion, tuple(map(complex, self._c)),
-                tuple(map(complex, other._c)))
+    def __eq__(self, other):
+        # element-wise IEEE: a NaN element is never equal, -0.0 == 0.0
+        if not isinstance(other, Biquaternion):
+            return NotImplemented
+        return all(map(operator.eq, self._c, other._c))
+
+    def __hash__(self):
+        # hash(-0.0) == hash(0.0), as __eq__ requires
+        return hash(self._c)
+
+    # -- ring operations ------------------------------------------------
 
     def _combine(self, other, op):
         """self op other coefficient-wise; a scalar acts on a0 alone."""
-        if isinstance(other, _Ring):
-            cls, a, b = self._promote(other)
-            return cls._new(map(op, a, b))
-        if isinstance(other, self._scalar):
+        if isinstance(other, Biquaternion):
+            return self._new(map(op, self._c, other._c))
+        if isinstance(other, numbers.Complex):
             a0, *rest = self._c
-            return self._new((op(a0, self._cast(other)), *rest))
+            return self._new((op(a0, complex(other)), *rest))
         return NotImplemented
 
     def _scale(self, other, op):
         """Each coefficient op a scalar other."""
-        if type(other) not in self._exact and not isinstance(other,
-                                                             self._scalar):
+        if type(other) not in _SCALARS and not isinstance(other,
+                                                          numbers.Complex):
             return NotImplemented
-        s = self._cast(other)
+        s = complex(other)
         a0, a1, a2, a3 = self._c
         out = object.__new__(type(self))
         out._c = (op(a0, s), op(a1, s), op(a2, s), op(a3, s))
@@ -100,7 +114,7 @@ class _Ring:
 
     def __add__(self, other):
         cls = type(self)
-        if type(other) is cls:  # fast path: same class, no promotion
+        if type(other) is cls:  # fast path: two biquaternions
             a0, a1, a2, a3 = self._c
             b0, b1, b2, b3 = other._c
             out = object.__new__(cls)
@@ -122,57 +136,53 @@ class _Ring:
     def __mul__(self, other):
         cls = type(self)
         kind = type(other)
-        if kind is cls:  # fast path: same class, no promotion
+        if kind is cls:  # fast path: two biquaternions
             out = object.__new__(cls)
             out._c = _hamilton(self._c, other._c)
             return out
-        if kind in self._exact:  # fast path: _scale by a built-in scalar
-            s = self._cast(other)
+        if kind in _SCALARS:  # fast path: _scale by a built-in scalar
+            s = complex(other)
             a0, a1, a2, a3 = self._c
             out = object.__new__(cls)
             out._c = (a0 * s, a1 * s, a2 * s, a3 * s)
             return out
-        if isinstance(other, _Ring):
-            cls, a, b = self._promote(other)
-            return cls._new(_hamilton(a, b))
         return self._scale(other, operator.mul)
 
     def __rmul__(self, other):
-        # ring elements are multiplied by their own __mul__; scalars commute
+        # biquaternions are multiplied by their own __mul__; scalars commute
         return self._scale(other, operator.mul)
 
     def __truediv__(self, other):
         return self._scale(other, operator.truediv)
 
-    def conjugate(self):
-        """Quaternion conjugate: negates the e1, e2, e3 parts.  The scalar
-        i of a biquaternion is left alone."""
+    def conjugate(self) -> "Biquaternion":
+        """Conjugate: negates the e1, e2, e3 parts and leaves the scalar i
+        alone."""
         a0, a1, a2, a3 = self._c
         return self._new((a0, -a1, -a2, -a3))
 
-    def _norm2(self):
-        """N = self * conj(self) = a0^2 + a1^2 + a2^2 + a3^2.  For a
-        biquaternion a complex scalar, not a positive real; it vanishes
-        exactly on the zero divisors of the ring."""
+    def complex_norm(self) -> complex:
+        """N = self * conj(self) = a0^2 + a1^2 + a2^2 + a3^2, a complex
+        scalar, not a positive real; it vanishes exactly on the zero
+        divisors of the ring."""
         return sum(a * a for a in self._c)
 
-    def _abs2(self) -> float:
-        """sum_k |a_k|^2: the sum of squares of all real components."""
+    def eight_square_norm(self) -> float:
+        """sum_k |a_k|^2: the sum of squares of all eight real components."""
         c = self._c
         return sum(a.real * a.real for a in c) + sum(a.imag * a.imag for a in c)
 
-    def inverse(self):
+    def inverse(self) -> "Biquaternion":
         """conj / N.  Raises ZeroDivisor where N vanishes relative to the
         size of the element (see ZERO_DIVISOR_EPS), NumericalError where a
         coefficient or the inverse is not finite.  An element whose N or
         size overflows or underflows is inverted as (self / s)^-1 / s, s
         its largest real component."""
-        n = self._norm2()
-        size = self._abs2()
+        n = self.complex_norm()
+        size = self.eight_square_norm()
         if not abs(n) > ZERO_DIVISOR_EPS * size:
-            name = type(self).__name__
             if not all(map(cmath.isfinite, self._c)):
-                raise NumericalError(f"{name} is not finite: "
+                raise NumericalError("Biquaternion is not finite: "
                                      f"sum |a_k|^2 = {size}")
             s = max(max(abs(a.real), abs(a.imag)) for a in self._c)
             if s not in (0.0, 1.0):  # 1.0: already rescaled
@@ -181,86 +191,9 @@ class _Ring:
                     raise NumericalError(f"the inverse of {self!r} overflows")
                 return out
             raise ZeroDivisor(
-                f"{name} is a (near-)zero divisor: "
+                "Biquaternion is a (near-)zero divisor: "
                 f"|N| = {abs(n):.3e}, sum |a_k|^2 = {size:.3e}")
         return self.conjugate() / n
-
-
-class Quaternion(_Ring):
-    """Real quaternion w + x*e1 + y*e2 + z*e3 with read-only coefficients."""
-
-    __slots__ = ()
-    _scalar, _exact, _cast = numbers.Real, (float, int), float
-
-    def __init__(self, w: float, x: float = 0.0, y: float = 0.0, z: float = 0.0):
-        self._c = (float(w), float(x), float(y), float(z))
-
-    w = property(lambda self: self._c[0])
-    x = property(lambda self: self._c[1])
-    y = property(lambda self: self._c[2])
-    z = property(lambda self: self._c[3])
-    coeffs = property(lambda self: self._c)
-
-    def norm(self) -> float:
-        """Euclidean norm; multiplicative, norm(p*q) = norm(p)*norm(q)."""
-        return math.sqrt(self._norm2())
-
-    def to_biquaternion(self) -> "Biquaternion":
-        return Biquaternion(*self._c)
-
-
-class Biquaternion(_Ring):
-    """Complexified quaternion; coefficients a0..a3 are Python complex.
-
-    The eight real components are ordered (phi0, chi0, phi1, chi1, phi2,
-    chi2, phi3, chi3) with a_k = phi_k + i*chi_k whenever a flat real view
-    is exchanged (see :meth:`components` / :meth:`from_components`).
-    """
-
-    __slots__ = ()
-    _scalar, _exact, _cast = numbers.Complex, (complex, float, int), complex
-
-    def __init__(self, a0=0.0, a1=0.0, a2=0.0, a3=0.0):
-        self._c = (complex(a0), complex(a1), complex(a2), complex(a3))
-
-    @classmethod
-    def from_array(cls, a) -> "Biquaternion":
-        return cls._new(np.asarray(a, dtype=complex).reshape(4).tolist())
-
-    @classmethod
-    def from_components(cls, comps) -> "Biquaternion":
-        """Build from the eight interleaved real components
-        (phi0, chi0, phi1, chi1, phi2, chi2, phi3, chi3)."""
-        c = np.asarray(comps, dtype=float).reshape(8)
-        return cls.from_array(c[0::2] + 1j * c[1::2])
-
-    # -- views, each a fresh array -------------------------------------
-
-    @property
-    def a(self) -> np.ndarray:
-        """Complex coefficient vector (a0, a1, a2, a3)."""
-        return np.array(self._c, dtype=complex)
-
-    @property
-    def components(self) -> np.ndarray:
-        """Interleaved real components (phi0, chi0, ..., phi3, chi3)."""
-        return np.array([p for a in self._c for p in (a.real, a.imag)])
-
-    phi = property(lambda self: np.array([a.real for a in self._c]))
-    chi = property(lambda self: np.array([a.imag for a in self._c]))
-
-    def __eq__(self, other):
-        # element-wise IEEE: a NaN element is never equal, -0.0 == 0.0
-        if not isinstance(other, Biquaternion):
-            return NotImplemented
-        return all(map(operator.eq, self._c, other._c))
-
-    def __hash__(self):
-        # hash(-0.0) == hash(0.0), as __eq__ requires
-        return hash(self._c)
-
-    complex_norm = _Ring._norm2
-    eight_square_norm = _Ring._abs2
 
     def allclose(self, other: "Biquaternion", atol: float = 1e-12,
                  rtol: float = 0.0) -> bool:
@@ -281,7 +214,8 @@ class Biquaternion(_Ring):
     def from_matrix(cls, m) -> "Biquaternion":
         m = np.asarray(m, dtype=complex)
         if m.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
+            raise ConfigError(
+                f"key m: need a 2x2 matrix, got shape {m.shape}")
         a0 = (m[0, 0] + m[1, 1]) / 2
         a1 = 1j * (m[0, 1] + m[1, 0]) / 2
         a2 = (m[1, 0] - m[0, 1]) / 2

@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import _IDENT2, PAULI, Biquaternion, sigma_dot
+from .errors import ConfigError
 from .fields import _left_sum, central_difference
 
 # central-difference steps: EMField's curl and divergence, the witness curl
@@ -49,7 +50,7 @@ class ExponentialField:
         self.terms = [(amp, np.asarray(k, dtype=complex).reshape(4))
                       for amp, k in terms]
         if not self.terms:
-            raise ValueError("need at least one term")
+            raise ConfigError("key terms: need at least one term, got none")
         # k_mu ** n for n = 1.._POWERS of each term, as Python complex
         self._powers = [[[complex(k[mu] ** n) for n in range(1, _POWERS + 1)]
                          for mu in range(4)] for _, k in self.terms]
@@ -85,7 +86,7 @@ def rotor_field(axis: int, omega: float, kvec) -> ExponentialField:
     """exp(e_axis * (omega t + k . r)) as an exact two-term exponential sum,
     using exp(e f) = cos f + e sin f for a unit imaginary e."""
     if axis not in (1, 2, 3):
-        raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
+        raise ConfigError(f"key axis: need 1, 2 or 3, got {axis!r}")
     e = Biquaternion(*(1.0 if i == axis else 0.0 for i in range(4)))
     one = Biquaternion(1.0)
     k4 = 1j * np.array([omega, *np.asarray(kvec, dtype=float).reshape(3)],

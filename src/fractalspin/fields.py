@@ -95,7 +95,7 @@ class SpinorField:
     (-energy, p) / hbar is not.  value and partial raise
     ConfigError, naming the point, where a coordinate is not finite, and
     NumericalError, naming the term and the point, where a phase theta
-    is not finite.
+    or its gradient is not finite.
     """
 
     def __init__(self, terms: Iterable[PlaneWaveTerm], *, hbar: float = 1.0,
@@ -106,7 +106,7 @@ class SpinorField:
                           float(t.energy), float(t.sigma))
             for t in terms)
         if not self.terms:
-            raise ValueError("a spinor field needs at least one term")
+            raise ConfigError("key terms: need at least one term, got none")
         self.hbar = float(hbar)
         self.m = float(m)
         self.c = float(c)
@@ -149,7 +149,7 @@ class SpinorField:
         the azimuthal part.  The azimuth and its gradient (-y, x)/rho^2
         are computed once, at the first spiraling term.  Raises ConfigError
         where a coordinate of pt is not finite, NumericalError where a
-        term's theta is not finite."""
+        term's theta or phase gradient is not finite."""
         t, x, y, z = map(float, pt)
         if not (math.isfinite(t) and math.isfinite(x) and math.isfinite(y)
                 and math.isfinite(z)):
@@ -171,7 +171,13 @@ class SpinorField:
                 phi, gx, gy = azimuth
                 theta += sigma * phi / hbar
                 w0, w1, w2, w3 = wave
-                wave = (w0, w1 + sigma * gx / hbar, w2 + sigma * gy / hbar, w3)
+                w1 += sigma * gx / hbar
+                w2 += sigma * gy / hbar
+                if not (math.isfinite(w1) and math.isfinite(w2)):
+                    raise NumericalError(
+                        f"term {len(out)} phase gradient: not finite at "
+                        f"{(t, x, y, z)}, got {(w0, w1, w2, w3)}")
+                wave = (w0, w1, w2, w3)
             if not math.isfinite(theta):
                 raise NumericalError(
                     f"term {len(out)} phase: not finite at {(t, x, y, z)}, "
@@ -186,7 +192,7 @@ class SpinorField:
     def partial(self, pt, mu: int) -> Biquaternion:
         """Analytic coordinate derivative d_mu psi, mu in 0..3 = (t,x,y,z)."""
         if mu not in (0, 1, 2, 3):
-            raise ValueError(f"mu must be 0..3, got {mu}")
+            raise ConfigError(f"key mu: need 0, 1, 2 or 3, got {mu!r}")
         return _left_sum([amp * (-1j * grad[mu] * cmath.exp(-1j * theta))
                           for amp, theta, grad in self._phases(pt)])
 
@@ -224,14 +230,14 @@ def spiral_pair_field(term0: PlaneWaveTerm, term1: PlaneWaveTerm,
 
     The shared p and sigma are what make the velocity field of the
     superposition a rigid spiral (the common phase factors out of
-    psi^-1 d psi); mismatched terms raise ValueError.
+    psi^-1 d psi); mismatched terms raise ConfigError naming the key.
     """
     if tuple(term0.p) != tuple(term1.p):
-        raise ValueError(
-            f"spiral pair needs matching momenta, got {term0.p} and {term1.p}")
+        raise ConfigError("key p: a spiral pair needs matching momenta, "
+                          f"got {term0.p} and {term1.p}")
     if term0.sigma != term1.sigma:
-        raise ValueError(
-            f"spiral pair needs matching sigma, got {term0.sigma} and {term1.sigma}")
+        raise ConfigError("key sigma: a spiral pair needs matching sigma, "
+                          f"got {term0.sigma} and {term1.sigma}")
     return SpinorField([term0, term1], **consts)
 
 

@@ -51,7 +51,7 @@ import contextvars
 import math
 from array import array
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -338,7 +338,8 @@ def lz_series(traj: Trajectory, mode: str = "forward") -> np.ndarray:
         v = (x[..., 2:, :] - x[..., :-2, :]) / (2 * dt)
         lz = _lz(x[..., 1:-1, :], v, m)
     else:
-        raise ValueError(f"mode must be 'forward' or 'central', got {mode!r}")
+        raise ConfigError(
+            f"key mode: need 'forward' or 'central', got {mode!r}")
     # a series of its own, not a view that keeps the velocities alive
     return np.ascontiguousarray(lz)
 
@@ -365,13 +366,16 @@ def default_lags(n_steps: int) -> np.ndarray:
 
 def _checked_lags(lags, n_steps: int) -> np.ndarray:
     """lags as an int array, default_lags when None; a path of n_steps
-    steps has increments only at lags 1 .. n_steps."""
-    lags = np.asarray(default_lags(n_steps) if lags is None else lags,
-                      dtype=int)
-    if lags.size == 0 or lags.min() < 1 or lags.max() > n_steps:
-        raise ConfigError(f"lags must lie in [1, {n_steps}] for a path of "
-                          f"{n_steps} steps, got {lags.tolist()}")
-    return lags
+    steps has increments only at the whole lags 1 .. n_steps."""
+    given = default_lags(n_steps) if lags is None else lags
+    lags = np.asarray(given, dtype=float)
+    # a NaN fails both comparisons; % runs on finite lags only
+    if not (lags.size and 1 <= lags.min() and lags.max() <= n_steps) \
+            or np.any(lags % 1):
+        raise ConfigError(f"lags must lie in [1, {n_steps}] as whole numbers "
+                          f"for a path of {n_steps} steps, got "
+                          f"{np.asarray(given).tolist()}")
+    return lags.astype(int)
 
 
 def rms_increments(positions: np.ndarray, lags) -> tuple[np.ndarray, np.ndarray]:
@@ -482,9 +486,9 @@ class EnsembleResult:
     increment_var: np.ndarray
     mean_path: np.ndarray
     mean_final: np.ndarray
-    lag_times: np.ndarray | None = None
-    lag_rms: np.ndarray | None = None
-    eta_mean: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    lag_times: np.ndarray
+    lag_rms: np.ndarray
+    eta_mean: np.ndarray
 
     def to_dict(self) -> dict:
         return {

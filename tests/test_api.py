@@ -4,7 +4,13 @@ Adding or removing a name shows up here as a test diff; record it in
 CHANGES.md with the reason.
 """
 
+import ast
+import builtins
 import inspect
+from pathlib import Path
+
+import numpy as np
+import pytest
 
 import fractalspin
 
@@ -13,7 +19,7 @@ PUBLIC = [
     "E1", "E2", "E3", "EMField", "EnsembleResult", "ExponentialField",
     "FractalSpinError", "GeneratorSpec", "GeometryInvalid",
     "InsufficientData", "NotNormalized", "NumericalError", "ONE",
-    "PlaneWaveTerm", "Quaternion", "ReducedVelocity", "ScalingResult",
+    "PlaneWaveTerm", "ReducedVelocity", "ScalingResult",
     "SimConfig", "SmallComponentsNotSmall", "SpacetimePoint", "SpinorField",
     "Trajectory", "VelocityComponents", "ZeroDivisor", "acceleration_field",
     "amplitude_from_spinor", "bloch_spinor", "bq_velocity",
@@ -40,3 +46,49 @@ def test_public_names_are_pinned():
                       if not name.startswith("_")
                       and not inspect.ismodule(value))
     assert exported == PUBLIC
+
+
+def _raised_builtins(tree):
+    """(line, name) of each raise in tree that names a built-in exception
+    class; a bare re-raise names none."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            continue
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        if isinstance(exc, ast.Name):
+            cls = getattr(builtins, exc.id, None)
+            if isinstance(cls, type) and issubclass(cls, BaseException):
+                yield node.lineno, exc.id
+
+
+def test_package_raises_only_its_own_errors():
+    # every refusal is a FractalSpinError subclass, so callers catch one
+    # family and the message names the key
+    root = Path(fractalspin.__file__).parent
+    found = [f"{path.name}:{line} raises {name}"
+             for path in sorted(root.rglob("*.py"))
+             for line, name in _raised_builtins(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def test_raised_builtins_sees_each_spelling():
+    tree = ast.parse("raise ValueError('x')\nraise TypeError\n"
+                     "raise KeyError() from None\nraise\n"
+                     "raise ConfigError('y')\nraise errors.ConfigError\n")
+    assert list(_raised_builtins(tree)) == [(1, "ValueError"),
+                                            (2, "TypeError"), (3, "KeyError")]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: fractalspin.SpinorField([]), "key terms: need at least one"),
+    (lambda: fractalspin.plane_wave(fractalspin.ONE, (0.0, 0.0, 1.0), 0.5)
+     .partial((0.0, 1.0, 0.0, 0.0), 4), "key mu: need 0, 1, 2 or 3, got 4"),
+    (lambda: fractalspin.ExponentialField([]), "key terms: need at least one"),
+    (lambda: fractalspin.rotor_field(0, 1.0, (0.0, 0.0, 1.0)),
+     "key axis: need 1, 2 or 3, got 0"),
+    (lambda: fractalspin.Biquaternion.from_matrix(np.eye(3)),
+     r"key m: need a 2x2 matrix, got shape \(3, 3\)"),
+])
+def test_argument_refusals_are_config_errors(call, message):
+    with pytest.raises(fractalspin.ConfigError, match=message):
+        call()

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from fractalspin.algebra import Biquaternion, E1, E2, ONE, Quaternion
+from fractalspin.algebra import Biquaternion, E1, E2, ONE
 from fractalspin.errors import AxisSingularity, ConfigError, NumericalError
 from fractalspin.fields import (
     _AXIS_EPS2,
@@ -22,6 +22,7 @@ from fractalspin.fields import (
     s0_from_diffusion,
     spiral_pair_field,
 )
+from fractalspin.velocity import bq_velocity
 
 from fd_reference import NumericField, fd_field
 
@@ -109,6 +110,18 @@ def test_value_and_partial_refuse_an_overflowing_phase():
         pair.value((0.0, -1.0, -1e-3, 0.0))
 
 
+def test_partial_refuses_an_overflowing_azimuthal_gradient():
+    # theta is finite at the azimuth 0, but sigma * (x / rho^2) / hbar
+    # overflows: partial(pt, 2) was all-NaN and bq_velocity gave a NaN V^2
+    f = plane_wave(ONE, (0.0, 0.0, 1.0), 0.5, sigma=1e300, hbar=1e-10)
+    pt = (0.0, 1.0, 0.0, 0.0)
+    message = re.escape(f"term 0 phase gradient: not finite at {pt}")
+    with pytest.raises(NumericalError, match=message):
+        f.partial(pt, 2)
+    with pytest.raises(NumericalError, match=message):
+        bq_velocity(f, pt)
+
+
 def test_remove_rest_phase_is_exact_scalar_factor():
     amp = Biquaternion(0.6, 0.2j, 0.1, -0.4)
     f = plane_wave(amp, (0.2, 0.0, 0.5), 1.3, hbar=0.5, m=2.0, c=3.0)
@@ -134,9 +147,9 @@ def test_spiral_pair_validation():
     t_bad_p = PlaneWaveTerm(E1, (0.0, 0.1, 1.0), 0.6, 0.5)
     t_bad_s = PlaneWaveTerm(E1, (0.0, 0.0, 1.0), 0.6, 0.25)
     t_ok = PlaneWaveTerm(E1, (0.0, 0.0, 1.0), 0.6, 0.5)
-    with pytest.raises(ValueError, match="momenta"):
+    with pytest.raises(ConfigError, match="key p: .* momenta"):
         spiral_pair_field(t0, t_bad_p)
-    with pytest.raises(ValueError, match="sigma"):
+    with pytest.raises(ConfigError, match="key sigma: .* sigma"):
         spiral_pair_field(t0, t_bad_s)
     f = spiral_pair_field(t0, t_ok)
     assert len(f.terms) == 2
@@ -246,10 +259,10 @@ def test_spinor_field_refuses_a_non_finite_amplitude(coeff):
 
 
 def test_spinor_field_refuses_an_amplitude_outside_the_biquaternions():
-    # a real quaternion cannot take the complex phase factor
-    message = "term 0 amplitude: need a Biquaternion, got Quaternion(1.0, "
+    # a bare scalar is not an amplitude, though it would multiply the phase
+    message = "term 0 amplitude: need a Biquaternion, got 1.0"
     with pytest.raises(ConfigError, match=re.escape(message)):
-        plane_wave(Quaternion(1.0), (0.0, 0.0, 1.0), 0.5)
+        plane_wave(1.0, (0.0, 0.0, 1.0), 0.5)
 
 
 def test_spinor_field_checks_its_constants_before_its_terms():

@@ -275,7 +275,7 @@ def test_lz_series_modes_and_validation():
         lz = lz_series(traj, mode)
         # a series of its own, not a view of the velocity temporary
         assert lz.shape == (n,) and lz.flags.c_contiguous and lz.flags.owndata
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="key mode: .*'sideways'"):
         lz_series(traj, "sideways")
 
 
@@ -308,6 +308,23 @@ def test_lags_outside_path_rejected_alike():
             increment_scaling(walk, cfg.dt, lags=bad)
     # the longest lag a path of n_steps steps has is n_steps itself
     assert np.isfinite(ensemble_run(cfg, lags=[1, 50]).lag_rms).all()
+
+
+@pytest.mark.parametrize("bad", [[1.9, 2.5, 10.99], [1, math.nan],
+                                 [1, math.inf], [2.0, 3.5]])
+def test_lags_that_are_not_whole_numbers_rejected_alike(bad):
+    # [1.9, 2.5, 10.99] ran as lags 1, 2, 10; a NaN ended in a bare
+    # ValueError from the int cast
+    cfg = spiral_preset(n_traj=20, n_steps=50)
+    walk = integrate_stochastic(cfg).positions
+    message = r"lags must lie in \[1, 50\] as whole numbers"
+    with pytest.raises(ConfigError, match=message):
+        ensemble_run(cfg, lags=bad)
+    with pytest.raises(ConfigError, match=message):
+        increment_scaling(walk, cfg.dt, lags=bad)
+    # whole numbers given as floats are lags like any other
+    assert ensemble_run(cfg, lags=[1.0, 50.0]).lag_times.tolist() == \
+        ensemble_run(cfg, lags=[1, 50]).lag_times.tolist()
 
 
 def _recorded_blocks(monkeypatch, noises=None):

@@ -295,7 +295,8 @@ def _old_component_velocities(field, pt, method):
     out = {k: np.empty(4) for k in ("v_pp", "v_pm", "v_mp", "v_mm",
                                     "vt_pp", "vt_pm", "vt_mp", "vt_mm")}
     for mu, dmu in enumerate(fed):
-        p, q = (np.array(s) for s in _pq_sums(v.phi, v.chi, dmu.phi, dmu.chi))
+        p, q = (np.array(s) for s in _pq_sums(v.a.real, v.a.imag,
+                                              dmu.a.real, dmu.a.imag))
         out["v_pp"][mu] = scale * (p[0] + q[0])
         out["v_mm"][mu] = scale * (p[0] - q[0])
         out["v_pm"][mu] = scale * (p[1] + q[1])
