@@ -59,7 +59,17 @@ class ExponentialField:
         return self.derivative(pt, (0, 0, 0, 0))
 
     def derivative(self, pt, orders):
-        pt = np.asarray(pt, dtype=float).reshape(4)
+        """d^orders of the sum at pt, orders a 4-tuple of non-negative
+        derivative counts for (t, x, y, z).  Raises ConfigError unless
+        orders are four non-negative ints and pt four finite numbers."""
+        if not (len(orders) == 4 and all(map(isinstance, orders, (int,) * 4))
+                and min(orders) >= 0):
+            raise ConfigError(f"key orders: need four non-negative ints, "
+                              f"got {orders!r}")
+        pt = np.asarray(pt, dtype=float).reshape(-1)
+        if len(pt) != 4 or not all(map(math.isfinite, pt.tolist())):
+            raise ConfigError(f"key point: need finite numbers t, x, y, z, "
+                              f"got {pt.tolist()}")
         pieces = []
         for (amp, k), powers in zip(self.terms, self._powers):
             factor = complex(np.exp(k @ pt))
@@ -224,27 +234,19 @@ def gradient_witness(field, diffusion: float, points) -> float:
     """Max curl component of the acceleration field over the sample points.
 
     The inner derivatives of E come from the field's own derivative
-    method; only the outer curl is one central-difference level, at the
-    fixed step h = 1e-4, so the noise floor for gradient-type fields is
-    O(h^2) times local scale.
+    method; only the outer curl is one central-difference level of the
+    whole E vector per axis, at the fixed step h = 1e-4, so the noise
+    floor for gradient-type fields is O(h^2) times local scale.
     """
+    def e_vec(q):
+        return np.array(acceleration_field(field, diffusion, q), dtype=object)
+
     worst = 0.0
     for pt in points:
-        cache: dict = {}
-
-        def e_vec(q):
-            key = tuple(q)
-            if key not in cache:
-                cache[key] = acceleration_field(field, diffusion, q)
-            return cache[key]
-
-        for j in (1, 2, 3):
-            for k in range(j + 1, 4):
-                d_j_ek = central_difference(lambda q: e_vec(q)[k - 1], pt, j,
-                                            _CURL_H)
-                d_k_ej = central_difference(lambda q: e_vec(q)[j - 1], pt, k,
-                                            _CURL_H)
-                worst = max(worst, (d_j_ek - d_k_ej).max_abs())
+        grad = [central_difference(e_vec, pt, j, _CURL_H) for j in (1, 2, 3)]
+        for j, k in ((1, 2), (1, 3), (2, 3)):
+            worst = max(worst, (grad[j - 1][k - 1]
+                                - grad[k - 1][j - 1]).max_abs())
     return worst
 
 

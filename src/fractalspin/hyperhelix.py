@@ -67,10 +67,6 @@ class GeneratorSpec:
     def n_segments(self) -> int:
         return len(self.vertices) - 1
 
-    @property
-    def ratio(self) -> float:
-        return 1.0 / self.divisions
-
     def dimension(self) -> float:
         return similarity_dimension(self.n_segments, self.divisions)
 
@@ -411,6 +407,9 @@ def measured_dimension(vertices: np.ndarray, rulers=None,
 
 
 def _axis_frame(vertices: np.ndarray):
+    """(span, axial, t1, t2, u): the endpoint distance, each vertex's axial
+    and two transverse coordinates relative to the first vertex, and the
+    span unit vector u."""
     verts = np.asarray(vertices, dtype=float)
     if verts.ndim != 2 or verts.shape[0] < 2 or verts.shape[1] != 3:
         raise GeometryInvalid("need an (n, 3) vertex array with n >= 2")
@@ -425,7 +424,7 @@ def _axis_frame(vertices: np.ndarray):
     n1 /= np.linalg.norm(n1)
     n2 = np.cross(u, n1)
     rel = verts - verts[0]
-    return span, rel @ u, rel @ n1, rel @ n2
+    return span, rel @ u, rel @ n1, rel @ n2, u
 
 
 def _unwrapped_azimuth(t1, t2, r2, span):
@@ -444,7 +443,7 @@ def _unwrapped_azimuth(t1, t2, r2, span):
 
 def spin_kernel(vertices: np.ndarray) -> float:
     """The dimensionless integral r^2 dphi / span^2 in the axis frame."""
-    span, _, t1, t2 = _axis_frame(vertices)
+    span, _, t1, t2, _ = _axis_frame(vertices)
     r2 = t1 * t1 + t2 * t2
     phi = _unwrapped_azimuth(t1, t2, r2, span)
     dphi = np.diff(phi)
@@ -472,9 +471,7 @@ def shrink_transverse(vertices: np.ndarray, q: float) -> np.ndarray:
     """Contract the curve towards its span axis by 1/q, azimuths intact."""
     _check_positive("the shrink factor q", q)
     verts = np.asarray(vertices, dtype=float)
-    _, axial, t1, t2 = _axis_frame(verts)
-    span_vec = verts[-1] - verts[0]
-    u = span_vec / np.linalg.norm(span_vec)
+    _, axial, _, _, u = _axis_frame(verts)
     transverse = (verts - verts[0]) - np.outer(axial, u)
     return verts[0] + np.outer(axial, u) + transverse / q
 

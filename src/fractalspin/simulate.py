@@ -23,8 +23,9 @@ noise step lengths, 10 sqrt(2 D dt).
 
 A single path, deterministic or stochastic, steps in Python floats: on
 three numbers a step costs less that way than the numpy calls on
-3-element arrays would.  Ensembles step a block of paths at once on
-numpy arrays.  Both evaluate the drift through the one kernel _swirl,
+3-element arrays would.  Ensembles step a block of paths at once, each of
+the x, y, z columns a numpy array.  Both evaluate the drift through the
+one kernel _swirl and step each coordinate as x + v dt + eta sqrt(2 D dt),
 with the same operations in the same order, so a single path equals the
 matching ensemble path bit for bit.
 
@@ -161,25 +162,23 @@ def _raw_swirl(x: float, y: float, k: float, r_min: float):
 
 def spiral_drift(pos, m: float, p0: float, sigma0: float,
                  r_min: float = 0.0) -> np.ndarray:
-    """Raw drift velocity; raises AxisSingularity at rho^2 <= r_min^2."""
+    """Raw drift velocity; raises AxisSingularity at rho^2 <= r_min^2, and
+    ConfigError, naming the key, unless m is a finite number > 0 and p0,
+    sigma0 and r_min are finite."""
+    if not (math.isfinite(m) and m > 0):
+        raise ConfigError(f"key m: need a finite number > 0, got {m!r}")
+    for key, value in (("p0", p0), ("sigma0", sigma0), ("r_min", r_min)):
+        if not math.isfinite(value):
+            raise ConfigError(
+                f"key {key}: need a finite number, got {value!r}")
     vx, vy = _raw_swirl(float(pos[0]), float(pos[1]), sigma0 / m, r_min)
     return np.array([vx, vy, p0 / m])
 
 
-def _drift_block(x: np.ndarray, m: float, p0: float, sigma0: float,
-                 r_min: float) -> np.ndarray:
-    """Regularized drift for a block of positions, shape (n, 3)."""
-    rho2 = x[:, 0] ** 2 + x[:, 1] ** 2
-    out = np.empty_like(x)
-    out[:, 0], out[:, 1] = _swirl(x[:, 0], x[:, 1], sigma0 / m,
-                                  np.maximum(rho2, r_min * r_min))
-    out[:, 2] = p0 / m
-    return out
-
-
-def _positions(buf: array) -> np.ndarray:
-    """The (n+1, 3) position array of a path collected as flat floats."""
-    return np.frombuffer(buf, dtype=float).reshape(-1, 3)
+def _trajectory(cfg: SimConfig, buf: array) -> Trajectory:
+    """The path of cfg whose n+1 positions buf holds as flat floats."""
+    return Trajectory(np.arange(cfg.n_steps + 1) * cfg.dt,
+                      np.frombuffer(buf, dtype=float).reshape(-1, 3), cfg)
 
 
 def integrate_deterministic(cfg: SimConfig) -> Trajectory:
@@ -203,8 +202,7 @@ def integrate_deterministic(cfg: SimConfig) -> Trajectory:
         y = y + sixth * (ay + 2 * by + 2 * cy + dy)
         z = z + sixth * (vz + 2 * vz + 2 * vz + vz)
         put((x, y, z))
-    times = np.arange(cfg.n_steps + 1) * dt
-    return Trajectory(times, _positions(buf), cfg)
+    return _trajectory(cfg, buf)
 
 
 def _hashmix(word, const: int, mult: int):
@@ -267,7 +265,8 @@ def _philox_keys(seed: int, start: int, size: int) -> np.ndarray:
 
 def _integrate_noise_block(cfg: SimConfig, noise: np.ndarray,
                            out: np.ndarray | None = None) -> np.ndarray:
-    """Euler-Maruyama for a block of paths sharing a config.
+    """Euler-Maruyama for a block of paths sharing a config: the x, y, z
+    columns step with the operations of integrate_stochastic, on arrays.
 
     noise has shape (n_paths, n_steps, 3) and is the raw eta draw; the
     sqrt(2 D dt) scale is applied here.  Returns (n_paths, n_steps+1, 3),
@@ -276,15 +275,20 @@ def _integrate_noise_block(cfg: SimConfig, noise: np.ndarray,
     """
     n_paths, n_steps, _ = noise.shape
     r_min = cfg.core_radius()
-    step_scale = math.sqrt(2.0 * cfg.diffusion * cfg.dt)
-    x = np.tile(np.asarray(cfg.x0, dtype=float), (n_paths, 1))
+    r2 = r_min * r_min
+    dt, k, vz = cfg.dt, cfg.sigma0 / cfg.m, cfg.p0 / cfg.m
+    scale = math.sqrt(2.0 * cfg.diffusion * cfg.dt)
+    x, y, z = (np.full(n_paths, float(v)) for v in cfg.x0)
     if out is None:
         out = np.empty((n_paths, n_steps + 1, 3))
-    out[:, 0] = x
+    out[:, 0] = cfg.x0
     for n in range(n_steps):
-        v = _drift_block(x, cfg.m, cfg.p0, cfg.sigma0, r_min)
-        x = x + v * cfg.dt + noise[:, n] * step_scale
-        out[:, n + 1] = x
+        e = noise[:, n]
+        vx, vy = _swirl(x, y, k, np.maximum(x * x + y * y, r2))
+        x = x + vx * dt + e[:, 0] * scale
+        y = y + vy * dt + e[:, 1] * scale
+        z = z + vz * dt + e[:, 2] * scale
+        out[:, n + 1, 0], out[:, n + 1, 1], out[:, n + 1, 2] = x, y, z
     return out
 
 
@@ -319,8 +323,7 @@ def integrate_stochastic(cfg: SimConfig, seed=None) -> Trajectory:
             y = y + vy * dt + e1 * scale
             z = z + vz * dt + e2 * scale
             put((x, y, z))
-    times = np.arange(cfg.n_steps + 1) * cfg.dt
-    return Trajectory(times, _positions(buf), cfg)
+    return _trajectory(cfg, buf)
 
 
 def lz_series(traj: Trajectory, mode: str = "forward") -> np.ndarray:
@@ -383,9 +386,11 @@ def rms_increments(positions: np.ndarray, lags) -> tuple[np.ndarray, np.ndarray]
 
     positions: (n+1, 3) single path or (paths, n+1, 3); any number of
     components k in place of 3 (a 1-d walk is (paths, n+1, 1)).
-    Returns (counts, rms) arrays aligned with lags.
+    Returns (counts, rms) arrays aligned with lags.  Raises ConfigError
+    when a lag is not a whole number in [1, n].
     """
-    counts, sums = _lag_sq_sums(np.asarray(positions, dtype=float), lags)
+    x = np.asarray(positions, dtype=float)
+    counts, sums = _lag_sq_sums(x, _checked_lags(lags, x.shape[-2] - 1))
     return counts, np.sqrt(sums / counts)
 
 

@@ -79,6 +79,17 @@ def test_raised_builtins_sees_each_spelling():
                                             (2, "TypeError"), (3, "KeyError")]
 
 
+_WAVE = fractalspin.ExponentialField([(fractalspin.ONE,
+                                       [0.1j, -0.2, 0.3j, 0.0])])
+_PT = (0.0, 0.4, 0.2, 0.1)
+
+
+def _drift(**kw):
+    return fractalspin.spiral_drift((1.0, 0.0, 0.0),
+                                    **{"m": 1.0, "p0": 1.0, "sigma0": 0.5,
+                                       **kw})
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: fractalspin.SpinorField([]), "key terms: need at least one"),
     (lambda: fractalspin.plane_wave(fractalspin.ONE, (0.0, 0.0, 1.0), 0.5)
@@ -88,6 +99,30 @@ def test_raised_builtins_sees_each_spelling():
      "key axis: need 1, 2 or 3, got 0"),
     (lambda: fractalspin.Biquaternion.from_matrix(np.eye(3)),
      r"key m: need a 2x2 matrix, got shape \(3, 3\)"),
+    # ExponentialField: orders (0, -1, 0, 0) returned the second
+    # derivative, 1.0 ended in a bare TypeError and three orders were
+    # taken; an inf point gave NaNs, three coordinates a bare ValueError
+    (lambda: _WAVE.derivative(_PT, (0, -1, 0, 0)),
+     r"key orders: need four non-negative ints, got \(0, -1, 0, 0\)"),
+    (lambda: _WAVE.derivative(_PT, (0, 1.0, 0, 0)),
+     r"key orders: need four non-negative ints, got \(0, 1.0, 0, 0\)"),
+    (lambda: _WAVE.derivative(_PT, (0, 1, 0)),
+     r"key orders: need four non-negative ints, got \(0, 1, 0\)"),
+    (lambda: _WAVE.value((0.0, np.inf, 0.0, 0.0)),
+     r"key point: need finite numbers t, x, y, z, got \[0.0, inf"),
+    (lambda: _WAVE.derivative((np.nan, 0.0, 0.0, 0.0), (0, 1, 0, 0)),
+     r"key point: need finite numbers t, x, y, z, got \[nan, 0.0"),
+    (lambda: _WAVE.value((0.0, 1.0, 2.0)),
+     r"key point: need finite numbers t, x, y, z, got \[0.0, 1.0, 2.0\]"),
+    # spiral_drift: m = 0 ended in ZeroDivisionError, m = nan gave NaNs
+    # and r_min = inf an AxisSingularity at every point
+    (lambda: _drift(m=0.0), "key m: need a finite number > 0, got 0.0"),
+    (lambda: _drift(m=-1.0), "key m: need a finite number > 0, got -1.0"),
+    (lambda: _drift(m=np.nan), "key m: need a finite number > 0, got nan"),
+    (lambda: _drift(p0=np.inf), "key p0: need a finite number, got inf"),
+    (lambda: _drift(sigma0=np.nan),
+     "key sigma0: need a finite number, got nan"),
+    (lambda: _drift(r_min=np.inf), "key r_min: need a finite number, got inf"),
 ])
 def test_argument_refusals_are_config_errors(call, message):
     with pytest.raises(fractalspin.ConfigError, match=message):

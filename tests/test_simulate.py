@@ -301,20 +301,25 @@ def test_sim_config_rejects_unusable_values(key, bad):
 def test_lags_outside_path_rejected_alike():
     cfg = spiral_preset(n_traj=20, n_steps=50)
     walk = integrate_stochastic(cfg).positions
-    for bad in ([0, 1], [1, 10, 200], [-2, 5], []):
+    # rms_increments gave nan past the path, a bare ValueError at lag 0
+    # and the last-minus-first "increment" at lag -1
+    for bad in ([0, 1], [1, 10, 200], [-2, 5], [-1], []):
         with pytest.raises(ConfigError, match=r"lags must lie in \[1, 50\]"):
             ensemble_run(cfg, lags=bad)
         with pytest.raises(ConfigError, match=r"lags must lie in \[1, 50\]"):
             increment_scaling(walk, cfg.dt, lags=bad)
+        with pytest.raises(ConfigError, match=r"lags must lie in \[1, 50\]"):
+            rms_increments(walk, bad)
     # the longest lag a path of n_steps steps has is n_steps itself
     assert np.isfinite(ensemble_run(cfg, lags=[1, 50]).lag_rms).all()
 
 
 @pytest.mark.parametrize("bad", [[1.9, 2.5, 10.99], [1, math.nan],
-                                 [1, math.inf], [2.0, 3.5]])
+                                 [1, math.inf], [2.0, 3.5], [1.5]])
 def test_lags_that_are_not_whole_numbers_rejected_alike(bad):
     # [1.9, 2.5, 10.99] ran as lags 1, 2, 10; a NaN ended in a bare
-    # ValueError from the int cast
+    # ValueError from the int cast; rms_increments took [1.5] to a bare
+    # TypeError
     cfg = spiral_preset(n_traj=20, n_steps=50)
     walk = integrate_stochastic(cfg).positions
     message = r"lags must lie in \[1, 50\] as whole numbers"
@@ -322,6 +327,8 @@ def test_lags_that_are_not_whole_numbers_rejected_alike(bad):
         ensemble_run(cfg, lags=bad)
     with pytest.raises(ConfigError, match=message):
         increment_scaling(walk, cfg.dt, lags=bad)
+    with pytest.raises(ConfigError, match=message):
+        rms_increments(walk, bad)
     # whole numbers given as floats are lags like any other
     assert ensemble_run(cfg, lags=[1.0, 50.0]).lag_times.tolist() == \
         ensemble_run(cfg, lags=[1, 50]).lag_times.tolist()
@@ -485,16 +492,17 @@ def test_drift_kernel_equals_the_old_formulas():
         if pos[0] ** 2 + pos[1] ** 2 > r_min ** 2:
             assert np.array_equal(spiral_drift(pos, m, p0, sigma0, r_min),
                                   _old_drift(pos, m, p0, sigma0, r_min))
-    # the block drift as written before the shared kernel
+    # the block drift as written before the shared kernel, against _swirl
+    # on arrays with the held denominator the ensemble step gives it
     rho2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
     denom = np.maximum(rho2, r_min * r_min)
-    old = np.empty_like(pts)
-    old[:, 0] = -(sigma0 / m) * pts[:, 1] / denom
-    old[:, 1] = (sigma0 / m) * pts[:, 0] / denom
-    old[:, 2] = p0 / m
+    old_vx = -(sigma0 / m) * pts[:, 1] / denom
+    old_vy = (sigma0 / m) * pts[:, 0] / denom
     assert np.count_nonzero(rho2 <= r_min * r_min) > 5
-    assert np.array_equal(simulate._drift_block(pts, m, p0, sigma0, r_min),
-                          old)
+    x, y = pts[:, 0], pts[:, 1]
+    vx, vy = simulate._swirl(x, y, sigma0 / m,
+                             np.maximum(x * x + y * y, r_min ** 2))
+    assert np.array_equal(vx, old_vx) and np.array_equal(vy, old_vy)
 
 
 def _old_rk4(cfg, calls=None):
