@@ -16,20 +16,29 @@ Sign conventions match :mod:`fractalspin.fields`: momentum operator
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .algebra import _IDENT2, PAULI, Biquaternion, sigma_dot
 from .errors import ConfigError
-from .fields import _left_sum, central_difference
+from .fields import central_difference
 
-# central-difference steps: EMField's curl and divergence, the witness curl
-_EM_H, _CURL_H = 1e-5, 1e-4
+#: central-difference step of EMField's curl and divergence
+_EM_H = 1e-5
 #: highest derivative order per axis whose k powers ExponentialField
 #: stores; the package asks for at most third derivatives
 _POWERS = 3
+
+
+def _left_sum(pieces):
+    """pieces[0] + pieces[1] + ... added left to right.  The sum starts
+    from the first piece, not from 0, so it works for any type with + and
+    keeps a -0.0 that 0 + x would turn into +0.0."""
+    return functools.reduce(operator.add, pieces)
 
 
 def _d(field, pt, *axes):
@@ -66,10 +75,13 @@ class ExponentialField:
                 and min(orders) >= 0):
             raise ConfigError(f"key orders: need four non-negative ints, "
                               f"got {orders!r}")
-        pt = np.asarray(pt, dtype=float).reshape(-1)
+        need = "key point: need finite numbers t, x, y, z, got "
+        try:
+            pt = np.asarray(pt, dtype=float).reshape(-1)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{need}{pt!r}") from None
         if len(pt) != 4 or not all(map(math.isfinite, pt.tolist())):
-            raise ConfigError(f"key point: need finite numbers t, x, y, z, "
-                              f"got {pt.tolist()}")
+            raise ConfigError(f"{need}{pt.tolist()}")
         pieces = []
         for (amp, k), powers in zip(self.terms, self._powers):
             factor = complex(np.exp(k @ pt))
@@ -213,7 +225,7 @@ def acceleration_field(field, diffusion: float, pt) -> list:
 
     For commuting (complex) fields this is a spatial gradient; for
     genuinely quaternionic fields its curl reduces to -d_t[G_j, G_k] and
-    need not vanish.
+    need not vanish.  gradient_witness evaluates that curl directly.
     """
     inv = field.value(pt).inverse()
     d1 = [_d(field, pt, mu) for mu in range(4)]
@@ -233,20 +245,27 @@ def acceleration_field(field, diffusion: float, pt) -> list:
 def gradient_witness(field, diffusion: float, points) -> float:
     """Max curl component of the acceleration field over the sample points.
 
-    The inner derivatives of E come from the field's own derivative
-    method; only the outer curl is one central-difference level of the
-    whole E vector per axis, at the fixed step h = 1e-4, so the noise
-    floor for gradient-type fields is O(h^2) times local scale.
-    """
-    def e_vec(q):
-        return np.array(acceleration_field(field, diffusion, q), dtype=object)
+    The second term of E_k is a gradient, and d_j G_k - d_k G_j =
+    -[G_j, G_k] for G = psi^-1 d psi, so
 
+        curl_jk E = -d_t [G_j, G_k],  d_t G_k = -G_t G_k + psi^-1 d_t d_k psi.
+
+    Each point takes the value, the four first derivatives and the three
+    d_t d_k derivatives from the field's own derivative method, 8 calls
+    in all.  There is no finite-difference step: a field whose values
+    commute gives 0 up to the rounding of the commutator's products, and
+    exactly 0 where its values are complex scalars.
+    """
     worst = 0.0
     for pt in points:
-        grad = [central_difference(e_vec, pt, j, _CURL_H) for j in (1, 2, 3)]
-        for j, k in ((1, 2), (1, 3), (2, 3)):
-            worst = max(worst, (grad[j - 1][k - 1]
-                                - grad[k - 1][j - 1]).max_abs())
+        inv = field.value(pt).inverse()
+        g_t, *g = [inv * _d(field, pt, mu) for mu in range(4)]
+        dt_g = [-(g_t * gk) + inv * _d(field, pt, 0, k)
+                for k, gk in zip((1, 2, 3), g)]
+        for j, k in ((0, 1), (0, 2), (1, 2)):
+            curl = ((dt_g[j] * g[k] - g[k] * dt_g[j])
+                    + (g[j] * dt_g[k] - dt_g[k] * g[j]))
+            worst = max(worst, curl.max_abs())
     return worst
 
 

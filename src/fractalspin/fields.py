@@ -14,7 +14,10 @@ sigma != 0 raises AxisSingularity.
 
 Each term's constant wave vector (-E, p_x, p_y, p_z) / hbar is fixed when
 the field is built; only the azimuthal part of the phase gradient is
-evaluated per point, and the phase factor comes from cmath.exp.
+evaluated per point, and the phase factor comes from cmath.exp.  value and
+partial run one loop over the terms that adds amplitude * factor into the
+four complex coefficients of the result, term by term, with the same
+operations in the same order as the biquaternion products and sums.
 
 Sign conventions implied by the phase above: the momentum operator is
 p_hat = +i hbar grad and the energy operator is E_hat = -i hbar d/dt, i.e.
@@ -25,9 +28,7 @@ d_k psi = -(i/hbar) p_k psi (for sigma = 0).
 from __future__ import annotations
 
 import cmath
-import functools
 import math
-import operator
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -37,6 +38,9 @@ from .errors import AxisSingularity, ConfigError, NumericalError
 
 #: squared cylinder radius below which the azimuth is treated as singular
 _AXIS_EPS2 = 1e-24
+#: the start of every coefficient sum: -0.0 + x is x bit for bit, where
+#: 0.0 + -0.0 would turn a -0.0 into +0.0
+_NEG_ZERO = complex(-0.0, -0.0)
 
 
 class SpacetimePoint(NamedTuple):
@@ -58,13 +62,6 @@ class PlaneWaveTerm(NamedTuple):
 def s0_from_diffusion(m: float, diffusion: float) -> float:
     """Spin action scale from the diffusion coefficient, S0 = 2 m D."""
     return 2.0 * m * diffusion
-
-
-def _left_sum(pieces):
-    """pieces[0] + pieces[1] + ... added left to right.  The sum starts
-    from the first piece, not from 0, so it works for any type with + and
-    keeps a -0.0 that 0 + x would turn into +0.0."""
-    return functools.reduce(operator.add, pieces)
 
 
 def central_difference(fn, pt, mu: int, h: float):
@@ -143,22 +140,26 @@ class SpinorField:
 
     # -- evaluation -----------------------------------------------------
 
-    def _phases(self, pt):
-        """(amplitude, theta, (d_t, d_x, d_y, d_z) theta) of each term at
-        pt; the gradient is the term's wave vector plus, for sigma != 0,
-        the azimuthal part.  The azimuth and its gradient (-y, x)/rho^2
-        are computed once, at the first spiraling term.  Raises ConfigError
-        where a coordinate of pt is not finite, NumericalError where a
-        term's theta or phase gradient is not finite."""
+    def _sum(self, pt, mu):
+        """Sum over the terms of amplitude * w at pt, with w = exp(-i theta)
+        for mu None (the value) and w = -i (d_mu theta) exp(-i theta) for
+        mu in 0..3 (the derivative d_mu psi).  The phase gradient is the
+        term's wave vector plus, for sigma != 0, the azimuthal part; the
+        azimuth and its gradient (-y, x)/rho^2 are computed once, at the
+        first spiraling term.  The sum runs coefficient by coefficient,
+        term by term, from the exact additive identity -0.0.  Raises
+        ConfigError where a coordinate of pt is not finite, NumericalError
+        where a term's theta or phase gradient is not finite."""
         t, x, y, z = map(float, pt)
         if not (math.isfinite(t) and math.isfinite(x) and math.isfinite(y)
                 and math.isfinite(z)):
             raise ConfigError(
                 f"key point: need finite numbers, got {(t, x, y, z)}")
         hbar = self.hbar
-        out = []
+        c0 = c1 = c2 = c3 = _NEG_ZERO
         azimuth = None
-        for amplitude, px, py, pz, energy, sigma, wave in self._flat:
+        for i, (amplitude, px, py, pz, energy, sigma, wave) in \
+                enumerate(self._flat):
             theta = (px * x + py * y + pz * z - energy * t) / hbar
             if sigma != 0.0:
                 if azimuth is None:
@@ -175,26 +176,31 @@ class SpinorField:
                 w2 += sigma * gy / hbar
                 if not (math.isfinite(w1) and math.isfinite(w2)):
                     raise NumericalError(
-                        f"term {len(out)} phase gradient: not finite at "
+                        f"term {i} phase gradient: not finite at "
                         f"{(t, x, y, z)}, got {(w0, w1, w2, w3)}")
                 wave = (w0, w1, w2, w3)
             if not math.isfinite(theta):
                 raise NumericalError(
-                    f"term {len(out)} phase: not finite at {(t, x, y, z)}, "
+                    f"term {i} phase: not finite at {(t, x, y, z)}, "
                     f"got {theta}")
-            out.append((amplitude, theta, wave))
-        return out
+            w = cmath.exp(-1j * theta)
+            if mu is not None:
+                w = -1j * wave[mu] * w
+            a0, a1, a2, a3 = amplitude._c
+            c0 += a0 * w
+            c1 += a1 * w
+            c2 += a2 * w
+            c3 += a3 * w
+        return Biquaternion._new((c0, c1, c2, c3))
 
     def value(self, pt) -> Biquaternion:
-        return _left_sum([amp * cmath.exp(-1j * theta)
-                          for amp, theta, _ in self._phases(pt)])
+        return self._sum(pt, None)
 
     def partial(self, pt, mu: int) -> Biquaternion:
         """Analytic coordinate derivative d_mu psi, mu in 0..3 = (t,x,y,z)."""
         if mu not in (0, 1, 2, 3):
             raise ConfigError(f"key mu: need 0, 1, 2 or 3, got {mu!r}")
-        return _left_sum([amp * (-1j * grad[mu] * cmath.exp(-1j * theta))
-                          for amp, theta, grad in self._phases(pt)])
+        return self._sum(pt, mu)
 
     # -- derived fields, of the same class as self -----------------------
 

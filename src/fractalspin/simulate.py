@@ -163,15 +163,18 @@ def _raw_swirl(x: float, y: float, k: float, r_min: float):
 def spiral_drift(pos, m: float, p0: float, sigma0: float,
                  r_min: float = 0.0) -> np.ndarray:
     """Raw drift velocity; raises AxisSingularity at rho^2 <= r_min^2, and
-    ConfigError, naming the key, unless m is a finite number > 0 and p0,
-    sigma0 and r_min are finite."""
+    ConfigError, naming the key, unless m is a finite number > 0 and pos,
+    p0, sigma0 and r_min are finite."""
     if not (math.isfinite(m) and m > 0):
         raise ConfigError(f"key m: need a finite number > 0, got {m!r}")
     for key, value in (("p0", p0), ("sigma0", sigma0), ("r_min", r_min)):
         if not math.isfinite(value):
             raise ConfigError(
                 f"key {key}: need a finite number, got {value!r}")
-    vx, vy = _raw_swirl(float(pos[0]), float(pos[1]), sigma0 / m, r_min)
+    pos = tuple(map(float, pos))
+    if not all(map(math.isfinite, pos)):
+        raise ConfigError(f"key pos: need finite numbers, got {pos}")
+    vx, vy = _raw_swirl(pos[0], pos[1], sigma0 / m, r_min)
     return np.array([vx, vy, p0 / m])
 
 

@@ -10,10 +10,15 @@ The dynamics operators take theirs from ``field.derivative(pt, orders)``;
 NumericField supplies them by nested central differences of any callable,
 the reference that ExponentialField's exact derivatives are checked
 against.
+
+fd_gradient_witness is the curl of the acceleration field by one central
+difference of the whole E vector per axis, at the step FD_H: the oracle
+that the exact commutator witness is checked against.
 """
 
 import numpy as np
 
+from fractalspin.dynamics import acceleration_field
 from fractalspin.fields import SpinorField, central_difference
 
 FD_H = 1e-4
@@ -53,3 +58,19 @@ class NumericField:
         rest = tuple(rest)
         return central_difference(lambda q: self.derivative(q, rest), pt,
                                   mu, self.h)
+
+
+def fd_gradient_witness(field, diffusion, points, h=FD_H):
+    """Max over the points and the pairs j < k of |d_j E_k - d_k E_j|,
+    each derivative a central difference of acceleration_field at step h;
+    O(h^2) off the exact curl."""
+    def e_vec(q):
+        return np.array(acceleration_field(field, diffusion, q), dtype=object)
+
+    worst = 0.0
+    for pt in points:
+        grad = [central_difference(e_vec, pt, j, h) for j in (1, 2, 3)]
+        for j, k in ((1, 2), (1, 3), (2, 3)):
+            worst = max(worst, (grad[j - 1][k - 1]
+                                - grad[k - 1][j - 1]).max_abs())
+    return worst

@@ -123,6 +123,12 @@ def _drift(**kw):
     (lambda: _drift(sigma0=np.nan),
      "key sigma0: need a finite number, got nan"),
     (lambda: _drift(r_min=np.inf), "key r_min: need a finite number, got inf"),
+    # a NaN position gave [nan nan 1.], a string coordinate a bare
+    # numpy ValueError
+    (lambda: fractalspin.spiral_drift((np.nan, 0.0, 0.0), 1.0, 1.0, 0.5),
+     r"key pos: need finite numbers, got \(nan, 0.0, 0.0\)"),
+    (lambda: _WAVE.derivative(("a", 0, 0, 0), (0, 0, 0, 0)),
+     r"key point: need finite numbers t, x, y, z, got \('a', 0, 0, 0\)"),
 ])
 def test_argument_refusals_are_config_errors(call, message):
     with pytest.raises(fractalspin.ConfigError, match=message):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fractalspin import dynamics
 from fractalspin.algebra import Biquaternion, ONE, PAULI, sigma_dot
 from fractalspin.dynamics import (
     EMField,
@@ -208,6 +209,29 @@ def test_witness_flags_noncommuting_rotor_product():
     # a single rotor stays gradient-type
     w_single = gradient_witness(rotor_field(1, 0.9, [0.8, 0.2, -0.5]), d, pts)
     assert w_single < 1e-6
+
+
+def test_witness_makes_eight_derivative_calls_per_point(monkeypatch):
+    # the value, four first derivatives and three d_t d_k; no E is built
+    calls = {"derivative": 0, "acceleration_field": 0}
+    derivative = ExponentialField.derivative
+    accel = dynamics.acceleration_field
+
+    def counted_derivative(self, pt, orders):
+        calls["derivative"] += 1
+        return derivative(self, pt, orders)
+
+    def counted_accel(*args):
+        calls["acceleration_field"] += 1
+        return accel(*args)
+
+    monkeypatch.setattr(ExponentialField, "derivative", counted_derivative)
+    monkeypatch.setattr(dynamics, "acceleration_field", counted_accel)
+    f = product_field(rotor_field(1, 0.9, [0.8, 0.0, 0.0]),
+                      rotor_field(2, -0.6, [0.0, 0.7, 0.0]))
+    pts = sample_box(((0, 1),) * 4, 5, seed=4)
+    gradient_witness(f, 0.5, pts)
+    assert calls == {"derivative": 8 * len(pts), "acceleration_field": 0}
 
 
 def test_small_component_free_wave():

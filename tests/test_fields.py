@@ -1,5 +1,6 @@
 """Tests for plane-wave spinor fields and their derivatives."""
 
+import cmath
 import functools
 import math
 import operator
@@ -24,7 +25,7 @@ from fractalspin.fields import (
 )
 from fractalspin.velocity import bq_velocity
 
-from fd_reference import NumericField, fd_field
+from fd_reference import FD_H, NumericField, fd_field, fd_gradient_witness
 
 HBAR = 1.0
 
@@ -272,12 +273,12 @@ def test_spinor_field_checks_its_constants_before_its_terms():
 
 
 def test_central_difference_reproduces_the_old_stencils_bitwise():
-    # the four stencils central_difference replaced, copied as they were;
-    # every route that now goes through it must give the same bits
+    # the stencils central_difference replaced, copied as they were;
+    # every route that still goes through it must give the same bits
     from fractalspin import velocity
-    from fractalspin.dynamics import (EMField, acceleration_field,
-                                      gradient_witness, product_field,
-                                      rotor_field, sample_box)
+    from fractalspin.dynamics import (EMField, ExponentialField,
+                                      acceleration_field, gradient_witness,
+                                      product_field, rotor_field, sample_box)
 
     class OldStencilField(SpinorField):
         """partial() is the old SpinorField.partial_fd at h = 1e-4."""
@@ -341,29 +342,35 @@ def test_central_difference_reproduces_the_old_stencils_bitwise():
                                     da[0][1] - da[1][0]])
     assert em.div_a(q) == float(sum(old_d_a(q, j)[j] for j in range(3)))
 
-    def old_witness(field, diffusion, points, h=1e-4):
+    # the exact witness against the FD curl oracle.  A central difference
+    # is off by (h^2 / 6) d^3 E per derivative, so a curl component by at
+    # most 2 (h^2 / 6) max |d_j^3 E_k|; the third derivatives come from a
+    # coarse third difference of E, and the bound takes a factor 2 for
+    # the higher orders
+    def third_derivative_scale(field, diffusion, points, s=1e-2):
         worst = 0.0
         for p in points:
-            p = np.asarray(p, dtype=float).reshape(4)
             for j in (1, 2, 3):
-                for k in range(j + 1, 4):
-                    up_j, dn_j = p.copy(), p.copy()
-                    up_j[j] += h
-                    dn_j[j] -= h
-                    d_j_ek = (acceleration_field(field, diffusion, up_j)[k - 1]
-                              - acceleration_field(field, diffusion, dn_j)[k - 1]) \
-                        * (0.5 / h)
-                    up_k, dn_k = p.copy(), p.copy()
-                    up_k[k] += h
-                    dn_k[k] -= h
-                    d_k_ej = (acceleration_field(field, diffusion, up_k)[j - 1]
-                              - acceleration_field(field, diffusion, dn_k)[j - 1]) \
-                        * (0.5 / h)
-                    worst = max(worst, (d_j_ek - d_k_ej).max_abs())
+                e = []
+                for off in (2, 1, -1, -2):
+                    q = np.array(p, dtype=float)
+                    q[j] += off * s
+                    e.append(acceleration_field(field, diffusion, q))
+                for a, b, c, d in zip(*e):
+                    worst = max(worst, ((a - b * 2.0 + c * 2.0 - d)
+                                        * (0.5 / s**3)).max_abs())
         return worst
 
+    control = ExponentialField([
+        (ONE, np.zeros(4)),
+        (ONE * 0.5, 1j * np.array([-0.23, 0.6, -0.1, 0.3])),
+        (ONE * 0.2j, 1j * np.array([0.4, -0.2, 0.4, 0.1]))])
     pts = sample_box(((-0.4, 0.4),) * 4, 3, seed=3)
-    assert gradient_witness(rot, 0.5, pts) == old_witness(rot, 0.5, pts)
+    for field in (rot, control):
+        bound = 2.0 * (2.0 * FD_H**2 / 6.0) \
+            * third_derivative_scale(field, 0.5, pts)
+        assert abs(gradient_witness(field, 0.5, pts)
+                   - fd_gradient_witness(field, 0.5, pts)) <= bound
 
 
 # -- the evaluation that the wave vectors and cmath.exp replaced, copied
@@ -491,23 +498,38 @@ def _old_phases(field, pt):
     return out
 
 
+def _old_sum(field, pt, mu):
+    """value (mu None) or partial(pt, mu) from _old_phases with the
+    Biquaternion products and the left-to-right sum they were built from."""
+    pieces = []
+    for amp, theta, grad in _old_phases(field, pt):
+        w = cmath.exp(-1j * theta)
+        pieces.append(amp * w if mu is None
+                      else amp * (-1j * grad[mu] * w))
+    return functools.reduce(operator.add, pieces)
+
+
 @pytest.mark.parametrize("hbar", [1.0, 0.1, 3.7])
 @pytest.mark.parametrize("sigmas", [(0.7, 0.0, -1.3), (0.0, 0.5, 0.0, 0.5),
                                     (1.1, 0.0, 0.0, 2.0), (0.0, -0.4)])
 def test_phases_equal_the_per_term_azimuth_oracle_bitwise(hbar, sigmas):
     # a sigma = 0 term between spiraling terms carries the bare wave
-    # vector; the spiraling terms share one azimuth, with the bytes of the
-    # azimuth computed term by term
+    # vector; the spiraling terms share one azimuth, and the coefficient
+    # sums give the bytes of the per-term products added left to right.
+    # No term has an e3 part, so the e3 sums add signed zeros, and a -0.0
+    # there shows the sum starts from the first piece, not from 0
     rng = np.random.default_rng([49, len(sigmas), int(hbar * 10)])
     for _ in range(8):
         field = _oracle_field(rng, len(sigmas), False, hbar)
-        field = SpinorField([t._replace(sigma=s)
-                             for t, s in zip(field.terms, sigmas)], hbar=hbar)
+        field = SpinorField([t._replace(sigma=s, amplitude=Biquaternion(
+            *t.amplitude.a[:3])) for t, s in zip(field.terms, sigmas)],
+            hbar=hbar)
         for pt in _oracle_points(rng):
-            got, want = field._phases(pt), _old_phases(field, pt)
-            assert [a for a, _, _ in got] == [a for a, _, _ in want]
-            assert np.array([(th, *w) for _, th, w in got]).tobytes() == \
-                np.array([(th, *w) for _, th, w in want]).tobytes()
+            assert _coeff_bytes(field.value(pt)) == \
+                _coeff_bytes(_old_sum(field, pt, None))
+            for mu in range(4):
+                assert _coeff_bytes(field.partial(pt, mu)) == \
+                    _coeff_bytes(_old_sum(field, pt, mu))
 
 
 def test_axis_refusal_names_the_first_spiraling_term():
@@ -516,9 +538,10 @@ def test_axis_refusal_names_the_first_spiraling_term():
     field = SpinorField([t._replace(sigma=s) for t, s in
                          zip(field.terms, (0.0, 0.7, -1.3))], hbar=1.0)
     pt = (0.3, 1e-13, -2e-13, 0.1)
-    with pytest.raises(AxisSingularity) as got:
-        field._phases(pt)
     with pytest.raises(AxisSingularity) as want:
         _old_phases(field, pt)
-    assert str(got.value) == str(want.value)
-    assert "sigma = 0.7)" in str(got.value)
+    for mu in (None, 0, 1, 2, 3):
+        with pytest.raises(AxisSingularity) as got:
+            field.value(pt) if mu is None else field.partial(pt, mu)
+        assert str(got.value) == str(want.value)
+    assert "sigma = 0.7)" in str(want.value)
