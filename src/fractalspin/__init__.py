@@ -45,7 +45,6 @@ from .dynamics import (
     EMField,
     ExponentialField,
     acceleration_field,
-    covariant_derivative,
     dirac_plane_wave,
     dirac_residual,
     geodesic_residual,
@@ -76,7 +75,6 @@ from .hyperhelix import (
     DimensionEstimate,
     GeneratorSpec,
     construction_rulers,
-    curve_length,
     curve_spin,
     divider_walk,
     flag_unreproduced_reference,

@@ -9,6 +9,10 @@ derivatives of every order.  Amplitudes may be biquaternions, complex
 scalars, or NumPy vectors; operators that need a ring inverse (geodesic
 residual, witness) require biquaternion values.
 
+Nothing here differentiates numerically: every derivative comes from the
+field's own exact derivative method, and an EMField carries the analytic
+curl and divergence of its vector potential.
+
 Sign conventions match :mod:`fractalspin.fields`: momentum operator
 +i hbar grad, energy operator -i hbar d/dt, minimal coupling through
 (p_hat - (e/c) A).
@@ -25,13 +29,6 @@ import numpy as np
 
 from .algebra import _IDENT2, PAULI, Biquaternion, sigma_dot
 from .errors import ConfigError
-from .fields import central_difference
-
-#: central-difference step of EMField's curl and divergence
-_EM_H = 1e-5
-#: highest derivative order per axis whose k powers ExponentialField
-#: stores; the package asks for at most third derivatives
-_POWERS = 3
 
 
 def _left_sum(pieces):
@@ -56,13 +53,17 @@ class ExponentialField:
     """
 
     def __init__(self, terms: Sequence[tuple]):
-        self.terms = [(amp, np.asarray(k, dtype=complex).reshape(4))
-                      for amp, k in terms]
+        """Raises ConfigError, naming the term, unless each k is four
+        finite numbers, and when there are no terms."""
+        self.terms = []
+        for i, (amp, k) in enumerate(terms):
+            k = np.asarray(k, dtype=complex).reshape(-1)
+            if len(k) != 4 or not np.isfinite(k).all():
+                raise ConfigError(f"term {i} k: need four finite numbers, "
+                                  f"got {k.tolist()}")
+            self.terms.append((amp, k))
         if not self.terms:
             raise ConfigError("key terms: need at least one term, got none")
-        # k_mu ** n for n = 1.._POWERS of each term, as Python complex
-        self._powers = [[[complex(k[mu] ** n) for n in range(1, _POWERS + 1)]
-                         for mu in range(4)] for _, k in self.terms]
 
     def value(self, pt):
         return self.derivative(pt, (0, 0, 0, 0))
@@ -83,11 +84,11 @@ class ExponentialField:
         if len(pt) != 4 or not all(map(math.isfinite, pt.tolist())):
             raise ConfigError(f"{need}{pt.tolist()}")
         pieces = []
-        for (amp, k), powers in zip(self.terms, self._powers):
+        for amp, k in self.terms:
             factor = complex(np.exp(k @ pt))
             for mu, n in enumerate(orders):
                 if n:
-                    factor *= powers[mu][n - 1] if n <= _POWERS else k[mu] ** n
+                    factor *= k[mu] ** n
             pieces.append(amp * factor)
         return _left_sum(pieces)
 
@@ -123,14 +124,20 @@ def rotor_field(axis: int, omega: float, kvec) -> ExponentialField:
 
 
 class EMField:
-    """Scalar and vector potentials with optional analytic curl/divergence.
+    """Scalar and vector potentials with their analytic curl and divergence.
 
-    a0 and a are callables of the spacetime point; b (the curl of a) and
-    div_a fall back to central differences of step 1e-5 when not given.
+    a0, a, b (the curl of a) and div_a are callables of the spacetime
+    point.  A vector potential a needs b and div_a with it, and raises
+    ConfigError, naming the missing key, without them; EMField() with no
+    potential is the free field, every term zero.
     """
 
     def __init__(self, a0: Callable | None = None, a: Callable | None = None,
                  b: Callable | None = None, div_a: Callable | None = None):
+        for key, fn in (("b", b), ("div_a", div_a)):
+            if a is not None and fn is None:
+                raise ConfigError(f"key {key}: a vector potential a needs "
+                                  f"its analytic {key}, got none")
         self._a0 = a0
         self._a = a
         self._b = b
@@ -145,18 +152,12 @@ class EMField:
         return np.asarray(self._a(pt), dtype=float).reshape(3)
 
     def b(self, pt) -> np.ndarray:
-        if self._b is not None:
-            return np.asarray(self._b(pt), dtype=float).reshape(3)
-        da = [central_difference(self.a, pt, j + 1, _EM_H) for j in range(3)]
-        return np.array([da[1][2] - da[2][1],
-                         da[2][0] - da[0][2],
-                         da[0][1] - da[1][0]])
+        if self._b is None:
+            return np.zeros(3)
+        return np.asarray(self._b(pt), dtype=float).reshape(3)
 
     def div_a(self, pt) -> float:
-        if self._div is not None:
-            return float(self._div(pt))
-        return float(sum(central_difference(self.a, pt, j + 1, _EM_H)[j]
-                         for j in range(3)))
+        return float(self._div(pt)) if self._div is not None else 0.0
 
 
 def uniform_b_field(b0: float) -> EMField:
@@ -170,21 +171,7 @@ def uniform_b_field(b0: float) -> EMField:
                    div_a=lambda pt: 0.0)
 
 
-# -- covariant derivative and geodesic residual ----------------------------
-
-
-def covariant_derivative(velocity: Callable, diffusion: float, f, pt):
-    """(d_t + V . grad - i D laplacian) f at pt.
-
-    velocity is a callable pt -> 3 components (scalars or biquaternions);
-    each component left-multiplies the corresponding spatial derivative
-    of f.
-    """
-    v = velocity(pt)
-    out = _left_sum([_d(f, pt, 0)]
-                    + [v[k - 1] * _d(f, pt, k) for k in (1, 2, 3)])
-    lap = _left_sum(_d(f, pt, k, k) for k in (1, 2, 3))
-    return out + lap * (-1j * diffusion)
+# -- geodesic residual -----------------------------------------------------
 
 
 def geodesic_residual(field, diffusion: float, pt) -> list:

@@ -64,18 +64,6 @@ def s0_from_diffusion(m: float, diffusion: float) -> float:
     return 2.0 * m * diffusion
 
 
-def central_difference(fn, pt, mu: int, h: float):
-    """(fn(pt + h e_mu) - fn(pt - h e_mu)) / 2h at a float (4,) point; O(h^2).
-
-    fn gets a fresh point for each side and may return anything that
-    subtracts and scales: a biquaternion, a complex scalar, an array."""
-    up = np.array(pt, dtype=float).reshape(4)
-    dn = up.copy()
-    up[mu] += h
-    dn[mu] -= h
-    return (fn(up) - fn(dn)) * (0.5 / h)
-
-
 class SpinorField:
     """Finite sum of plane-wave terms with shared physical constants.
 
@@ -87,9 +75,9 @@ class SpinorField:
 
     Raises ConfigError, naming the key, when hbar, m, c or the resolved
     s0 is not a finite number > 0, and, naming the term and key, when a
-    term's amplitude is not a Biquaternion or its p, energy, sigma or an
-    amplitude coefficient is not finite, or its wave vector
-    (-energy, p) / hbar is not.  value and partial raise
+    term's amplitude is not a Biquaternion, its p is not three numbers,
+    its p, energy, sigma or an amplitude coefficient is not finite, or
+    its wave vector (-energy, p) / hbar is not.  value and partial raise
     ConfigError, naming the point, where a coordinate is not finite, and
     NumericalError, naming the term and the point, where a phase theta
     or its gradient is not finite.
@@ -98,8 +86,7 @@ class SpinorField:
     def __init__(self, terms: Iterable[PlaneWaveTerm], *, hbar: float = 1.0,
                  m: float = 1.0, c: float = 1.0, s0: float | None = None):
         self.terms = tuple(
-            PlaneWaveTerm(t.amplitude,
-                          (float(t.p[0]), float(t.p[1]), float(t.p[2])),
+            PlaneWaveTerm(t.amplitude, tuple(map(float, t.p)),
                           float(t.energy), float(t.sigma))
             for t in terms)
         if not self.terms:
@@ -119,6 +106,9 @@ class SpinorField:
             if not isinstance(t.amplitude, Biquaternion):
                 raise ConfigError(f"term {i} amplitude: need a Biquaternion, "
                                   f"got {t.amplitude!r}")
+            if len(t.p) != 3:
+                raise ConfigError(f"term {i} p: need three numbers, "
+                                  f"got {t.p!r}")
             for key, value, parts in (
                     ("p", t.p, t.p), ("energy", t.energy, (t.energy,)),
                     ("sigma", t.sigma, (t.sigma,)),

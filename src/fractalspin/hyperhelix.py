@@ -36,7 +36,12 @@ _DEFAULT_RULERS = 10  # rulers in the default_rulers ladder
 
 
 def similarity_dimension(n_segments: int, divisions: int) -> float:
-    """log N / log(1/r) for N equal segments of length 1/divisions."""
+    """log N / log(1/r) for N equal segments of length 1/divisions.
+    Raises GeometryInvalid unless n_segments >= 1 and divisions >= 2."""
+    if not (n_segments >= 1 and divisions >= 2):
+        raise GeometryInvalid(
+            f"need n_segments >= 1 and divisions >= 2, got {n_segments!r} "
+            f"and {divisions!r}")
     return math.log(n_segments) / math.log(divisions)
 
 
@@ -185,10 +190,6 @@ def iterate(gen: GeneratorSpec, level: int) -> np.ndarray:
     return verts
 
 
-def curve_length(vertices: np.ndarray) -> float:
-    return float(np.sum(np.linalg.norm(np.diff(vertices, axis=0), axis=1)))
-
-
 _SCAN_CHUNK = 256
 # longest scalar probe: a chunk scan costs about as much as testing a few
 # dozen segments in floats (level-5 helix rulers walk fastest at 32 to 96)
@@ -267,10 +268,13 @@ def divider_walk(vertices: np.ndarray, eps: float) -> float:
     test there.  Both test a segment with the same operations in the same
     order, so the walk takes the same chords whichever of them finds the
     crossing.  Segment data is read as Python floats one chunk at a time.
-    Raises GeometryInvalid for a ruler that is not a finite number above 0.
+    Raises GeometryInvalid for a ruler that is not a finite number above 0
+    or a vertex that is not finite.
     """
     _check_positive("a ruler", eps)
     verts = np.asarray(vertices, dtype=float)
+    if not np.isfinite(verts).all():
+        raise GeometryInvalid("need finite vertex coordinates")
     starts = verts[:-1]
     dirs = verts[1:] - verts[:-1]
     n = len(starts)
@@ -409,10 +413,13 @@ def measured_dimension(vertices: np.ndarray, rulers=None,
 def _axis_frame(vertices: np.ndarray):
     """(span, axial, t1, t2, u): the endpoint distance, each vertex's axial
     and two transverse coordinates relative to the first vertex, and the
-    span unit vector u."""
+    span unit vector u.  Raises GeometryInvalid unless vertices is an
+    (n, 3) array of finite numbers with n >= 2 and distinct endpoints."""
     verts = np.asarray(vertices, dtype=float)
     if verts.ndim != 2 or verts.shape[0] < 2 or verts.shape[1] != 3:
         raise GeometryInvalid("need an (n, 3) vertex array with n >= 2")
+    if not np.isfinite(verts).all():
+        raise GeometryInvalid("need finite vertex coordinates")
     span_vec = verts[-1] - verts[0]
     span = float(np.linalg.norm(span_vec))
     if span < 1e-12:

@@ -32,10 +32,10 @@ matching ensemble path bit for bit.
 An ensemble runs in blocks of paths.  The main thread draws a block's
 noise into rows 1..n of a path array and steps it there in place, while
 a helper thread pools the previous block's statistics (increments, lag
-sums, L_z means) from the other path array; those are large numpy
-passes that release the GIL, so a second CPU takes them.  Blocks are
-pooled one at a time in block order, so every sum is added in the same
-order as a serial run and the results are the same bits.  With one CPU
+sums, L_z means, end points) from the other path array; those are large
+numpy passes that release the GIL, so a second CPU takes them.  Blocks
+are pooled one at a time in block order, so every sum is added in the
+same order as a serial run and the results are the same bits.  With one CPU
 the helper shares it with the main thread.
 
 Seeding: one master integer seed; trajectory i draws from the Philox
@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import contextvars
 import math
+import numbers
 from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -101,9 +102,9 @@ class SimConfig:
         for key, value, least in (("n_traj", self.n_traj, 1),
                                   ("n_steps", self.n_steps, 1),
                                   ("seed", self.seed, 0)):
-            if value < least:
-                raise ConfigError(
-                    f"key {key}: need at least {least}, got {value!r}")
+            if not (isinstance(value, numbers.Integral) and value >= least):
+                raise ConfigError(f"key {key}: need a whole number of at "
+                                  f"least {least}, got {value!r}")
         if self.n_traj > _MAX_PATHS:
             raise ConfigError(f"key n_traj: need at most {_MAX_PATHS}, "
                               f"got {self.n_traj!r}")
@@ -116,8 +117,9 @@ class SimConfig:
             if not math.isfinite(value):
                 raise ConfigError(
                     f"key {key}: need a finite number, got {value!r}")
-        if not all(math.isfinite(v) for v in self.x0):
-            raise ConfigError(f"key x0: need finite numbers, got {self.x0!r}")
+        if not (len(self.x0) == 3 and all(map(math.isfinite, self.x0))):
+            raise ConfigError(
+                f"key x0: need three finite numbers, got {self.x0!r}")
         if self.r_min is not None and not (math.isfinite(self.r_min)
                                            and self.r_min > 0):
             raise ConfigError(
@@ -384,16 +386,26 @@ def _checked_lags(lags, n_steps: int) -> np.ndarray:
     return lags.astype(int)
 
 
+def _path_lags(x: np.ndarray, lags) -> np.ndarray:
+    """_checked_lags for positions x of shape (..., n+1, k); raises
+    ConfigError when x has fewer than two axes."""
+    if x.ndim < 2:
+        raise ConfigError(f"key positions: need shape (n+1, k) or "
+                          f"(paths, n+1, k), got {x.shape}")
+    return _checked_lags(lags, x.shape[-2] - 1)
+
+
 def rms_increments(positions: np.ndarray, lags) -> tuple[np.ndarray, np.ndarray]:
     """RMS vector increment per lag, pooled over paths.
 
     positions: (n+1, 3) single path or (paths, n+1, 3); any number of
     components k in place of 3 (a 1-d walk is (paths, n+1, 1)).
     Returns (counts, rms) arrays aligned with lags.  Raises ConfigError
-    when a lag is not a whole number in [1, n].
+    when positions has fewer than two axes or a lag is not a whole
+    number in [1, n].
     """
     x = np.asarray(positions, dtype=float)
-    counts, sums = _lag_sq_sums(x, _checked_lags(lags, x.shape[-2] - 1))
+    counts, sums = _lag_sq_sums(x, _path_lags(x, lags))
     return counts, np.sqrt(sums / counts)
 
 
@@ -456,11 +468,14 @@ def increment_scaling(positions: np.ndarray, dt: float,
 
     Raises InsufficientData when the largest lag has fewer than
     _MIN_INCREMENTS = 1000 increments (pooled over paths) or the lags
-    span fewer than _MIN_DECADES = 2 decades, and ConfigError when a lag
-    lies outside the path.
+    span fewer than _MIN_DECADES = 2 decades, and ConfigError when dt is
+    not a finite number > 0, the positions are not a path or a lag lies
+    outside the path.
     """
+    if not (math.isfinite(dt) and dt > 0):
+        raise ConfigError(f"key dt: need a finite number > 0, got {dt!r}")
     x = np.asarray(positions, dtype=float)
-    lags = _checked_lags(lags, x.shape[-2] - 1)
+    lags = _path_lags(x, lags)
     counts, rms = rms_increments(x, lags)
     lag_times = lags * dt
     slope = _hurst_fit(lags, lag_times, counts, rms)
@@ -492,11 +507,9 @@ class EnsembleResult:
     lz_mean: float
     lz_std: float
     increment_var: np.ndarray
-    mean_path: np.ndarray
     mean_final: np.ndarray
     lag_times: np.ndarray
     lag_rms: np.ndarray
-    eta_mean: np.ndarray
 
     def to_dict(self) -> dict:
         return {
@@ -518,7 +531,8 @@ def ensemble_run(cfg: SimConfig, lags=None) -> EnsembleResult:
     L_z; increment_var is the per-component variance of one-step
     displacement increments divided by dt (so pure diffusion gives 2D per
     component); the Hurst exponent is fitted on pooled RMS increments
-    (None when the lag window would be too narrow to be meaningful).
+    (None when the lag window would be too narrow to be meaningful);
+    mean_final is the mean end point.
 
     Path i draws from child i of SeedSequence(cfg.seed).  Each block's
     Philox keys are hashed in one numpy pass, and one Philox is re-keyed
@@ -563,8 +577,7 @@ def _run_blocks(cfg: SimConfig, lags: np.ndarray) -> EnsembleResult:
     lz_means = []
     inc_sum = np.zeros(3)
     inc_sq = np.zeros(3)
-    eta_sum = np.zeros(3)
-    path_sum = np.zeros((cfg.n_steps + 1, 3))
+    final_sum = np.zeros(3)
 
     # two path arrays, so the main thread fills one while the helper
     # pools the other, and one increment array for the whole run; each
@@ -575,8 +588,8 @@ def _run_blocks(cfg: SimConfig, lags: np.ndarray) -> EnsembleResult:
     one = lags == 1
 
     def pool(paths):
-        nonlocal inc_sum, inc_sq, path_sum, sq_sums, sq_counts
-        path_sum += paths.sum(axis=0)
+        nonlocal inc_sum, inc_sq, final_sum, sq_sums, sq_counts
+        final_sum += paths[:, -1].sum(axis=0)
         inc = np.subtract(paths[:, 1:], paths[:, :-1],
                           out=inc_buf[:len(paths)])
         inc_sum += np.einsum("pnk->k", inc)
@@ -609,7 +622,6 @@ def _run_blocks(cfg: SimConfig, lags: np.ndarray) -> EnsembleResult:
                 stream["key"] = key
                 bitgen.state = state
                 gen.standard_normal(out=row)
-            eta_sum += np.einsum("pnk->k", noise)
             paths = _integrate_noise_block(cfg, noise, out=buf)
             if pooled is not None:
                 pooled.result()
@@ -617,7 +629,7 @@ def _run_blocks(cfg: SimConfig, lags: np.ndarray) -> EnsembleResult:
                                    paths)
         pooled.result()
     if not all(np.isfinite(s).all()
-               for s in (path_sum, inc_sq, sq_sums, lz_means)):
+               for s in (final_sum, inc_sq, sq_sums, lz_means)):
         raise NumericalError("ensemble paths overflow: a pooled sum is "
                              "non-finite (inf or nan)")
 
@@ -641,9 +653,7 @@ def _run_blocks(cfg: SimConfig, lags: np.ndarray) -> EnsembleResult:
         lz_mean=float(np.mean(lz_means)),
         lz_std=float(np.std(lz_means)),
         increment_var=inc_var,
-        mean_path=path_sum / cfg.n_traj,
-        mean_final=path_sum[-1] / cfg.n_traj,
+        mean_final=final_sum / cfg.n_traj,
         lag_times=lag_times,
         lag_rms=rms,
-        eta_mean=eta_sum / (cfg.n_traj * cfg.n_steps),
     )

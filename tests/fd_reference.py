@@ -14,14 +14,32 @@ against.
 fd_gradient_witness is the curl of the acceleration field by one central
 difference of the whole E vector per axis, at the step FD_H: the oracle
 that the exact commutator witness is checked against.
+
+covariant_derivative assembles the geodesic operator a second way, the
+independent route that geodesic_residual is checked against.
+
+central_difference is the one stencil all of these share; the package
+itself differentiates only analytically.
 """
 
 import numpy as np
 
-from fractalspin.dynamics import acceleration_field
-from fractalspin.fields import SpinorField, central_difference
+from fractalspin.dynamics import _d, _left_sum, acceleration_field
+from fractalspin.fields import SpinorField
 
 FD_H = 1e-4
+
+
+def central_difference(fn, pt, mu: int, h: float):
+    """(fn(pt + h e_mu) - fn(pt - h e_mu)) / 2h at a float (4,) point; O(h^2).
+
+    fn gets a fresh point for each side and may return anything that
+    subtracts and scales: a biquaternion, a complex scalar, an array."""
+    up = np.array(pt, dtype=float).reshape(4)
+    dn = up.copy()
+    up[mu] += h
+    dn[mu] -= h
+    return (fn(up) - fn(dn)) * (0.5 / h)
 
 
 class FDPartialField(SpinorField):
@@ -74,3 +92,17 @@ def fd_gradient_witness(field, diffusion, points, h=FD_H):
             worst = max(worst, (grad[j - 1][k - 1]
                                 - grad[k - 1][j - 1]).max_abs())
     return worst
+
+
+def covariant_derivative(velocity, diffusion, f, pt):
+    """(d_t + V . grad - i D laplacian) f at pt.
+
+    velocity is a callable pt -> 3 components (scalars or biquaternions);
+    each component left-multiplies the corresponding spatial derivative
+    of f.
+    """
+    v = velocity(pt)
+    out = _left_sum([_d(f, pt, 0)]
+                    + [v[k - 1] * _d(f, pt, k) for k in (1, 2, 3)])
+    lap = _left_sum(_d(f, pt, k, k) for k in (1, 2, 3))
+    return out + lap * (-1j * diffusion)

@@ -1,7 +1,9 @@
 """The public names of the fractalspin package, pinned.
 
 Adding or removing a name shows up here as a test diff; record it in
-CHANGES.md with the reason.
+CHANGES.md with the reason.  Every name is used somewhere in the package
+or the benchmark, or waits in AWAITING for the ROADMAP item that is to
+use it.
 """
 
 import ast
@@ -17,14 +19,13 @@ import fractalspin
 PUBLIC = [
     "AxisSingularity", "Biquaternion", "ConfigError", "DimensionEstimate",
     "E1", "E2", "E3", "EMField", "EnsembleResult", "ExponentialField",
-    "FractalSpinError", "GeneratorSpec", "GeometryInvalid",
-    "InsufficientData", "NotNormalized", "NumericalError", "ONE",
-    "PlaneWaveTerm", "ReducedVelocity", "ScalingResult",
-    "SimConfig", "SmallComponentsNotSmall", "SpacetimePoint", "SpinorField",
-    "Trajectory", "VelocityComponents", "ZeroDivisor", "acceleration_field",
-    "amplitude_from_spinor", "bloch_spinor", "bq_velocity",
-    "component_velocities", "conjugate_velocity", "construction_rulers",
-    "covariant_derivative", "crossover_lag", "curve_length", "curve_spin",
+    "FractalSpinError", "GeneratorSpec", "GeometryInvalid", "InsufficientData",
+    "NotNormalized", "NumericalError", "ONE", "PlaneWaveTerm",
+    "ReducedVelocity", "ScalingResult", "SimConfig", "SmallComponentsNotSmall",
+    "SpacetimePoint", "SpinorField", "Trajectory", "VelocityComponents",
+    "ZeroDivisor", "acceleration_field", "amplitude_from_spinor",
+    "bloch_spinor", "bq_velocity", "component_velocities",
+    "conjugate_velocity", "construction_rulers", "crossover_lag", "curve_spin",
     "dirac_plane_wave", "dirac_residual", "divider_walk", "ensemble_run",
     "flag_unreproduced_reference", "geodesic_residual", "gradient_witness",
     "helical_generator", "increment_scaling", "integrate_deterministic",
@@ -46,6 +47,50 @@ def test_public_names_are_pinned():
                       if not name.startswith("_")
                       and not inspect.ismodule(value))
     assert exported == PUBLIC
+
+
+# public names with no consumer in the package yet, each with the open
+# ROADMAP item that is to give it one
+AWAITING = {
+    **dict.fromkeys(
+        ["amplitude_from_spinor", "bloch_spinor", "dirac_plane_wave",
+         "dirac_residual", "small_component", "nonrel_reduce",
+         "pauli_recompose"],
+        "item 8: the Pauli 3-velocity as the c -> oo limit of the Dirac one"),
+    "s0_from_diffusion": "item 11: Born-rule transport",
+    **dict.fromkeys(["crossover_lag", "increment_scaling"],
+                    "item 5: the fractal-to-scale transition"),
+    "lz_series": "item 9: spin read back from the paths",
+    **dict.fromkeys(["shrink_transverse", "scaling_factor"],
+                    "item 12: the hyperhelix spin converged in level"),
+    **dict.fromkeys(["E1", "E2", "E3"], "item 13: not yet decided"),
+    "acceleration_field": "benchmarks/tracing.py counts it by its string "
+                          "name, and the finite-difference oracle calls it",
+}
+
+
+def _consumed_names():
+    """Every name loaded, as a bare name or an attribute, or imported in
+    src/fractalspin/*.py other than __init__.py, or in benchmarks/*.py."""
+    root = Path(fractalspin.__file__).parent
+    paths = [p for p in root.glob("*.py") if p.name != "__init__.py"]
+    paths += root.parents[1].joinpath("benchmarks").glob("*.py")
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+    return names
+
+
+def test_every_public_name_has_a_consumer_or_awaits_one():
+    consumed = _consumed_names()
+    assert sorted(n for n in PUBLIC if n not in consumed) == sorted(AWAITING)
 
 
 def _raised_builtins(tree):
@@ -129,6 +174,33 @@ def _drift(**kw):
      r"key pos: need finite numbers, got \(nan, 0.0, 0.0\)"),
     (lambda: _WAVE.derivative(("a", 0, 0, 0), (0, 0, 0, 0)),
      r"key point: need finite numbers t, x, y, z, got \('a', 0, 0, 0\)"),
+    # a NaN or zero dt ended in a LinAlgError after a LAPACK message on
+    # stderr, a flat array of positions in a bare IndexError
+    (lambda: fractalspin.increment_scaling(np.zeros((11, 3)), np.nan),
+     "key dt: need a finite number > 0, got nan"),
+    (lambda: fractalspin.increment_scaling(np.zeros((11, 3)), 0.0),
+     "key dt: need a finite number > 0, got 0.0"),
+    (lambda: fractalspin.rms_increments(np.arange(10.0), [1]),
+     r"key positions: need shape \(n\+1, k\) or \(paths, n\+1, k\), "
+     r"got \(10,\)"),
+    # a two-component p ended in a bare IndexError, a three-component k
+    # in a bare ValueError from the reshape, and a NaN k gave NaN values
+    (lambda: fractalspin.plane_wave(fractalspin.ONE, (1.0, 2.0), 0.5),
+     r"term 0 p: need three numbers, got \(1.0, 2.0\)"),
+    (lambda: fractalspin.ExponentialField([(fractalspin.ONE, (1, 2, 3))]),
+     r"term 0 k: need four finite numbers, got \[\(1\+0j\), \(2\+0j\)"),
+    (lambda: fractalspin.rotor_field(1, np.nan, (0.0, 0.0, 0.0)),
+     r"term 0 k: need four finite numbers, got \[\(nan\+nanj\)"),
+    # fractional counts and seeds ended in a TypeError from range or
+    # SeedSequence, a two-component x0 in "not enough values to unpack"
+    (lambda: fractalspin.SimConfig(n_steps=2.5),
+     "key n_steps: need a whole number of at least 1, got 2.5"),
+    (lambda: fractalspin.SimConfig(n_traj=2.5),
+     "key n_traj: need a whole number of at least 1, got 2.5"),
+    (lambda: fractalspin.SimConfig(seed=1.5),
+     "key seed: need a whole number of at least 0, got 1.5"),
+    (lambda: fractalspin.SimConfig(x0=(1.0, 0.0)),
+     r"key x0: need three finite numbers, got \(1.0, 0.0\)"),
 ])
 def test_argument_refusals_are_config_errors(call, message):
     with pytest.raises(fractalspin.ConfigError, match=message):

@@ -9,7 +9,6 @@ from fractalspin.dynamics import (
     EMField,
     ExponentialField,
     acceleration_field,
-    covariant_derivative,
     dirac_plane_wave,
     dirac_residual,
     gamma_matrices,
@@ -24,8 +23,9 @@ from fractalspin.dynamics import (
     uniform_b_field,
     upper_components,
 )
+from fractalspin.errors import ConfigError
 
-from fd_reference import NumericField
+from fd_reference import NumericField, covariant_derivative
 
 FREE = EMField()
 
@@ -89,22 +89,24 @@ def test_uniform_b_field():
     assert np.allclose(em.b(pt), [0, 0, 2.5])
     assert em.div_a(pt) == 0.0
     assert np.allclose(em.a(pt), [-0.5 * 2.5 * (-0.3), 0.5 * 2.5 * 0.7, 0.0])
-    # FD fallback agrees with the analytic curl
-    em_fd = EMField(a=em._a)
-    assert np.allclose(em_fd.b(pt), [0, 0, 2.5], atol=1e-8)
-    assert abs(em_fd.div_a(pt)) < 1e-8
 
 
-def test_em_fd_curl_general_potential():
-    def a(pt):
-        t, x, y, z = pt
-        return np.array([y * z, x**2, -x * y])
+def test_free_em_field_is_zero():
+    pt = (0.3, -0.2, 0.6, 0.1)
+    assert FREE.a0(pt) == 0.0 and FREE.div_a(pt) == 0.0
+    for vec in (FREE.a(pt), FREE.b(pt)):
+        assert _bits([vec]) == _bits([np.zeros(3)])
 
-    em = EMField(a=a)
-    pt = (0.0, 0.4, -0.2, 0.8)
-    x, y, z = 0.4, -0.2, 0.8
-    expect = np.array([-x - 0.0, y - (-y), 2 * x - z])
-    assert np.allclose(em.b(pt), expect, atol=1e-8)
+
+@pytest.mark.parametrize("missing", ["b", "div_a"])
+def test_vector_potential_needs_its_analytic_curl_and_divergence(missing):
+    # there is no finite-difference fallback: a potential without its
+    # curl or divergence is refused when the field is built
+    given = {"b": lambda pt: np.zeros(3), "div_a": lambda pt: 0.0}
+    del given[missing]
+    with pytest.raises(ConfigError, match=f"key {missing}: a vector "
+                                          f"potential a needs"):
+        EMField(a=lambda pt: np.zeros(3), **given)
 
 
 def test_covariant_derivative_on_x_squared():
@@ -475,17 +477,18 @@ def test_operators_match_explicit_order_oracles_bitwise(name):
             _bits([_old_covariant_derivative(lambda q: v, d, field, pt)])
 
 
-# -- oracle: ExponentialField.derivative with every power k_mu ** n taken
-# on the call, before the field stored the powers up to third order ------
+# -- oracle: ExponentialField.derivative as it was while the field stored
+# each term's powers k_mu ** n up to third order as Python complex -------
 
 def _old_exponential_derivative(field, pt, orders):
     pt = np.asarray(pt, dtype=float).reshape(4)
     pieces = []
     for amp, k in field.terms:
+        powers = [[complex(k[mu] ** n) for n in (1, 2, 3)] for mu in range(4)]
         factor = complex(np.exp(k @ pt))
         for mu, n in enumerate(orders):
             if n:
-                factor *= k[mu] ** n
+                factor *= powers[mu][n - 1] if n <= 3 else k[mu] ** n
         pieces.append(amp * factor)
     out = pieces[0]
     for piece in pieces[1:]:

@@ -8,7 +8,6 @@ from fractalspin.errors import GeometryInvalid, InsufficientData
 from fractalspin.hyperhelix import (
     GeneratorSpec,
     construction_rulers,
-    curve_length,
     curve_spin,
     default_rulers,
     divider_walk,
@@ -95,7 +94,7 @@ def test_iterate_counts_and_lengths():
     assert lvl2.shape == (9 ** 2 + 1, 3)
     segs = np.linalg.norm(np.diff(lvl2, axis=0), axis=1)
     assert np.max(np.abs(segs - 1.0 / 9.0)) < 1e-12
-    assert math.isclose(curve_length(lvl2), 9.0, rel_tol=1e-12)
+    assert math.isclose(segs.sum(), 9.0, rel_tol=1e-12)
     assert np.allclose(lvl2[0], [0, 0, 0]) and np.allclose(lvl2[-1], [1, 0, 0])
     with pytest.raises(GeometryInvalid, match="level must be non-negative"):
         iterate(gen, -1)
@@ -251,6 +250,34 @@ def test_measured_dimension_refuses_rulers_not_a_flat_list(rulers):
 def test_default_rulers_refuse_a_ladder_ending_at_zero(verts):
     with pytest.raises(GeometryInvalid, match="no default ruler ladder"):
         measured_dimension(np.array(verts, dtype=float), min_decades=0.1)
+
+
+# a walk over a NaN vertex returned 1.0, the dimension read 1.0 and the
+# spin NaN, all without an error
+@pytest.mark.parametrize("call", [
+    lambda verts: divider_walk(verts, 0.1),
+    lambda verts: measured_dimension(verts, rulers=[1e-3, 1.0]),
+    lambda verts: curve_spin(verts, m=1.0, v=1.0),
+    spin_kernel,
+    lambda verts: shrink_transverse(verts, 2.0),
+], ids=["divider_walk", "measured_dimension", "curve_spin", "spin_kernel",
+        "shrink_transverse"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_curve_functions_refuse_a_vertex_not_finite(call, bad):
+    verts = np.array([[0.0, 0.0, 0.0], [0.5, bad, 0.0], [1.0, 0.0, 0.0]])
+    with pytest.raises(GeometryInvalid, match="need finite vertex"):
+        call(verts)
+
+
+# (2, 1) ended in a ZeroDivisionError, (0, 3) and (9, 0) in a ValueError
+# from math.log, and a NaN count gave NaN
+@pytest.mark.parametrize("n_segments, divisions",
+                         [(2, 1), (0, 3), (9, 0), (math.nan, 3)])
+def test_similarity_dimension_refuses_a_degenerate_generator(n_segments,
+                                                             divisions):
+    with pytest.raises(GeometryInvalid,
+                       match="need n_segments >= 1 and divisions >= 2"):
+        similarity_dimension(n_segments, divisions)
 
 
 def test_ruler_ladders():

@@ -130,7 +130,10 @@ def test_injected_noise_variance():
     res = ensemble_run(cfg)
     target = 2.0 * cfg.diffusion
     assert np.all(np.abs(res.increment_var / target - 1.0) < 0.02)
-    assert np.all(np.abs(res.eta_mean) < 5.0 / math.sqrt(100 * 10_000))
+    # the end point is the summed noise, sqrt(2 D dt) per step: unbiased
+    # noise puts its mean within 5 standard errors of the start
+    spread = math.sqrt(target * cfg.dt * cfg.n_steps / cfg.n_traj)
+    assert np.all(np.abs(res.mean_final) < 5.0 * spread)
 
 
 def test_brownian_rms_and_hurst():
@@ -224,7 +227,7 @@ def test_ensemble_reproducible_and_dict_fields():
     r1 = ensemble_run(cfg)
     r2 = ensemble_run(cfg)
     assert np.array_equal(r1.increment_var, r2.increment_var)
-    assert np.array_equal(r1.mean_path, r2.mean_path)
+    assert np.array_equal(r1.mean_final, r2.mean_final)
     assert r1.to_dict() == r2.to_dict()
     keys = set(r1.to_dict())
     assert keys == {"n_traj", "seed", "H", "D_F", "Lz_mean", "Lz_std",
@@ -243,8 +246,7 @@ def test_ensemble_block_size_moves_pooled_sums_only_by_rounding(monkeypatch):
     for res in runs.values():
         assert res.lz_mean == ref.lz_mean and res.lz_std == ref.lz_std
         assert res.hurst == ref.hurst
-        for name in ("increment_var", "eta_mean", "mean_path", "mean_final",
-                     "lag_rms"):
+        for name in ("increment_var", "mean_final", "lag_rms"):
             np.testing.assert_allclose(getattr(res, name), getattr(ref, name),
                                        rtol=1e-12, atol=0.0, err_msg=name)
 
@@ -334,16 +336,14 @@ def test_lags_that_are_not_whole_numbers_rejected_alike(bad):
         ensemble_run(cfg, lags=[1, 50]).lag_times.tolist()
 
 
-def _recorded_blocks(monkeypatch, noises=None):
-    """Record copies of the path blocks ensemble_run integrates, in order,
-    and of their noise into noises when given; ensemble_run reuses its
-    block arrays, so a block kept by reference would be overwritten."""
+def _recorded_blocks(monkeypatch):
+    """Record copies of the path blocks ensemble_run integrates, in order;
+    ensemble_run reuses its block arrays, so a block kept by reference
+    would be overwritten."""
     blocks = []
     integrate = simulate._integrate_noise_block
 
     def recording(cfg, noise, out=None):
-        if noises is not None:
-            noises.append(noise.copy())
         paths = integrate(cfg, noise, out=out)
         blocks.append(paths.copy())
         return paths
@@ -468,7 +468,6 @@ def test_einsum_reductions_match_old_stencils(monkeypatch):
     assert math.isclose(res.hurst, hurst, rel_tol=1e-12, abs_tol=0.0)
     assert res.lz_mean == np.mean(lz_means)
     assert res.lz_std == np.std(lz_means)
-    assert np.array_equal(res.mean_path, path_sum / cfg.n_traj)
     assert np.array_equal(res.mean_final, path_sum[-1] / cfg.n_traj)
 
 
@@ -618,15 +617,15 @@ def test_einsum_sums_equal_strided_sums_bitwise(monkeypatch, seed, block,
     monkeypatch.setattr(simulate, "_BLOCK", block)
     cfg = spiral_preset(n_traj=n_traj, n_steps=120, seed=seed)
     lags = default_lags(cfg.n_steps)
-    noises = []
-    blocks = _recorded_blocks(monkeypatch, noises)
+    blocks = _recorded_blocks(monkeypatch)
     res = ensemble_run(cfg)
-    eta_sum, inc_sum, inc_sq, inc_n = np.zeros(3), np.zeros(3), np.zeros(3), 0
-    for noise, paths in zip(noises, blocks):
+    final_sum, inc_sum, inc_sq = np.zeros(3), np.zeros(3), np.zeros(3)
+    inc_n = 0
+    for paths in blocks:
         inc = paths[:, 1:] - paths[:, :-1]
-        for a in (noise, inc):
-            assert np.array_equal(np.einsum("pnk->k", a), a.sum(axis=(0, 1)))
-        eta_sum += noise.sum(axis=(0, 1))
+        assert np.array_equal(np.einsum("pnk->k", inc), inc.sum(axis=(0, 1)))
+        # the end points summed alone are the last row of the path sum
+        final_sum += paths.sum(axis=0)[-1]
         inc_sum += inc.sum(axis=(0, 1))
         inc_sq += np.einsum("pnk,pnk->k", inc, inc)
         inc_n += inc.shape[0] * inc.shape[1]
@@ -637,7 +636,7 @@ def test_einsum_sums_equal_strided_sums_bitwise(monkeypatch, seed, block,
     if block == 512:
         assert [len(p) for p in blocks] == [512, 512, 276]
     mean_inc = inc_sum / inc_n
-    assert np.array_equal(res.eta_mean, eta_sum / (n_traj * cfg.n_steps))
+    assert np.array_equal(res.mean_final, final_sum / n_traj)
     assert np.array_equal(res.increment_var,
                           (inc_sq / inc_n - mean_inc ** 2) / cfg.dt)
 
@@ -669,7 +668,6 @@ def _ensemble_allocating_per_block(cfg, lags):
     sq_counts = np.zeros(len(lags), dtype=np.int64)
     lz_means = []
     inc_sum, inc_sq, inc_n = np.zeros(3), np.zeros(3), 0
-    eta_sum = np.zeros(3)
     path_sum = np.zeros((cfg.n_steps + 1, 3))
     for start in range(0, cfg.n_traj, simulate._BLOCK):
         children = master.spawn(min(simulate._BLOCK, cfg.n_traj - start))
@@ -678,7 +676,6 @@ def _ensemble_allocating_per_block(cfg, lags):
                 (cfg.n_steps, 3))
             for child in children])
         paths = _integrate_noise_block(cfg, noise)
-        eta_sum += np.einsum("pnk->k", noise)
         path_sum += paths.sum(axis=0)
         inc = paths[:, 1:] - paths[:, :-1]
         inc_sum += np.einsum("pnk->k", inc)
@@ -701,11 +698,9 @@ def _ensemble_allocating_per_block(cfg, lags):
         lz_mean=float(np.mean(lz_means)),
         lz_std=float(np.std(lz_means)),
         increment_var=(inc_sq / inc_n - mean_inc ** 2) / cfg.dt,
-        mean_path=path_sum / cfg.n_traj,
         mean_final=path_sum[-1] / cfg.n_traj,
         lag_times=lag_times,
-        lag_rms=rms,
-        eta_mean=eta_sum / (cfg.n_traj * cfg.n_steps))
+        lag_rms=rms)
 
 
 @pytest.mark.parametrize("n_traj", [1, 2, 511, 512, 513, 1300])

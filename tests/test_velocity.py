@@ -13,8 +13,8 @@ import pytest
 from fractalspin.algebra import Biquaternion, E1, E2, ONE
 from fractalspin.errors import (ConfigError, NotNormalized, NumericalError,
                                SmallComponentsNotSmall)
-from fractalspin.fields import (PlaneWaveTerm, SpinorField, central_difference,
-                                plane_wave, spiral_pair_field)
+from fractalspin.fields import (PlaneWaveTerm, SpinorField, plane_wave,
+                                spiral_pair_field)
 from fractalspin.simulate import spiral_drift
 from fractalspin.velocity import (
     _pq_sums,
@@ -27,7 +27,7 @@ from fractalspin.velocity import (
     recompose_velocity,
 )
 
-from fd_reference import fd_field
+from fd_reference import central_difference, fd_field
 
 
 def _rand_field(rng, n_terms=2, large_only=False, sigma=0.0, c=2.0):
