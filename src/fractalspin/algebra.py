@@ -21,7 +21,7 @@ import operator
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, ZeroDivisor
+from .errors import ConfigError, NumericalError, ZeroDivisor, finite
 
 #: Inversion refuses an element whose |N| is at most this fraction of
 #: sum_k |a_k|^2, the bound on |N|.
@@ -70,7 +70,12 @@ class Biquaternion:
 
     @classmethod
     def from_array(cls, a) -> "Biquaternion":
-        return cls._new(np.asarray(a, dtype=complex).reshape(4).tolist())
+        """From four coefficients, NaN and inf taken as Biquaternion(...)
+        takes them; raises ConfigError for any other count."""
+        a = np.asarray(a, dtype=complex).reshape(-1)
+        if a.size != 4:
+            raise ConfigError(f"key a: need four numbers, got {a.size}")
+        return cls._new(a.tolist())
 
     @property
     def a(self) -> np.ndarray:
@@ -232,7 +237,7 @@ E3 = Biquaternion(0.0, 0.0, 0.0, 1.0)
 
 def sigma_dot(v) -> np.ndarray:
     """sigma . v for a 3-vector with real or complex entries."""
-    v = np.asarray(v, dtype=complex).reshape(3)
+    v = finite("key v", v, 3, dtype=complex)
     return v[0] * SIGMA1 + v[1] * SIGMA2 + v[2] * SIGMA3
 
 
@@ -242,8 +247,8 @@ def pauli_identity_residual(a, b) -> float:
     Exact (to rounding) for arbitrary complex 3-vectors a, b; the dot and
     cross products are bilinear, without conjugation.
     """
-    a = np.asarray(a, dtype=complex).reshape(3)
-    b = np.asarray(b, dtype=complex).reshape(3)
+    a, b = finite("key a", a, 3, dtype=complex), \
+        finite("key b", b, 3, dtype=complex)
     lhs = sigma_dot(a) @ sigma_dot(b)
     rhs = np.dot(a, b) * _IDENT2 + 1j * sigma_dot(np.cross(a, b))
     return float(np.max(np.abs(lhs - rhs)))

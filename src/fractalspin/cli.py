@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import os
 import sys
 from importlib import resources
@@ -26,7 +25,7 @@ import numpy as np
 
 from . import __version__, checks
 from .algebra import Biquaternion
-from .errors import ConfigError, FractalSpinError, NumericalError
+from .errors import ConfigError, FractalSpinError, NumericalError, finite
 from .fields import PlaneWaveTerm, SpacetimePoint, spiral_pair_field
 from .hyperhelix import (construction_rulers, curve_spin,
                          flag_unreproduced_reference, helical_generator,
@@ -264,19 +263,14 @@ def spiral(config_path, preset, out, **kw):
 def extract(sigma0, pz, e0, e1, mix, m, hbar, c, point, out):
     """Decompose the spiral-pair velocity field at a point and verify
     that the eight components recompose to the conjugate velocity."""
-    parts = point.split(",")
-    if len(parts) != 4:
-        raise ConfigError(f"key point: need t,x,y,z, got {point!r}")
-    try:
-        pt = SpacetimePoint(*(float(p) for p in parts))
-    except ValueError:
-        raise ConfigError(f"key point: {point!r} is not numeric") from None
     for key, value in (("sigma0", sigma0), ("pz", pz), ("e0", e0),
                        ("e1", e1), ("mix", mix)):
-        if not math.isfinite(value):
-            raise ConfigError(f"key {key}: need a finite number, got {value!r}")
-    if not all(map(math.isfinite, pt)):
-        raise ConfigError(f"key point: need finite numbers, got {point!r}")
+        finite(f"key {key}", value)
+    try:
+        coords = [float(part) for part in point.split(",")]
+    except ValueError:
+        coords = point  # not numbers: refused below, as the text it is
+    pt = SpacetimePoint(*finite("key point", coords, 4).tolist())
     term0 = PlaneWaveTerm(Biquaternion(1.0, 0.0), (0.0, 0.0, pz), e0, sigma0)
     term1 = PlaneWaveTerm(Biquaternion(mix, 0.5j * mix), (0.0, 0.0, pz),
                           e1, sigma0)
@@ -309,8 +303,7 @@ def extract(sigma0, pz, e0, e1, mix, m, hbar, c, point, out):
 def hyperhelix(generator, winding, level, measure, min_decades, out):
     """Build an iterated fractal curve and report its dimensions and
     geometric spin."""
-    if not math.isfinite(min_decades):
-        raise ConfigError(f"key min_decades: {min_decades!r} is not finite")
+    finite("key min_decades", min_decades)
     gen = {"helix": lambda: helical_generator(winding),
            "koch": koch_generator,
            "line": line_generator}[generator]()

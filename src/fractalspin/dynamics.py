@@ -27,8 +27,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import _IDENT2, PAULI, Biquaternion, sigma_dot
-from .errors import ConfigError
+from .algebra import _IDENT2, E1, E2, E3, ONE, PAULI, sigma_dot
+from .errors import ConfigError, finite, whole
 
 
 def _left_sum(pieces):
@@ -55,13 +55,8 @@ class ExponentialField:
     def __init__(self, terms: Sequence[tuple]):
         """Raises ConfigError, naming the term, unless each k is four
         finite numbers, and when there are no terms."""
-        self.terms = []
-        for i, (amp, k) in enumerate(terms):
-            k = np.asarray(k, dtype=complex).reshape(-1)
-            if len(k) != 4 or not np.isfinite(k).all():
-                raise ConfigError(f"term {i} k: need four finite numbers, "
-                                  f"got {k.tolist()}")
-            self.terms.append((amp, k))
+        self.terms = [(amp, finite(f"term {i} k", k, 4, dtype=complex))
+                      for i, (amp, k) in enumerate(terms)]
         if not self.terms:
             raise ConfigError("key terms: need at least one term, got none")
 
@@ -76,13 +71,7 @@ class ExponentialField:
                 and min(orders) >= 0):
             raise ConfigError(f"key orders: need four non-negative ints, "
                               f"got {orders!r}")
-        need = "key point: need finite numbers t, x, y, z, got "
-        try:
-            pt = np.asarray(pt, dtype=float).reshape(-1)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{need}{pt!r}") from None
-        if len(pt) != 4 or not all(map(math.isfinite, pt.tolist())):
-            raise ConfigError(f"{need}{pt.tolist()}")
+        pt = finite("key point", pt, 4)
         pieces = []
         for amp, k in self.terms:
             factor = complex(np.exp(k @ pt))
@@ -110,13 +99,11 @@ def rotor_field(axis: int, omega: float, kvec) -> ExponentialField:
     using exp(e f) = cos f + e sin f for a unit imaginary e."""
     if axis not in (1, 2, 3):
         raise ConfigError(f"key axis: need 1, 2 or 3, got {axis!r}")
-    e = Biquaternion(*(1.0 if i == axis else 0.0 for i in range(4)))
-    one = Biquaternion(1.0)
-    k4 = 1j * np.array([omega, *np.asarray(kvec, dtype=float).reshape(3)],
-                       dtype=complex)
+    e = (E1, E2, E3)[axis - 1]
+    k4 = 1j * np.array([omega, *finite("key kvec", kvec, 3)], dtype=complex)
     return ExponentialField([
-        ((one - 1j * e) * 0.5, k4),
-        ((one + 1j * e) * 0.5, -k4),
+        ((ONE - 1j * e) * 0.5, k4),
+        ((ONE + 1j * e) * 0.5, -k4),
     ])
 
 
@@ -144,25 +131,26 @@ class EMField:
         self._div = div_a
 
     def a0(self, pt) -> float:
-        return float(self._a0(pt)) if self._a0 is not None else 0.0
+        return 0.0 if self._a0 is None else finite("key a0", self._a0(pt))
 
     def a(self, pt) -> np.ndarray:
-        if self._a is None:
-            return np.zeros(3)
-        return np.asarray(self._a(pt), dtype=float).reshape(3)
+        return np.zeros(3) if self._a is None else \
+            finite("key a", self._a(pt), 3)
 
     def b(self, pt) -> np.ndarray:
-        if self._b is None:
-            return np.zeros(3)
-        return np.asarray(self._b(pt), dtype=float).reshape(3)
+        return np.zeros(3) if self._b is None else \
+            finite("key b", self._b(pt), 3)
 
     def div_a(self, pt) -> float:
-        return float(self._div(pt)) if self._div is not None else 0.0
+        return 0.0 if self._div is None else finite("key div_a", self._div(pt))
 
 
 def uniform_b_field(b0: float) -> EMField:
     """Uniform magnetic field (0, 0, b0) in the symmetric gauge
-    A = (B x r)/2 = (-b0 y/2, b0 x/2, 0); A0 = 0, div A = 0."""
+    A = (B x r)/2 = (-b0 y/2, b0 x/2, 0); A0 = 0, div A = 0.  Raises
+    ConfigError unless b0 is a finite number."""
+    b0 = finite("key b0", b0)
+
     def a(pt):
         return np.array([-0.5 * b0 * pt[2], 0.5 * b0 * pt[1], 0.0])
 
@@ -257,10 +245,12 @@ def gradient_witness(field, diffusion: float, points) -> float:
 
 
 def sample_box(bounds, n: int, seed: int = 0):
-    """n uniform random spacetime points in the box bounds = ((lo, hi),) * 4."""
+    """n uniform random spacetime points in the box bounds = ((lo, hi),) * 4.
+    Raises ConfigError unless bounds are eight finite numbers and n >= 1."""
+    bounds = finite("key bounds", bounds, 8).reshape(4, 2).tolist()
     rng = np.random.default_rng(seed)
     return [np.array([rng.uniform(lo, hi) for lo, hi in bounds])
-            for _ in range(n)]
+            for _ in range(whole("key n", n, 1))]
 
 
 # -- two-component (Pauli) and four-component (Dirac) residuals -------------
@@ -343,8 +333,8 @@ def dirac_plane_wave(xi, p, *, m: float = 1.0, c: float = 1.0,
                      hbar: float = 1.0) -> ExponentialField:
     """Positive-energy on-shell plane wave exp(-(i/hbar)(p.r - E t)) with
     upper 2-spinor xi and lower block c sigma.p xi / (E + m c^2)."""
-    p = np.asarray(p, dtype=float).reshape(3)
-    xi = np.asarray(xi, dtype=complex).reshape(2)
+    p = finite("key p", p, 3)
+    xi = finite("key xi", xi, 2, dtype=complex)
     energy = math.sqrt(float(p @ p) * c**2 + (m * c**2) ** 2)
     lower = c * (sigma_dot(p) @ xi) / (energy + m * c**2)
     amp = np.concatenate([xi, lower])

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and finite and whole: the
+one rule, in one wording, by which every entry point refuses a number."""
+
+import numbers
+
+import numpy as np
 
 
 class FractalSpinError(Exception):
@@ -41,7 +46,48 @@ class InsufficientData(FractalSpinError):
 
 
 class ConfigError(FractalSpinError):
-    """A configuration file or option set is malformed.
+    """A configuration file, option set or argument is malformed.
 
-    The message always names the offending key.
+    The message always names the offending key; finite and whole below
+    word every refusal of a number.
     """
+
+
+_WORDS = "zero one two three four five six seven eight nine".split()
+
+
+def finite(label: str, value, size: int | None = None, *, dtype=float,
+           positive: bool = False, error: type = ConfigError):
+    """value as a Python float (complex where dtype is complex) when size
+    is None, else as a flat array of size entries of dtype.  Raises error,
+    "{label}: need a finite number, got {value!r}" ("need three finite
+    numbers > 0" and so on), unless every entry is a number (never a
+    string or None; a complex only where dtype is), none is inf or nan,
+    and each is above 0 where positive is set."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = np.asarray(None)
+    ok = arr.dtype.kind in ("biufc" if np.dtype(dtype).kind == "c"
+                            else "biuf")
+    if ok:
+        arr = arr.astype(dtype, copy=False)
+        ok = (arr.ndim == 0 if size is None else arr.size == size) \
+            and np.isfinite(arr).all() and (not positive or (arr > 0).all())
+    if not ok:
+        count = "a finite number" if size is None else \
+            f"{_WORDS[size] if size < 10 else size} finite numbers"
+        raise error(f"{label}: need {count}{' > 0' * positive}, "
+                    f"got {value!r}")
+    return arr.item() if size is None else arr.reshape(-1)
+
+
+def whole(label: str, value, least: int, *,
+          error: type = ConfigError) -> int:
+    """value as an int; raises error, "{label}: need a whole number of at
+    least {least}, got {value!r}", unless it is an integral number (2.0
+    is not) of at least least."""
+    if not (isinstance(value, numbers.Integral) and value >= least):
+        raise error(f"{label}: need a whole number of at least {least}, "
+                    f"got {value!r}")
+    return int(value)

@@ -34,7 +34,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .algebra import Biquaternion
-from .errors import AxisSingularity, ConfigError, NumericalError
+from .errors import AxisSingularity, ConfigError, NumericalError, finite
 
 #: squared cylinder radius below which the azimuth is treated as singular
 _AXIS_EPS2 = 1e-24
@@ -75,56 +75,38 @@ class SpinorField:
 
     Raises ConfigError, naming the key, when hbar, m, c or the resolved
     s0 is not a finite number > 0, and, naming the term and key, when a
-    term's amplitude is not a Biquaternion, its p is not three numbers,
-    its p, energy, sigma or an amplitude coefficient is not finite, or
-    its wave vector (-energy, p) / hbar is not.  value and partial raise
-    ConfigError, naming the point, where a coordinate is not finite, and
-    NumericalError, naming the term and the point, where a phase theta
-    or its gradient is not finite.
+    term's amplitude is not a Biquaternion, its p is not three finite
+    numbers, its energy, sigma or an amplitude coefficient is not finite,
+    or its wave vector (-energy, p) / hbar is not.  value and partial
+    raise ConfigError, naming the point, where a coordinate is not
+    finite, and NumericalError, naming the term and the point, where a
+    phase theta or its gradient is not finite.
     """
 
     def __init__(self, terms: Iterable[PlaneWaveTerm], *, hbar: float = 1.0,
                  m: float = 1.0, c: float = 1.0, s0: float | None = None):
-        self.terms = tuple(
-            PlaneWaveTerm(t.amplitude, tuple(map(float, t.p)),
-                          float(t.energy), float(t.sigma))
-            for t in terms)
-        if not self.terms:
-            raise ConfigError("key terms: need at least one term, got none")
-        self.hbar = float(hbar)
-        self.m = float(m)
-        self.c = float(c)
-        self.s0 = float(s0 if s0 is not None else hbar)
-        for key, value in (("hbar", self.hbar), ("m", self.m),
-                           ("c", self.c), ("s0", self.s0)):
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(
-                    f"key {key}: need a finite number > 0, got {value!r}")
+        self.hbar, self.m, self.c, self.s0 = (
+            finite(f"key {key}", value, positive=True) for key, value in
+            (("hbar", hbar), ("m", m), ("c", c),
+             ("s0", hbar if s0 is None else s0)))
         hbar = self.hbar
-        flat = []
-        for i, t in enumerate(self.terms):
+        self.terms, flat = [], []
+        for i, t in enumerate(terms):
             if not isinstance(t.amplitude, Biquaternion):
                 raise ConfigError(f"term {i} amplitude: need a Biquaternion, "
                                   f"got {t.amplitude!r}")
-            if len(t.p) != 3:
-                raise ConfigError(f"term {i} p: need three numbers, "
-                                  f"got {t.p!r}")
-            for key, value, parts in (
-                    ("p", t.p, t.p), ("energy", t.energy, (t.energy,)),
-                    ("sigma", t.sigma, (t.sigma,)),
-                    ("amplitude", t.amplitude, t.amplitude.a)):
-                if not all(map(cmath.isfinite, parts)):
-                    raise ConfigError(f"term {i} {key}: need finite numbers, "
-                                      f"got {value!r}")
-            px, py, pz = t.p
-            wave = (-t.energy / hbar, px / hbar, py / hbar, pz / hbar)
-            for key, value, parts in (("energy", t.energy, wave[:1]),
-                                      ("p", t.p, wave[1:])):
-                if not all(map(math.isfinite, parts)):
-                    raise ConfigError(
-                        f"term {i} {key}: need {key} / hbar finite, got "
-                        f"{value!r} / {hbar!r}")
-            flat.append((t.amplitude, px, py, pz, t.energy, t.sigma, wave))
+            finite(f"term {i} amplitude", t.amplitude._c, 4, dtype=complex)
+            px, py, pz = p = tuple(finite(f"term {i} p", t.p, 3).tolist())
+            energy, sigma = (finite(f"term {i} {key}", value) for key, value
+                             in (("energy", t.energy), ("sigma", t.sigma)))
+            wave = tuple(finite(f"term {i} wave vector (-energy, p) / hbar",
+                                (-energy / hbar, px / hbar, py / hbar,
+                                 pz / hbar), 4).tolist())
+            self.terms.append(PlaneWaveTerm(t.amplitude, p, energy, sigma))
+            flat.append((t.amplitude, px, py, pz, energy, sigma, wave))
+        if not flat:
+            raise ConfigError("key terms: need at least one term, got none")
+        self.terms = tuple(self.terms)
         # (amplitude, px, py, pz, energy, sigma, wave vector) per term
         self._flat = tuple(flat)
 
@@ -239,7 +221,9 @@ def spiral_pair_field(term0: PlaneWaveTerm, term1: PlaneWaveTerm,
 
 def bloch_spinor(theta: float, phi: float) -> np.ndarray:
     """Unit 2-spinor pointing along (theta, phi) on the Bloch sphere:
-    (cos(theta/2) e^{-i phi/2}, sin(theta/2) e^{+i phi/2})."""
+    (cos(theta/2) e^{-i phi/2}, sin(theta/2) e^{+i phi/2}).  Raises
+    ConfigError unless theta and phi are finite numbers."""
+    theta, phi = finite("key theta", theta), finite("key phi", phi)
     return np.array([
         math.cos(theta / 2) * np.exp(-0.5j * phi),
         math.sin(theta / 2) * np.exp(+0.5j * phi),
@@ -249,5 +233,5 @@ def bloch_spinor(theta: float, phi: float) -> np.ndarray:
 def amplitude_from_spinor(spinor) -> Biquaternion:
     """Biquaternion amplitude whose upper 2-spinor is the given pair: the
     column components map to coefficients (a0, a1) = (s0, s1)."""
-    s = np.asarray(spinor, dtype=complex).reshape(2)
+    s = finite("key spinor", spinor, 2, dtype=complex)
     return Biquaternion(s[0], s[1])

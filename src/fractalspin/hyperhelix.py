@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryInvalid, InsufficientData
+from .errors import GeometryInvalid, InsufficientData, finite, whole
 
 _TOL = 1e-9
 _DEFAULT_RULERS = 10  # rulers in the default_rulers ladder
@@ -55,8 +55,7 @@ class GeneratorSpec:
         object.__setattr__(self, "vertices", v)
         if v.ndim != 2 or v.shape[1] != 3 or v.shape[0] < 2:
             raise GeometryInvalid("generator needs an (n, 3) vertex array")
-        if self.divisions < 2:
-            raise GeometryInvalid("divisions must be at least 2")
+        whole("key divisions", self.divisions, 2, error=GeometryInvalid)
         if np.linalg.norm(v[0]) > _TOL:
             raise GeometryInvalid("generator must start at the origin")
         if np.linalg.norm(v[-1] - [1.0, 0.0, 0.0]) > _TOL:
@@ -91,8 +90,8 @@ def helical_generator(winding: int = 4) -> GeneratorSpec:
     dimension of finite iterates well below 2; w = 4 measures 2.00 at
     level 5 where w = 1 reads 1.80.
     """
-    if not 1 <= winding <= 4:
-        raise GeometryInvalid("winding must be 1..4 (5..8 retrace mirrors)")
+    if whole("key winding", winding, 1, error=GeometryInvalid) > 4:
+        raise GeometryInvalid(f"key winding: need at most 4, got {winding}")
     alpha = 2.0 * math.pi * winding / 9.0
     radius = math.sqrt(2.0) / (9.0 * math.sin(math.pi * winding / 9.0))
     verts = np.array([[j / 9.0,
@@ -114,6 +113,7 @@ def koch_generator() -> GeneratorSpec:
 
 
 def line_generator(divisions: int = 3) -> GeneratorSpec:
+    whole("key divisions", divisions, 2, error=GeometryInvalid)
     verts = np.zeros((divisions + 1, 3))
     verts[:, 0] = np.arange(divisions + 1) / divisions
     return GeneratorSpec(verts, divisions=divisions)
@@ -165,10 +165,10 @@ def iterate(gen: GeneratorSpec, level: int) -> np.ndarray:
 
     Raises GeometryInvalid, before allocating anything, when the curve
     would have more than _MAX_VERTICES = 10**7 vertices (240 MB); level 7
-    of the nine-segment helix has 4.8 million, level 8 has 43 million.
+    of the nine-segment helix has 4.8 million, level 8 has 43 million,
+    and when level is not a whole number >= 0.
     """
-    if level < 0:
-        raise GeometryInvalid(f"level must be non-negative, got {level}")
+    whole("key level", level, 0, error=GeometryInvalid)
     # n_segments >= 2, so an exponent capped at 64 already exceeds the
     # limit and a huge level costs no huge power
     if gen.n_segments ** min(level, 64) + 1 > _MAX_VERTICES:
@@ -249,12 +249,6 @@ def _first_crossing(starts, dirs, start_idx, start_t, anchor, eps):
     return None
 
 
-def _check_positive(name: str, value) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise GeometryInvalid(f"{name} must be a finite number > 0, "
-                              f"got {value!r}")
-
-
 def divider_walk(vertices: np.ndarray, eps: float) -> float:
     """Ruler length estimate: walk the polyline in chords of length eps
     (first-crossing rule) and return steps * eps plus the leftover chord.
@@ -271,7 +265,7 @@ def divider_walk(vertices: np.ndarray, eps: float) -> float:
     Raises GeometryInvalid for a ruler that is not a finite number above 0
     or a vertex that is not finite.
     """
-    _check_positive("a ruler", eps)
+    eps = finite("key eps", eps, positive=True, error=GeometryInvalid)
     verts = np.asarray(vertices, dtype=float)
     if not np.isfinite(verts).all():
         raise GeometryInvalid("need finite vertex coordinates")
@@ -371,8 +365,11 @@ def default_rulers(vertices: np.ndarray) -> np.ndarray:
 def construction_rulers(divisions: int, level: int) -> np.ndarray:
     """Phase-locked ladder (1/divisions)**j, j = 0..level, for curves
     built by iterate: sampling at the construction ratio holds the
-    lacunarity oscillation at fixed phase so it cancels from the slope."""
-    return (1.0 / divisions) ** np.arange(level + 1)
+    lacunarity oscillation at fixed phase so it cancels from the slope;
+    divisions >= 2 and level >= 0 are whole numbers, or GeometryInvalid."""
+    divisions = whole("key divisions", divisions, 2, error=GeometryInvalid)
+    return (1.0 / divisions) ** np.arange(
+        whole("key level", level, 0, error=GeometryInvalid) + 1)
 
 
 def measured_dimension(vertices: np.ndarray, rulers=None,
@@ -391,14 +388,14 @@ def measured_dimension(vertices: np.ndarray, rulers=None,
     verts = np.asarray(vertices, dtype=float)
     if len(verts) < 2:
         raise GeometryInvalid("need a curve of at least two vertices")
-    rulers = default_rulers(verts) if rulers is None else \
-        np.asarray(rulers, dtype=float)
-    if rulers.ndim != 1 or rulers.size == 0:
+    if rulers is None:
+        rulers = default_rulers(verts)
+    if np.ndim(rulers) != 1 or np.size(rulers) == 0:
         raise GeometryInvalid(
             f"need a flat list of at least one ruler, got shape "
-            f"{rulers.shape}")
-    for eps in rulers.tolist():
-        _check_positive("a ruler", eps)
+            f"{np.shape(rulers)}")
+    rulers = finite("key rulers", rulers, np.size(rulers), positive=True,
+                    error=GeometryInvalid)
     span = math.log10(rulers.max() / rulers.min())
     if not span >= min_decades:
         raise InsufficientData(
@@ -467,16 +464,15 @@ def curve_spin(vertices: np.ndarray, m: float, v: float, *,
     sigma = 2 pi hbar * spin_kernel / period_factor, which is what this
     computes; m and v are checked but otherwise unused.
     """
-    _check_positive("the mass m", m)
-    _check_positive("the speed v", v)
-    _check_positive("hbar", hbar)
-    _check_positive("the period factor", period_factor)
+    for key, value in (("m", m), ("v", v), ("hbar", hbar),
+                       ("period_factor", period_factor)):
+        finite(f"key {key}", value, positive=True, error=GeometryInvalid)
     return 2.0 * math.pi * hbar * spin_kernel(vertices) / period_factor
 
 
 def shrink_transverse(vertices: np.ndarray, q: float) -> np.ndarray:
     """Contract the curve towards its span axis by 1/q, azimuths intact."""
-    _check_positive("the shrink factor q", q)
+    finite("key q", q, positive=True, error=GeometryInvalid)
     verts = np.asarray(vertices, dtype=float)
     _, axial, _, _, u = _axis_frame(verts)
     transverse = (verts - verts[0]) - np.outer(axial, u)
@@ -486,8 +482,8 @@ def shrink_transverse(vertices: np.ndarray, q: float) -> np.ndarray:
 def scaling_factor(q: float, d_f: float) -> float:
     """Spin rescaling q**(d_f - 2) under a transverse shrink by 1/q with
     the traversal period rescaled by q**(-d_f)."""
-    _check_positive("the shrink factor q", q)
-    _check_positive("the dimension d_f", d_f)
+    for key, value in (("q", q), ("d_f", d_f)):
+        finite(f"key {key}", value, positive=True, error=GeometryInvalid)
     return q ** (d_f - 2.0)
 
 

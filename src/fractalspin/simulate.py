@@ -48,9 +48,7 @@ one Philox to each path's key before drawing its noise.
 
 from __future__ import annotations
 
-import contextvars
 import math
-import numbers
 from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -58,7 +56,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (AxisSingularity, ConfigError, InsufficientData,
-                     NumericalError)
+                     NumericalError, finite, whole)
 
 # paths per vectorized ensemble block: each path, and so Lz, is bitwise
 # independent of it; pooled sums are added per block and agree to rounding
@@ -98,32 +96,22 @@ class SimConfig:
 
     def __post_init__(self):
         """Reject a config no run can use, naming the key as config files
-        and CLI flags spell it."""
+        and CLI flags spell it (errors.finite and errors.whole)."""
         for key, value, least in (("n_traj", self.n_traj, 1),
                                   ("n_steps", self.n_steps, 1),
                                   ("seed", self.seed, 0)):
-            if not (isinstance(value, numbers.Integral) and value >= least):
-                raise ConfigError(f"key {key}: need a whole number of at "
-                                  f"least {least}, got {value!r}")
+            whole(f"key {key}", value, least)
         if self.n_traj > _MAX_PATHS:
             raise ConfigError(f"key n_traj: need at most {_MAX_PATHS}, "
                               f"got {self.n_traj!r}")
-        for key, value in (("D", self.diffusion), ("dt", self.dt),
-                           ("m", self.m)):
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(
-                    f"key {key}: need a finite number > 0, got {value!r}")
-        for key, value in (("p0", self.p0), ("sigma0", self.sigma0)):
-            if not math.isfinite(value):
-                raise ConfigError(
-                    f"key {key}: need a finite number, got {value!r}")
-        if not (len(self.x0) == 3 and all(map(math.isfinite, self.x0))):
-            raise ConfigError(
-                f"key x0: need three finite numbers, got {self.x0!r}")
-        if self.r_min is not None and not (math.isfinite(self.r_min)
-                                           and self.r_min > 0):
-            raise ConfigError(
-                f"key r_min: need a finite number > 0, got {self.r_min!r}")
+        for key, value, positive in (
+                ("D", self.diffusion, True), ("dt", self.dt, True),
+                ("m", self.m, True), ("p0", self.p0, False),
+                ("sigma0", self.sigma0, False)):
+            finite(f"key {key}", value, positive=positive)
+        finite("key x0", self.x0, 3)
+        if self.r_min is not None:
+            finite("key r_min", self.r_min, positive=True)
 
     def core_radius(self) -> float:
         if self.r_min is not None:
@@ -165,17 +153,12 @@ def _raw_swirl(x: float, y: float, k: float, r_min: float):
 def spiral_drift(pos, m: float, p0: float, sigma0: float,
                  r_min: float = 0.0) -> np.ndarray:
     """Raw drift velocity; raises AxisSingularity at rho^2 <= r_min^2, and
-    ConfigError, naming the key, unless m is a finite number > 0 and pos,
-    p0, sigma0 and r_min are finite."""
-    if not (math.isfinite(m) and m > 0):
-        raise ConfigError(f"key m: need a finite number > 0, got {m!r}")
-    for key, value in (("p0", p0), ("sigma0", sigma0), ("r_min", r_min)):
-        if not math.isfinite(value):
-            raise ConfigError(
-                f"key {key}: need a finite number, got {value!r}")
-    pos = tuple(map(float, pos))
-    if not all(map(math.isfinite, pos)):
-        raise ConfigError(f"key pos: need finite numbers, got {pos}")
+    ConfigError, naming the key, unless m is a finite number > 0, pos three
+    finite numbers and p0, sigma0 and r_min finite."""
+    m = finite("key m", m, positive=True)
+    p0, sigma0, r_min = (finite(f"key {key}", value) for key, value in
+                         (("p0", p0), ("sigma0", sigma0), ("r_min", r_min)))
+    pos = finite("key pos", pos, 3).tolist()
     vx, vy = _raw_swirl(pos[0], pos[1], sigma0 / m, r_min)
     return np.array([vx, vy, p0 / m])
 
@@ -472,8 +455,7 @@ def increment_scaling(positions: np.ndarray, dt: float,
     not a finite number > 0, the positions are not a path or a lag lies
     outside the path.
     """
-    if not (math.isfinite(dt) and dt > 0):
-        raise ConfigError(f"key dt: need a finite number > 0, got {dt!r}")
+    dt = finite("key dt", dt, positive=True)
     x = np.asarray(positions, dtype=float)
     lags = _path_lags(x, lags)
     counts, rms = rms_increments(x, lags)
@@ -485,9 +467,12 @@ def increment_scaling(positions: np.ndarray, dt: float,
 def crossover_lag(lag_times: np.ndarray, rms: np.ndarray) -> float:
     """Lag time where the local log-log slope first crosses 3/4 (1/2 on
     the diffusive side, 1 on the ballistic side), interpolated in log
-    space.  Raises InsufficientData if no crossing is bracketed."""
-    lt = np.log(np.asarray(lag_times, dtype=float))
-    lr = np.log(np.asarray(rms, dtype=float))
+    space.  Raises InsufficientData if no crossing is bracketed, and
+    ConfigError unless lag_times and rms are finite numbers > 0 of one
+    length."""
+    lt = np.log(finite("key lag_times", lag_times, np.size(lag_times),
+                       positive=True))
+    lr = np.log(finite("key rms", rms, len(lt), positive=True))
     slopes = np.diff(lr) / np.diff(lt)
     mids = 0.5 * (lt[1:] + lt[:-1])
     for i in range(len(slopes) - 1):
@@ -524,6 +509,7 @@ class EnsembleResult:
         }
 
 
+@np.errstate(all="ignore")
 def ensemble_run(cfg: SimConfig, lags=None) -> EnsembleResult:
     """Integrate cfg.n_traj stochastic paths and pool their statistics.
 
@@ -548,20 +534,12 @@ def ensemble_run(cfg: SimConfig, lags=None) -> EnsembleResult:
     helper is raised here, unless the main thread is already raising its
     own, and no helper is left running on return.
 
-    A run whose paths overflow raises NumericalError.  numpy's overflow
-    and invalid-value warnings on the way are silenced on both threads;
-    where the caller's errstate asks for more than a warning (raise,
-    call, print or log), that is kept.
+    A run whose paths overflow raises NumericalError, whatever numpy's
+    errstate at the call: both threads compute under
+    np.errstate(all="ignore"), and the check that every pooled sum is
+    finite decides.  The caller's errstate is the same on return.
     """
     lags = _checked_lags(lags, cfg.n_steps)
-    quiet = {key: "ignore" for key in ("over", "invalid")
-             if np.geterr()[key] == "warn"}
-    with np.errstate(**quiet):
-        return _run_blocks(cfg, lags)
-
-
-def _run_blocks(cfg: SimConfig, lags: np.ndarray) -> EnsembleResult:
-    """ensemble_run on checked lags, inside its errstate."""
     # every path draws through this one generator, re-keyed before each
     # path to its own stream with counter, buffer and cached words reset;
     # the seed it is built with is never drawn from
@@ -587,6 +565,7 @@ def _run_blocks(cfg: SimConfig, lags: np.ndarray) -> EnsembleResult:
     inc_buf = np.empty((block, cfg.n_steps, 3))
     one = lags == 1
 
+    @np.errstate(all="ignore")
     def pool(paths):
         nonlocal inc_sum, inc_sq, final_sum, sq_sums, sq_counts
         final_sum += paths[:, -1].sum(axis=0)
@@ -608,10 +587,8 @@ def _run_blocks(cfg: SimConfig, lags: np.ndarray) -> EnsembleResult:
         sq_sums += sums
         sq_counts += counts
 
-    # one helper thread; each block is pooled in a copy of the caller's
-    # context, so numpy's errstate holds there too.  Leaving the with
-    # waits for the helper, and a failure already on its way out is not
-    # replaced by the helper's
+    # one helper thread; leaving the with waits for it, and a failure
+    # already on its way out is not replaced by the helper's
     with ThreadPoolExecutor(max_workers=1) as helper:
         pooled = None  # the block being pooled
         for i, start in enumerate(range(0, cfg.n_traj, _BLOCK)):
@@ -625,8 +602,7 @@ def _run_blocks(cfg: SimConfig, lags: np.ndarray) -> EnsembleResult:
             paths = _integrate_noise_block(cfg, noise, out=buf)
             if pooled is not None:
                 pooled.result()
-            pooled = helper.submit(contextvars.copy_context().run, pool,
-                                   paths)
+            pooled = helper.submit(pool, paths)
         pooled.result()
     if not all(np.isfinite(s).all()
                for s in (final_sum, inc_sq, sq_sums, lz_means)):

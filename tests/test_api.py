@@ -63,7 +63,6 @@ AWAITING = {
     "lz_series": "item 9: spin read back from the paths",
     **dict.fromkeys(["shrink_transverse", "scaling_factor"],
                     "item 12: the hyperhelix spin converged in level"),
-    **dict.fromkeys(["E1", "E2", "E3"], "item 13: not yet decided"),
     "acceleration_field": "benchmarks/tracing.py counts it by its string "
                           "name, and the finite-difference oracle calls it",
 }
@@ -124,9 +123,68 @@ def test_raised_builtins_sees_each_spelling():
                                             (2, "TypeError"), (3, "KeyError")]
 
 
+# the raises outside errors.py whose message may say "finite", each with
+# the reason it does not call errors.finite
+OWN_FINITE_CHECKS = {
+    ("fields.py", "_sum"): "the hot path: value and partial check each "
+                           "point inline, 24,000 times per fieldmap pass",
+    ("hyperhelix.py", "divider_walk"): "vertex arrays of any length",
+    ("hyperhelix.py", "_axis_frame"): "vertex arrays of any length",
+}
+
+
+def _finite_wordings(tree):
+    """{line: innermost enclosing function} of each raise of ConfigError
+    or GeometryInvalid in tree whose message text says "finite"."""
+    found = {}
+    # ast.walk reaches an outer scope before the scopes inside it, so an
+    # inner function's name overwrites its outer one's
+    for scope in ast.walk(tree):
+        if not isinstance(scope, (ast.Module, ast.FunctionDef)):
+            continue
+        for node in ast.walk(scope):
+            if not (isinstance(node, ast.Raise)
+                    and isinstance(node.exc, ast.Call)):
+                continue
+            func = node.exc.func
+            name = getattr(func, "id", getattr(func, "attr", None))
+            if name in ("ConfigError", "GeometryInvalid") and any(
+                    isinstance(c, ast.Constant) and isinstance(c.value, str)
+                    and "finite" in c.value for c in ast.walk(node.exc)):
+                found[node.lineno] = getattr(scope, "name", "<module>")
+    return found
+
+
+def test_finite_refusals_share_one_wording():
+    # every other check that a number is finite goes through
+    # errors.finite, so the package refuses with one wording
+    root = Path(fractalspin.__file__).parent
+    found = {(path.name, fn)
+             for path in sorted(root.glob("*.py")) if path.name != "errors.py"
+             for fn in _finite_wordings(ast.parse(path.read_text())).values()}
+    assert found == set(OWN_FINITE_CHECKS)
+
+
+def test_finite_wordings_sees_each_spelling():
+    tree = ast.parse(
+        "def f():\n"
+        "    raise ConfigError(f'key {k}: need finite numbers')\n"
+        "    def g():\n"
+        "        raise errors.GeometryInvalid('not finite', 1)\n"
+        "    raise ConfigError('need a number')\n"
+        "    raise NumericalError('not finite')\n"
+        "raise ConfigError('finite')\n")
+    assert _finite_wordings(tree) == {2: "f", 4: "g", 7: "<module>"}
+
+
 _WAVE = fractalspin.ExponentialField([(fractalspin.ONE,
                                        [0.1j, -0.2, 0.3j, 0.0])])
 _PT = (0.0, 0.4, 0.2, 0.1)
+
+
+_EM = fractalspin.EMField(a0=lambda pt: np.inf,
+                          a=lambda pt: (0.0, np.nan, 0.0),
+                          b=lambda pt: (0.0, 1.0), div_a=lambda pt: np.nan)
 
 
 def _drift(**kw):
@@ -154,11 +212,11 @@ def _drift(**kw):
     (lambda: _WAVE.derivative(_PT, (0, 1, 0)),
      r"key orders: need four non-negative ints, got \(0, 1, 0\)"),
     (lambda: _WAVE.value((0.0, np.inf, 0.0, 0.0)),
-     r"key point: need finite numbers t, x, y, z, got \[0.0, inf"),
+     r"key point: need four finite numbers, got \(0.0, inf"),
     (lambda: _WAVE.derivative((np.nan, 0.0, 0.0, 0.0), (0, 1, 0, 0)),
-     r"key point: need finite numbers t, x, y, z, got \[nan, 0.0"),
+     r"key point: need four finite numbers, got \(nan, 0.0"),
     (lambda: _WAVE.value((0.0, 1.0, 2.0)),
-     r"key point: need finite numbers t, x, y, z, got \[0.0, 1.0, 2.0\]"),
+     r"key point: need four finite numbers, got \(0.0, 1.0, 2.0\)"),
     # spiral_drift: m = 0 ended in ZeroDivisionError, m = nan gave NaNs
     # and r_min = inf an AxisSingularity at every point
     (lambda: _drift(m=0.0), "key m: need a finite number > 0, got 0.0"),
@@ -171,9 +229,9 @@ def _drift(**kw):
     # a NaN position gave [nan nan 1.], a string coordinate a bare
     # numpy ValueError
     (lambda: fractalspin.spiral_drift((np.nan, 0.0, 0.0), 1.0, 1.0, 0.5),
-     r"key pos: need finite numbers, got \(nan, 0.0, 0.0\)"),
+     r"key pos: need three finite numbers, got \(nan, 0.0, 0.0\)"),
     (lambda: _WAVE.derivative(("a", 0, 0, 0), (0, 0, 0, 0)),
-     r"key point: need finite numbers t, x, y, z, got \('a', 0, 0, 0\)"),
+     r"key point: need four finite numbers, got \('a', 0, 0, 0\)"),
     # a NaN or zero dt ended in a LinAlgError after a LAPACK message on
     # stderr, a flat array of positions in a bare IndexError
     (lambda: fractalspin.increment_scaling(np.zeros((11, 3)), np.nan),
@@ -186,11 +244,11 @@ def _drift(**kw):
     # a two-component p ended in a bare IndexError, a three-component k
     # in a bare ValueError from the reshape, and a NaN k gave NaN values
     (lambda: fractalspin.plane_wave(fractalspin.ONE, (1.0, 2.0), 0.5),
-     r"term 0 p: need three numbers, got \(1.0, 2.0\)"),
+     r"term 0 p: need three finite numbers, got \(1.0, 2.0\)"),
     (lambda: fractalspin.ExponentialField([(fractalspin.ONE, (1, 2, 3))]),
-     r"term 0 k: need four finite numbers, got \[\(1\+0j\), \(2\+0j\)"),
+     r"term 0 k: need four finite numbers, got \(1, 2, 3\)"),
     (lambda: fractalspin.rotor_field(1, np.nan, (0.0, 0.0, 0.0)),
-     r"term 0 k: need four finite numbers, got \[\(nan\+nanj\)"),
+     r"term 0 k: need four finite numbers, got array\(\[nan\+nanj"),
     # fractional counts and seeds ended in a TypeError from range or
     # SeedSequence, a two-component x0 in "not enough values to unpack"
     (lambda: fractalspin.SimConfig(n_steps=2.5),
@@ -201,6 +259,61 @@ def _drift(**kw):
      "key seed: need a whole number of at least 0, got 1.5"),
     (lambda: fractalspin.SimConfig(x0=(1.0, 0.0)),
      r"key x0: need three finite numbers, got \(1.0, 0.0\)"),
+    # each row below ended in a bare numpy error or a NaN result, or was
+    # taken silently; numeric strings were taken as numbers or ended in a
+    # bare TypeError
+    (lambda: fractalspin.SimConfig(diffusion="1"),
+     "key D: need a finite number > 0, got '1'"),
+    (lambda: fractalspin.SimConfig(x0=("1", "0", "0")),
+     r"key x0: need three finite numbers, got \('1', '0', '0'\)"),
+    (lambda: fractalspin.spiral_drift((1.0, 0.0), 1.0, 1.0, 0.5),
+     r"key pos: need three finite numbers, got \(1.0, 0.0\)"),
+    (lambda: fractalspin.sigma_dot((1, 2)),
+     r"key v: need three finite numbers, got \(1, 2\)"),
+    (lambda: fractalspin.sigma_dot((np.nan, 0, 0)),
+     r"key v: need three finite numbers, got \(nan, 0, 0\)"),
+    (lambda: fractalspin.pauli_identity_residual((1, 2), (1, 2, 3)),
+     r"key a: need three finite numbers, got \(1, 2\)"),
+    (lambda: fractalspin.pauli_identity_residual((1, 2, 3), (1, np.nan, 3)),
+     r"key b: need three finite numbers, got \(1, nan, 3\)"),
+    (lambda: fractalspin.Biquaternion.from_array([1, 2, 3]),
+     "key a: need four numbers, got 3"),
+    (lambda: fractalspin.rotor_field(1, 1.0, (0.0, 1.0)),
+     r"key kvec: need three finite numbers, got \(0.0, 1.0\)"),
+    (lambda: fractalspin.rotor_field(1, 1.0, (0.0, np.nan, 0.0)),
+     r"key kvec: need three finite numbers, got \(0.0, nan, 0.0\)"),
+    (lambda: fractalspin.dirac_plane_wave((1, 0), (0.0, 1.0)),
+     r"key p: need three finite numbers, got \(0.0, 1.0\)"),
+    (lambda: fractalspin.dirac_plane_wave((1, 0), (0.0, np.inf, 1.0)),
+     r"key p: need three finite numbers, got \(0.0, inf, 1.0\)"),
+    (lambda: fractalspin.dirac_plane_wave((1, 0, 0), (0.0, 0.0, 1.0)),
+     r"key xi: need two finite numbers, got \(1, 0, 0\)"),
+    (lambda: fractalspin.dirac_plane_wave((1, np.nan), (0.0, 0.0, 1.0)),
+     r"key xi: need two finite numbers, got \(1, nan\)"),
+    (lambda: fractalspin.amplitude_from_spinor((1, 0, 0)),
+     r"key spinor: need two finite numbers, got \(1, 0, 0\)"),
+    (lambda: fractalspin.amplitude_from_spinor((1, complex(0, np.nan))),
+     r"key spinor: need two finite numbers, got \(1, nanj\)"),
+    (lambda: fractalspin.bloch_spinor(np.nan, 0.0),
+     "key theta: need a finite number, got nan"),
+    (lambda: _EM.a(_PT), r"key a: need three finite numbers, got \(0.0, nan"),
+    (lambda: _EM.b(_PT),
+     r"key b: need three finite numbers, got \(0.0, 1.0\)"),
+    (lambda: _EM.a0(_PT), "key a0: need a finite number, got inf"),
+    (lambda: _EM.div_a(_PT), "key div_a: need a finite number, got nan"),
+    (lambda: fractalspin.uniform_b_field(np.nan),
+     "key b0: need a finite number, got nan"),
+    (lambda: fractalspin.sample_box(((0, 1),) * 3, 2),
+     r"key bounds: need eight finite numbers, got \(\(0, 1\), \(0, 1\), "
+     r"\(0, 1\)\)"),
+    (lambda: fractalspin.sample_box(((0, 1),) * 3 + ((0, np.nan),), 2),
+     r"key bounds: need eight finite numbers, got \(\(0, 1\), "),
+    (lambda: fractalspin.sample_box(((0, 1),) * 4, -1),
+     "key n: need a whole number of at least 1, got -1"),
+    (lambda: fractalspin.crossover_lag([1, 2, 3], [1, 2]),
+     r"key rms: need three finite numbers > 0, got \[1, 2\]"),
+    (lambda: fractalspin.crossover_lag([1, 2, 3], [1, np.nan, 3]),
+     r"key rms: need three finite numbers > 0, got \[1, nan, 3\]"),
 ])
 def test_argument_refusals_are_config_errors(call, message):
     with pytest.raises(fractalspin.ConfigError, match=message):

@@ -202,10 +202,10 @@ def test_spinor_field_refuses_constants_not_finite_and_positive(key, bad):
 
 
 def test_spinor_field_checks_the_s0_it_resolves():
-    # an integer 0 is read as 0.0, and s0 left to default follows hbar,
-    # which is named first
+    # an integer 0 is named as given, and s0 left to default follows
+    # hbar, which is named first
     with pytest.raises(ConfigError, match=re.escape("key m: need a finite "
-                                                    "number > 0, got 0.0")):
+                                                    "number > 0, got 0")):
         plane_wave(ONE, (0, 0, 1.0), 0.5, m=0)
     with pytest.raises(ConfigError, match="key hbar:"):
         plane_wave(ONE, (0, 0, 1.0), 0.5, hbar=math.inf, s0=1.0)
@@ -216,7 +216,7 @@ def test_spinor_field_checks_the_s0_it_resolves():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_spinor_field_refuses_a_non_finite_momentum(bad):
-    message = f"term 1 p: need finite numbers, got (0.0, {bad!r}, 1.0)"
+    message = f"term 1 p: need three finite numbers, got (0, {bad!r}, 1)"
     good = PlaneWaveTerm(ONE, (0.0, 0.0, 1.0), 0.5)
     with pytest.raises(ConfigError, match=re.escape(message)):
         SpinorField([good, PlaneWaveTerm(E1, (0, bad, 1), 0.5)])
@@ -224,16 +224,17 @@ def test_spinor_field_refuses_a_non_finite_momentum(bad):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_spinor_field_refuses_a_non_finite_energy(bad):
-    message = f"term 0 energy: need finite numbers, got {bad!r}"
+    message = f"term 0 energy: need a finite number, got {bad!r}"
     with pytest.raises(ConfigError, match=re.escape(message)):
         plane_wave(ONE, (0.0, 0.0, 1.0), bad)
 
 
 @pytest.mark.parametrize("p, energy, message", [
-    ((0, 0, 1), 1e300, "term 0 energy: need energy / hbar finite, "
-                       "got 1e+300 / 1e-10"),
-    ((0, -1e300, 1), 0.5, "term 0 p: need p / hbar finite, "
-                          "got (0.0, -1e+300, 1.0) / 1e-10"),
+    ((0, 0, 1), 1e300, "term 0 wave vector (-energy, p) / hbar: need four "
+                       "finite numbers, got (-inf, 0.0, 0.0, 10000000000.0)"),
+    ((0, -1e300, 1), 0.5, "term 0 wave vector (-energy, p) / hbar: need four "
+                          "finite numbers, got (-5000000000.0, 0.0, -inf, "
+                          "10000000000.0)"),
 ])
 def test_spinor_field_refuses_an_overflowing_wave_vector(p, energy, message):
     # finite energy and momentum whose wave vector (-E, p) / hbar is not:
@@ -244,7 +245,7 @@ def test_spinor_field_refuses_an_overflowing_wave_vector(p, energy, message):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_spinor_field_refuses_a_non_finite_sigma(bad):
-    message = f"term 0 sigma: need finite numbers, got {bad!r}"
+    message = f"term 0 sigma: need a finite number, got {bad!r}"
     with pytest.raises(ConfigError, match=re.escape(message)):
         plane_wave(ONE, (0.0, 0.0, 1.0), 0.5, sigma=bad)
 
@@ -254,7 +255,8 @@ def test_spinor_field_refuses_a_non_finite_sigma(bad):
                                    complex(-math.inf, 1.0)])
 def test_spinor_field_refuses_a_non_finite_amplitude(coeff):
     amp = Biquaternion(1.0, 0.0, 0.0, coeff)
-    message = f"term 0 amplitude: need finite numbers, got {amp!r}"
+    message = ("term 0 amplitude: need four finite numbers, "
+               f"got ((1+0j), 0j, 0j, {coeff!r})")
     with pytest.raises(ConfigError, match=re.escape(message)):
         plane_wave(amp, (0.0, 0.0, 1.0), 0.5)
 

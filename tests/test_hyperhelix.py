@@ -96,8 +96,34 @@ def test_iterate_counts_and_lengths():
     assert np.max(np.abs(segs - 1.0 / 9.0)) < 1e-12
     assert math.isclose(segs.sum(), 9.0, rel_tol=1e-12)
     assert np.allclose(lvl2[0], [0, 0, 0]) and np.allclose(lvl2[-1], [1, 0, 0])
-    with pytest.raises(GeometryInvalid, match="level must be non-negative"):
+    with pytest.raises(GeometryInvalid,
+                       match="key level: need a whole number of at least "
+                             "0, got -1"):
         iterate(gen, -1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: iterate(helical_generator(), 2.0),
+     "key level: need a whole number of at least 0, got 2.0"),
+    (lambda: line_generator(2.5),
+     "key divisions: need a whole number of at least 2, got 2.5"),
+    (lambda: helical_generator(2.5),
+     "key winding: need a whole number of at least 1, got 2.5"),
+    (lambda: helical_generator(5),
+     "key winding: need at most 4, got 5"),
+    (lambda: construction_rulers(3, 2.5),
+     "key level: need a whole number of at least 0, got 2.5"),
+    (lambda: construction_rulers(1, 3),
+     "key divisions: need a whole number of at least 2, got 1"),
+    (lambda: GeneratorSpec(np.array([[0.0, 0, 0], [1, 0, 0]]), divisions=1.0),
+     "key divisions: need a whole number of at least 2, got 1.0"),
+])
+def test_whole_number_keys_are_refused_by_name(call, message):
+    # iterate and line_generator ended in a bare TypeError, the winding
+    # 2.5 in "generator must end at (1, 0, 0)", and construction_rulers
+    # returned four rulers for level 2.5 and a ladder of 1.0s for 1
+    with pytest.raises(GeometryInvalid, match=message):
+        call()
 
 
 def test_iterate_size_guard_allocates_nothing():
@@ -177,7 +203,8 @@ def test_measured_dimension_degenerate_curves():
                                  -math.inf])
 def test_divider_walk_refuses_a_ruler_not_finite_and_positive(eps):
     verts = iterate(helical_generator(), 2)
-    with pytest.raises(GeometryInvalid, match="finite number > 0"):
+    with pytest.raises(GeometryInvalid,
+                       match="key eps: need a finite number > 0"):
         divider_walk(verts, eps)
 
 
@@ -187,7 +214,8 @@ def test_divider_walk_refuses_a_ruler_not_finite_and_positive(eps):
 ])
 def test_measured_dimension_refuses_a_ruler_not_finite_and_positive(rulers):
     verts = iterate(helical_generator(), 2)
-    with pytest.raises(GeometryInvalid, match="finite number > 0"):
+    with pytest.raises(GeometryInvalid,
+                       match=r"key rulers: need \w+ finite numbers > 0"):
         measured_dimension(verts, rulers=rulers, min_decades=0.5)
 
 
@@ -197,42 +225,49 @@ _NOT_POSITIVE = [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf]
 @pytest.mark.parametrize("bad", _NOT_POSITIVE)
 def test_curve_spin_refuses_a_mass_or_speed_not_finite_and_positive(bad):
     verts = iterate(helical_generator(), 2)
-    with pytest.raises(GeometryInvalid, match="mass m must be a finite"):
+    with pytest.raises(GeometryInvalid,
+                       match="key m: need a finite number > 0"):
         curve_spin(verts, m=bad, v=1.0)
-    with pytest.raises(GeometryInvalid, match="speed v must be a finite"):
+    with pytest.raises(GeometryInvalid,
+                       match="key v: need a finite number > 0"):
         curve_spin(verts, m=1.0, v=bad)
 
 
 @pytest.mark.parametrize("bad", _NOT_POSITIVE)
 def test_curve_spin_refuses_an_hbar_not_finite_and_positive(bad):
     verts = iterate(helical_generator(), 2)
-    with pytest.raises(GeometryInvalid, match="hbar must be a finite"):
+    with pytest.raises(GeometryInvalid,
+                       match="key hbar: need a finite number > 0"):
         curve_spin(verts, m=1.0, v=1.0, hbar=bad)
 
 
 @pytest.mark.parametrize("bad", _NOT_POSITIVE)
 def test_curve_spin_refuses_a_period_factor_not_finite_and_positive(bad):
     verts = iterate(helical_generator(), 2)
-    with pytest.raises(GeometryInvalid, match="period factor must be a finite"):
+    with pytest.raises(GeometryInvalid,
+                       match="key period_factor: need a finite number"):
         curve_spin(verts, m=1.0, v=1.0, period_factor=bad)
 
 
 @pytest.mark.parametrize("bad", _NOT_POSITIVE)
 def test_shrink_transverse_refuses_a_factor_not_finite_and_positive(bad):
     verts = iterate(helical_generator(), 2)
-    with pytest.raises(GeometryInvalid, match="q must be a finite number > 0"):
+    with pytest.raises(GeometryInvalid,
+                       match="key q: need a finite number > 0"):
         shrink_transverse(verts, bad)
 
 
 @pytest.mark.parametrize("bad", _NOT_POSITIVE)
 def test_scaling_factor_refuses_a_factor_not_finite_and_positive(bad):
-    with pytest.raises(GeometryInvalid, match="q must be a finite number > 0"):
+    with pytest.raises(GeometryInvalid,
+                       match="key q: need a finite number > 0"):
         scaling_factor(bad, 2.0)
 
 
 @pytest.mark.parametrize("bad", _NOT_POSITIVE)
 def test_scaling_factor_refuses_a_dimension_not_finite_and_positive(bad):
-    with pytest.raises(GeometryInvalid, match="d_f must be a finite number"):
+    with pytest.raises(GeometryInvalid,
+                       match="key d_f: need a finite number > 0"):
         scaling_factor(2.0, bad)
 
 

@@ -858,26 +858,18 @@ def test_noise_block_steps_in_place_bitwise():
     assert _same_bits(got, want)
 
 
-def test_pooling_runs_in_the_callers_numpy_errstate(monkeypatch):
-    # the helper thread runs in a copy of the caller's context, where
-    # numpy keeps its errstate; a plain thread would see the defaults
-    seen = []
-    lz = simulate._lz
-
-    def recording(*args):
-        seen.append((np.geterr(), threading.current_thread()))
-        return lz(*args)
-
-    monkeypatch.setattr(simulate, "_lz", recording)
+def test_overflow_under_a_raising_errstate_is_a_numerical_error():
+    # the caller's errstate does not reach the run: both threads compute
+    # with numpy's floating-point errors ignored and the finite check on
+    # the pooled sums decides, so a raising errstate gets the same
+    # NumericalError as the default, and is the caller's again on return
+    cfg = spiral_preset(n_traj=600, n_steps=50, seed=1, sigma0=1e300,
+                        m=1e-10)
     with np.errstate(all="raise"):
-        caller = np.geterr()
-        ensemble_run(spiral_preset(n_traj=1300, n_steps=20, seed=1))
-    assert caller == dict(divide="raise", over="raise", under="raise",
-                          invalid="raise")
-    assert len(seen) == 3
-    for errs, thread in seen:
-        assert errs == caller
-        assert thread is not threading.main_thread()
+        with pytest.raises(NumericalError, match="non-finite"):
+            ensemble_run(cfg)
+        assert np.geterr() == dict(divide="raise", over="raise",
+                                   under="raise", invalid="raise")
 
 
 @pytest.mark.parametrize("failing", [2, 3])
