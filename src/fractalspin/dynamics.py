@@ -96,11 +96,14 @@ def product_field(f1: ExponentialField, f2: ExponentialField) -> ExponentialFiel
 
 def rotor_field(axis: int, omega: float, kvec) -> ExponentialField:
     """exp(e_axis * (omega t + k . r)) as an exact two-term exponential sum,
-    using exp(e f) = cos f + e sin f for a unit imaginary e."""
+    using exp(e f) = cos f + e sin f for a unit imaginary e.  Raises
+    ConfigError unless axis is 1, 2 or 3, omega a finite number and kvec
+    three finite numbers."""
     if axis not in (1, 2, 3):
         raise ConfigError(f"key axis: need 1, 2 or 3, got {axis!r}")
     e = (E1, E2, E3)[axis - 1]
-    k4 = 1j * np.array([omega, *finite("key kvec", kvec, 3)], dtype=complex)
+    k4 = 1j * np.array([finite("key omega", omega),
+                        *finite("key kvec", kvec, 3)], dtype=complex)
     return ExponentialField([
         ((ONE - 1j * e) * 0.5, k4),
         ((ONE + 1j * e) * 0.5, -k4),
@@ -256,11 +259,22 @@ def sample_box(bounds, n: int, seed: int = 0):
 # -- two-component (Pauli) and four-component (Dirac) residuals -------------
 
 
+def _units(m, c, hbar) -> list:
+    """m, c and hbar as floats; ConfigError, naming the key, unless each
+    is a finite number above 0."""
+    return [finite(f"key {key}", value, positive=True)
+            for key, value in (("m", m), ("c", c), ("hbar", hbar))]
+
+
 def small_component(phi_field, em: EMField, pt, *, m: float = 1.0,
                     c: float = 1.0, hbar: float = 1.0,
                     charge: float = 1.0) -> np.ndarray:
     """Lower 2-spinor reconstructed from the upper one:
-    chi = sigma . (i hbar grad - (e/c) A) phi / (2 m c)."""
+    chi = sigma . (i hbar grad - (e/c) A) phi / (2 m c).
+    Raises ConfigError unless m, c and hbar are finite numbers above 0
+    and charge is a finite number."""
+    m, c, hbar = _units(m, c, hbar)
+    charge = finite("key charge", charge)
     a = em.a(pt)
     phi = phi_field.value(pt)
     out = np.zeros(2, dtype=complex)
@@ -281,7 +295,12 @@ def pauli_residual(phi_field, em: EMField, pt, *, m: float = 1.0,
 
     returned as LHS - RHS.  g = 2 is what the four-component reduction
     produces; other values break the magnetic anchor on purpose.
+    Raises ConfigError unless m, c and hbar are finite numbers above 0
+    and charge and g are finite numbers.
     """
+    m, c, hbar = _units(m, c, hbar)
+    charge = finite("key charge", charge)
+    g = finite("key g", g)
     phi = phi_field.value(pt)
     a = em.a(pt)
     b = em.b(pt)
@@ -316,7 +335,11 @@ def dirac_residual(psi_field, em: EMField, pt, *, m: float = 1.0,
         [ gamma^0 (E_hat - e A0)/c - sum_k gamma^k (p_hat_k - (e/c) A_k)
           - m c ] psi = 0,
 
-    with E_hat = -i hbar d_t and p_hat = +i hbar grad."""
+    with E_hat = -i hbar d_t and p_hat = +i hbar grad.  Raises ConfigError
+    unless m, c and hbar are finite numbers above 0 and charge is a
+    finite number."""
+    m, c, hbar = _units(m, c, hbar)
+    charge = finite("key charge", charge)
     g0, g1, g2, g3 = gamma_matrices()
     gk = (g1, g2, g3)
     psi = psi_field.value(pt)
@@ -332,9 +355,12 @@ def dirac_residual(psi_field, em: EMField, pt, *, m: float = 1.0,
 def dirac_plane_wave(xi, p, *, m: float = 1.0, c: float = 1.0,
                      hbar: float = 1.0) -> ExponentialField:
     """Positive-energy on-shell plane wave exp(-(i/hbar)(p.r - E t)) with
-    upper 2-spinor xi and lower block c sigma.p xi / (E + m c^2)."""
+    upper 2-spinor xi and lower block c sigma.p xi / (E + m c^2).
+    Raises ConfigError unless p is three finite numbers, xi two, and m, c
+    and hbar are finite numbers above 0."""
     p = finite("key p", p, 3)
     xi = finite("key xi", xi, 2, dtype=complex)
+    m, c, hbar = _units(m, c, hbar)
     energy = math.sqrt(float(p @ p) * c**2 + (m * c**2) ** 2)
     lower = c * (sigma_dot(p) @ xi) / (energy + m * c**2)
     amp = np.concatenate([xi, lower])
@@ -344,7 +370,9 @@ def dirac_plane_wave(xi, p, *, m: float = 1.0, c: float = 1.0,
 
 def strip_rest_phase(field: ExponentialField, *, m: float = 1.0,
                      c: float = 1.0, hbar: float = 1.0) -> ExponentialField:
-    """Multiply an exponential-sum field by exp(-i m c^2 t / hbar)."""
+    """Multiply an exponential-sum field by exp(-i m c^2 t / hbar).
+    Raises ConfigError unless m, c and hbar are finite numbers above 0."""
+    m, c, hbar = _units(m, c, hbar)
     shift = np.array([-1j * m * c**2 / hbar, 0, 0, 0], dtype=complex)
     return ExponentialField([(amp, k + shift) for amp, k in field.terms])
 

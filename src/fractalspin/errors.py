@@ -59,11 +59,12 @@ _WORDS = "zero one two three four five six seven eight nine".split()
 def finite(label: str, value, size: int | None = None, *, dtype=float,
            positive: bool = False, error: type = ConfigError):
     """value as a Python float (complex where dtype is complex) when size
-    is None, else as a flat array of size entries of dtype.  Raises error,
-    "{label}: need a finite number, got {value!r}" ("need three finite
-    numbers > 0" and so on), unless every entry is a number (never a
-    string or None; a complex only where dtype is), none is inf or nan,
-    and each is above 0 where positive is set."""
+    is None, else as a flat array of size entries of dtype, of any number
+    of entries when size is -1.  Raises error, "{label}: need a finite
+    number, got {value!r}" ("need three finite numbers > 0", "need finite
+    numbers" and so on), unless every entry is a number (never a string
+    or None, nor ragged nesting; a complex only where dtype is), none is
+    inf or nan, and each is above 0 where positive is set."""
     try:
         arr = np.asarray(value)
     except ValueError:  # ragged nesting
@@ -72,11 +73,12 @@ def finite(label: str, value, size: int | None = None, *, dtype=float,
                             else "biuf")
     if ok:
         arr = arr.astype(dtype, copy=False)
-        ok = (arr.ndim == 0 if size is None else arr.size == size) \
+        ok = (arr.ndim == 0 if size is None else size in (-1, arr.size)) \
             and np.isfinite(arr).all() and (not positive or (arr > 0).all())
     if not ok:
-        count = "a finite number" if size is None else \
-            f"{_WORDS[size] if size < 10 else size} finite numbers"
+        count = ("a finite number" if size is None
+                 else "finite numbers" if size == -1
+                 else f"{_WORDS[size] if size < 10 else size} finite numbers")
         raise error(f"{label}: need {count}{' > 0' * positive}, "
                     f"got {value!r}")
     return arr.item() if size is None else arr.reshape(-1)

@@ -195,57 +195,41 @@ _SCAN_CHUNK = 256
 # dozen segments in floats (level-5 helix rulers walk fastest at 32 to 96)
 _PROBE_MAX = 64
 _T_EPS = 1e-9  # crossings that land on a vertex round to t = 1 +- ulp
+# a segment whose two ends both lie at squared distance below
+# eps^2 (1 - _MARGIN) from the anchor holds no crossing (divider_walk)
+_MARGIN = 1e-6
 
 
 def _dot3(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row dot products of (n, 3) arrays, summed as (u0 v0 + u2 v2) + u1 v1.
+    """Row dot products of (n, 3) arrays, summed as (u0 v0 + u2 v2) + u1 v1,
+    the order numpy's einsum sums these rows in (numpy 2.4, x86-64).
 
-    divider_walk's scalar probe sums in the same order, so a segment
-    tests the same whether the probe or the scan reaches it.  It is also
-    the order numpy's einsum sums these rows in (numpy 2.4, x86-64), so
-    walk lengths match those of the einsum-based scan of earlier versions.
+    divider_walk takes its squared segment lengths from here and its
+    scalar root test sums in the same order, so its walk lengths match
+    those of the einsum-based walk of earlier versions.  _first_crossing's
+    distances sum in this order too, so the scan rules out exactly the
+    segments that the probe would.
     """
     return (u[:, 0] * v[:, 0] + u[:, 2] * v[:, 2]) + u[:, 1] * v[:, 1]
 
 
-def _first_crossing(starts, dirs, start_idx, start_t, anchor, eps):
-    """First point along the polyline (from the given position) at chord
-    distance eps from anchor; returns (idx, t) or None.
+def _first_crossing(verts, k, anchor, ball2):
+    """First segment from k on that may hold the chord's end, or None.
 
-    starts/dirs are the per-segment origin and difference vectors; the
-    search scans forward in chunks of array operations.
-    Roots are accepted up to t = 1 + _T_EPS: a crossing sitting exactly
-    on a shared vertex otherwise rounds out of both adjacent segments
-    (t = 1 + ulp in one, t = 0 in the next) and the walk loses it.
+    A segment is ruled out when both its vertices lie at squared distance
+    below ball2 from anchor, so the scan looks for the first vertex from
+    verts[k] on that does not, and returns the segment ending there
+    (segment k itself when that vertex is verts[k]).  It scans in array
+    operations, _SCAN_CHUNK vertices at first and twice as many on each
+    further pass, and takes no roots: divider_walk tests the segment.
     """
-    n = len(starts)
-    eps2 = eps * eps
-    hi = 1.0 + _T_EPS
-    i = start_idx
-    while i < n:
-        j = min(i + _SCAN_CHUNK, n)
-        d = dirs[i:j]
-        w = starts[i:j] - anchor
-        aa = _dot3(d, d)
-        bb = 2.0 * _dot3(w, d)
-        cc = _dot3(w, w) - eps2
-        disc = bb * bb - 4.0 * aa * cc
-        ok = (disc >= 0.0) & (aa > 0.0)
-        root = np.sqrt(np.where(ok, disc, 0.0))
-        lo = np.zeros(j - i)
-        if i == start_idx:
-            lo[0] = start_t
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_near = (-bb - root) / (2 * aa)
-            t_far = (-bb + root) / (2 * aa)
-        t = np.where(ok & (t_near > lo) & (t_near <= hi), t_near,
-                     np.where(ok & (t_far > lo) & (t_far <= hi),
-                              t_far, np.inf))
-        hits = np.flatnonzero(np.isfinite(t))
-        if hits.size:
-            k = int(hits[0])
-            return i + k, min(float(t[k]), 1.0)
-        i = j
+    i, size = k, _SCAN_CHUNK
+    while i < len(verts):
+        w = verts[i:i + size] - anchor
+        far = np.flatnonzero(_dot3(w, w) >= ball2)
+        if far.size:
+            return max(i + int(far[0]) - 1, k)
+        i, size = i + size, 2 * size
     return None
 
 
@@ -253,15 +237,35 @@ def divider_walk(vertices: np.ndarray, eps: float) -> float:
     """Ruler length estimate: walk the polyline in chords of length eps
     (first-crossing rule) and return steps * eps plus the leftover chord.
 
-    A chord usually ends within a few segments, and testing those few in
-    Python float arithmetic costs less than the array operations of one
-    scan chunk.  So each chord first probes twice as many segments as the
-    previous chord spanned, and hands the rest of the search to
-    _first_crossing when the crossing lies beyond the probe; a probe
-    longer than _PROBE_MAX segments is skipped, the scan being the cheaper
-    test there.  Both test a segment with the same operations in the same
-    order, so the walk takes the same chords whichever of them finds the
-    crossing.  Segment data is read as Python floats one chunk at a time.
+    A chord ends at the first root t of |s + t d - anchor|^2 = eps^2 along
+    the segments s + t d from the anchor on, above the anchor's own t in
+    its segment (above 0 in later ones) and at most 1 + _T_EPS: a crossing
+    sitting exactly on a shared vertex otherwise rounds out of both
+    adjacent segments (t = 1 + ulp in one, t = 0 in the next) and the walk
+    loses it.
+
+    The walk takes that root only on segments that can hold it.  The
+    ruler's ball is convex, so a segment whose two vertices lie at squared
+    distance below eps^2 (1 - _MARGIN) from the anchor lies inside it and
+    is shorter than 2 eps.  Both roots of its quadratic then lie at least
+    _MARGIN eps / 2 = 5e-7 eps beyond its ends, at least 2.5e-7 outside
+    [0, 1] in t, and rounding moves a root by about 1e-13 eps (the two
+    roots are at least 2 eps sqrt(_MARGIN) apart, far from a double
+    root).  The root test, which accepts t up to 1 + _T_EPS = 1 + 1e-9,
+    never accepts one there, so skipping such segments leaves every walk
+    length bitwise unchanged.  The anchor's own segment is judged by its
+    two vertices too, not by the anchor: a segment much longer than eps
+    can end just inside the margin with its root less than _T_EPS past
+    that vertex, where the test lands the chord.
+
+    A chord usually ends within a few segments, and checking those in
+    Python floats costs less than the array operations of one scan.  So
+    each chord first probes twice as many segments as the previous chord
+    spanned, and hands the rest of the search to _first_crossing when the
+    crossing lies beyond the probe; a probe longer than _PROBE_MAX
+    segments is skipped, the scan being the cheaper test there.  Either
+    way one scalar root test runs on each segment not ruled out.  Segment
+    data is read as Python floats one chunk at a time.
     Raises GeometryInvalid for a ruler that is not a finite number above 0
     or a vertex that is not finite.
     """
@@ -269,54 +273,61 @@ def divider_walk(vertices: np.ndarray, eps: float) -> float:
     verts = np.asarray(vertices, dtype=float)
     if not np.isfinite(verts).all():
         raise GeometryInvalid("need finite vertex coordinates")
-    starts = verts[:-1]
     dirs = verts[1:] - verts[:-1]
-    n = len(starts)
+    n = len(dirs)
     eps2 = eps * eps
+    ball2 = eps2 * (1.0 - _MARGIN)  # the ball less its margin, squared
     hi = 1.0 + _T_EPS
     page, base, end = [], 0, 0  # segments base .. end-1 as float lists
 
     def load(k):
-        # the walk only moves forward, so a page starting at k serves
-        # the probes that follow
-        j = k + _SCAN_CHUNK
+        # the walk only moves forward, so a page starting at k serves the
+        # segments that follow; a row is a segment's start, difference,
+        # squared length and end
+        j = min(k + _SCAN_CHUNK, n)
         d = dirs[k:j]
-        return np.column_stack((starts[k:j], d, _dot3(d, d))).tolist(), \
-            k, min(j, n)
+        return np.column_stack((verts[k:j], d, _dot3(d, d),
+                                verts[k + 1:j + 1])).tolist(), k, j
 
     a0, a1, a2 = verts[0].tolist()
     idx, t = 0, 0.0
     probe = 0
     steps = 0
     while True:
-        lo = t
-        for k in range(idx, min(idx + probe, n)):
+        k, lo, stop = idx, t, min(idx + probe, n)
+        ww = None  # squared distance of segment k's start from the anchor
+        while True:
+            if k == stop:
+                hit = None if k == n else _first_crossing(
+                    verts, k, np.array((a0, a1, a2)), ball2)
+                if hit is None:
+                    return steps * eps + float(
+                        np.linalg.norm(verts[-1] - np.array((a0, a1, a2))))
+                if hit > k:
+                    k, lo, ww = hit, 0.0, None
+                stop = k + 1
             if k >= end:
                 page, base, end = load(k)
-            s0, s1, s2, d0, d1, d2, aa = page[k - base]
-            w0, w1, w2 = s0 - a0, s1 - a1, s2 - a2
-            bb = 2.0 * ((w0 * d0 + w2 * d2) + w1 * d1)
-            cc = ((w0 * w0 + w2 * w2) + w1 * w1) - eps2
-            disc = bb * bb - 4.0 * aa * cc
-            if disc >= 0.0 and aa > 0.0:
-                root = math.sqrt(disc)
-                t = (-bb - root) / (2 * aa)
-                if lo < t <= hi:
-                    break
-                t = (-bb + root) / (2 * aa)
-                if lo < t <= hi:
-                    break
+            s0, s1, s2, d0, d1, d2, aa, e0, e1, e2 = page[k - base]
+            if ww is None:
+                w0, w1, w2 = s0 - a0, s1 - a1, s2 - a2
+                ww = (w0 * w0 + w2 * w2) + w1 * w1
+            f0, f1, f2 = e0 - a0, e1 - a1, e2 - a2
+            ff = (f0 * f0 + f2 * f2) + f1 * f1
+            if ww >= ball2 or ff >= ball2:
+                bb = 2.0 * ((w0 * d0 + w2 * d2) + w1 * d1)
+                disc = bb * bb - 4.0 * aa * (ww - eps2)
+                if disc >= 0.0 and aa > 0.0:
+                    root = math.sqrt(disc)
+                    t = (-bb - root) / (2 * aa)
+                    if lo < t <= hi:
+                        break
+                    t = (-bb + root) / (2 * aa)
+                    if lo < t <= hi:
+                        break
+            w0, w1, w2, ww = f0, f1, f2, ff
+            k += 1
             lo = 0.0
-        else:
-            hit = _first_crossing(starts, dirs, min(idx + probe, n), lo,
-                                  np.array((a0, a1, a2)), eps)
-            if hit is None:
-                return steps * eps + float(
-                    np.linalg.norm(verts[-1] - np.array((a0, a1, a2))))
-            k, t = hit
-            if k >= end:
-                page, base, end = load(k)
-            s0, s1, s2, d0, d1, d2, aa = page[k - base]
         probe = 2 * (k - idx + 1)
         if probe > _PROBE_MAX:
             probe = 0
@@ -327,9 +338,7 @@ def divider_walk(vertices: np.ndarray, eps: float) -> float:
             idx, t = k + 1, 0.0
             if idx == n:
                 return steps * eps  # no leftover chord
-            if idx >= end:
-                page, base, end = load(idx)
-            a0, a1, a2 = page[idx - base][:3]
+            a0, a1, a2 = e0, e1, e2
         else:
             idx = k
             a0, a1, a2 = s0 + t * d0, s1 + t * d1, s2 + t * d2

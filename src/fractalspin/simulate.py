@@ -470,8 +470,7 @@ def crossover_lag(lag_times: np.ndarray, rms: np.ndarray) -> float:
     space.  Raises InsufficientData if no crossing is bracketed, and
     ConfigError unless lag_times and rms are finite numbers > 0 of one
     length."""
-    lt = np.log(finite("key lag_times", lag_times, np.size(lag_times),
-                       positive=True))
+    lt = np.log(finite("key lag_times", lag_times, -1, positive=True))
     lr = np.log(finite("key rms", rms, len(lt), positive=True))
     slopes = np.diff(lr) / np.diff(lt)
     mids = 0.5 * (lt[1:] + lt[:-1])

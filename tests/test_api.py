@@ -182,6 +182,12 @@ _WAVE = fractalspin.ExponentialField([(fractalspin.ONE,
 _PT = (0.0, 0.4, 0.2, 0.1)
 
 
+_PHI = fractalspin.ExponentialField([(np.array([1.0, 0.0]),
+                                      [0.1j, 0.2j, 0.0, 0.3j])])
+_FREE = fractalspin.EMField()
+_PSI = fractalspin.dirac_plane_wave((1, 0), (0, 0, 1))
+
+
 _EM = fractalspin.EMField(a0=lambda pt: np.inf,
                           a=lambda pt: (0.0, np.nan, 0.0),
                           b=lambda pt: (0.0, 1.0), div_a=lambda pt: np.nan)
@@ -247,8 +253,12 @@ def _drift(**kw):
      r"term 0 p: need three finite numbers, got \(1.0, 2.0\)"),
     (lambda: fractalspin.ExponentialField([(fractalspin.ONE, (1, 2, 3))]),
      r"term 0 k: need four finite numbers, got \(1, 2, 3\)"),
+    # a NaN omega or m was refused as the internal wave vector "term 0 k",
+    # the NaN m only after a RuntimeWarning
     (lambda: fractalspin.rotor_field(1, np.nan, (0.0, 0.0, 0.0)),
-     r"term 0 k: need four finite numbers, got array\(\[nan\+nanj"),
+     "key omega: need a finite number, got nan"),
+    (lambda: fractalspin.dirac_plane_wave((1, 0), (0, 0, 1), m=np.nan),
+     "key m: need a finite number > 0, got nan"),
     # fractional counts and seeds ended in a TypeError from range or
     # SeedSequence, a two-component x0 in "not enough values to unpack"
     (lambda: fractalspin.SimConfig(n_steps=2.5),
@@ -314,6 +324,31 @@ def _drift(**kw):
      r"key rms: need three finite numbers > 0, got \[1, 2\]"),
     (lambda: fractalspin.crossover_lag([1, 2, 3], [1, np.nan, 3]),
      r"key rms: need three finite numbers > 0, got \[1, nan, 3\]"),
+    # the keyword constants of the Pauli/Dirac layer were not checked: a
+    # zero m, c or hbar ended in a bare ZeroDivisionError, a NaN gave NaN
+    (lambda: fractalspin.small_component(_PHI, _FREE, _PT, m=0.0),
+     "key m: need a finite number > 0, got 0.0"),
+    (lambda: fractalspin.small_component(_PHI, _FREE, _PT, c=np.nan),
+     "key c: need a finite number > 0, got nan"),
+    (lambda: fractalspin.small_component(_PHI, _FREE, _PT, charge=np.inf),
+     "key charge: need a finite number, got inf"),
+    (lambda: fractalspin.pauli_residual(_PHI, _FREE, _PT, g=np.nan),
+     "key g: need a finite number, got nan"),
+    (lambda: fractalspin.pauli_residual(_PHI, _FREE, _PT, hbar=0.0),
+     "key hbar: need a finite number > 0, got 0.0"),
+    (lambda: fractalspin.pauli_residual(_PHI, _FREE, _PT, charge="1"),
+     "key charge: need a finite number, got '1'"),
+    (lambda: fractalspin.dirac_residual(_PSI, _FREE, _PT, m=-1.0),
+     "key m: need a finite number > 0, got -1.0"),
+    (lambda: fractalspin.dirac_residual(_PSI, _FREE, _PT, charge=np.nan),
+     "key charge: need a finite number, got nan"),
+    (lambda: fractalspin.dirac_plane_wave((1, 0), (0, 0, 1), c=0.0),
+     "key c: need a finite number > 0, got 0.0"),
+    (lambda: fractalspin.dynamics.strip_rest_phase(_WAVE, hbar=np.inf),
+     "key hbar: need a finite number > 0, got inf"),
+    # ragged lag times ended in numpy's bare ValueError
+    (lambda: fractalspin.crossover_lag([[1, 2], [3]], [1, 2]),
+     r"key lag_times: need finite numbers > 0, got \[\[1, 2\], \[3\]\]"),
 ])
 def test_argument_refusals_are_config_errors(call, message):
     with pytest.raises(fractalspin.ConfigError, match=message):

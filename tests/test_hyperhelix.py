@@ -519,3 +519,41 @@ def test_divider_walk_matches_oracle_on_random_walk():
             for eps in (0.5, 1.5, 5.0, 15.0):
                 assert divider_walk(verts, eps) == \
                     _oracle_divider_walk(verts, eps)
+
+
+def test_divider_walk_matches_oracle_on_the_level5_helix():
+    # the benchmark's curve at its four coarsest construction rulers (the
+    # two finest take the oracle tens of seconds), walked both ways
+    verts = iterate(helical_generator(4), 5)
+    for eps in construction_rulers(3, 5)[:4]:
+        for v in (verts, verts[::-1]):
+            assert divider_walk(v, eps) == _oracle_divider_walk(v, eps)
+
+
+def test_divider_walk_matches_oracle_at_the_skip_margin():
+    # from the origin, vertex 2 lies exactly on the unit sphere, so the
+    # first chord lands on it; from there, vertex 4 lies inside the ball
+    # but within the 1e-6 margin (squared distance 1 - 6e-7), so its
+    # segments are tested rather than skipped
+    verts = np.array([[0.0, 0.0, 0.0], [0.5, 0.1, 0.2], [0.0, 0.0, 1.0],
+                      [0.3, 0.4, 1.2], [0.0, 1.0 - 3e-7, 1.0],
+                      [0.0, 2.0, 1.5], [0.4, 2.2, 0.9]])
+    assert divider_walk(verts[:3], 1.0) == 1.0
+    for v in (verts, verts[::-1]):
+        for eps in (1.0, 1.0 - 3e-7, 0.7):
+            assert divider_walk(v, eps) == _oracle_divider_walk(v, eps)
+
+
+def test_divider_walk_matches_oracle_on_long_and_empty_segments():
+    # segments far longer than the ruler and one of length 0.  The first
+    # is 1000 - 7e-7 long: the chord from 999 ends 1 - 7e-7 from its
+    # anchor, inside the skip margin, yet the crossing's root sits 7e-10
+    # past that vertex, within the test's tolerance, so the walk lands on
+    # the vertex.  Judging the anchor's segment by the anchor instead of
+    # its start would skip it and walk past
+    verts = np.array([[0.0, 0.0, 0.0], [1000.0 - 7e-7, 0.0, 0.0],
+                      [1000.0 - 7e-7, 3.0, 0.0], [1000.0 - 7e-7, 3.0, 0.0],
+                      [1002.5, 3.0, 1.0], [1002.5, 0.2, 1.0]])
+    for v in (verts, verts[::-1]):
+        for eps in (1.0, 0.7, 2.5):
+            assert divider_walk(v, eps) == _oracle_divider_walk(v, eps)
