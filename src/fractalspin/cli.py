@@ -150,7 +150,7 @@ def _emit(text, out):
             fh.writelines(chunks)
 
 
-_CSV_ROWS = 4096  # trajectory rows formatted per str.format call
+_CSV_ROWS = 4096  # trajectory rows formatted per % call
 _NON_FINITE = "output holds a non-finite number (inf or nan); nothing written"
 
 
@@ -168,8 +168,7 @@ def _csv_chunks(table):
     yield "t,x,y,z\n"
     for start in range(0, len(table), _CSV_ROWS):
         chunk = table[start:start + _CSV_ROWS]
-        yield (("{!r},{!r},{!r},{!r}\n" * len(chunk))
-               .format(*chunk.ravel().tolist()))
+        yield ("%r,%r,%r,%r\n" * len(chunk)) % tuple(chunk.ravel().tolist())
 
 
 def _json_text(payload: dict) -> str:

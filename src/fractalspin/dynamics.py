@@ -172,8 +172,10 @@ def geodesic_residual(field, diffusion: float, pt) -> list:
 
     with G_k = psi^-1 d_k psi.  All derivatives of G are expanded by the
     product rule into derivatives of psi (exact for exponential-sum
-    fields); needs field values up to third derivatives.
+    fields); needs field values up to third derivatives.  Raises
+    ConfigError unless diffusion is a finite number.
     """
+    diffusion = finite("key diffusion", diffusion)
     inv = field.value(pt).inverse()
     g = [inv * _d(field, pt, mu) for mu in range(4)]  # g[0] is G_t
 
@@ -204,7 +206,9 @@ def acceleration_field(field, diffusion: float, pt) -> list:
     For commuting (complex) fields this is a spatial gradient; for
     genuinely quaternionic fields its curl reduces to -d_t[G_j, G_k] and
     need not vanish.  gradient_witness evaluates that curl directly.
+    Raises ConfigError unless diffusion is a finite number.
     """
+    diffusion = finite("key diffusion", diffusion)
     inv = field.value(pt).inverse()
     d1 = [_d(field, pt, mu) for mu in range(4)]
     g_t = inv * d1[0]
@@ -233,7 +237,12 @@ def gradient_witness(field, diffusion: float, points) -> float:
     in all.  There is no finite-difference step: a field whose values
     commute gives 0 up to the rounding of the commutator's products, and
     exactly 0 where its values are complex scalars.
+
+    D does not enter the curl, since the term it scales is a gradient;
+    diffusion is still checked, and ConfigError raised unless it is a
+    finite number, so a witness call takes what acceleration_field takes.
     """
+    finite("key diffusion", diffusion)
     worst = 0.0
     for pt in points:
         inv = field.value(pt).inverse()

@@ -45,16 +45,30 @@ def similarity_dimension(n_segments: int, divisions: int) -> float:
     return math.log(n_segments) / math.log(divisions)
 
 
+def _vertex_array(vertices) -> np.ndarray:
+    """vertices as an (n, 3) float array; raises GeometryInvalid unless
+    n >= 2 and every entry is a finite number (never a string or None,
+    nor ragged nesting).  The one check of every function taking a curve."""
+    try:
+        verts = np.asarray(vertices)
+    except ValueError:  # ragged nesting
+        verts = np.asarray(None)
+    if verts.dtype.kind not in "biuf" or verts.ndim != 2 \
+            or verts.shape[0] < 2 or verts.shape[1] != 3:
+        raise GeometryInvalid("need an (n, 3) vertex array with n >= 2")
+    if not np.isfinite(verts).all():
+        raise GeometryInvalid("need finite vertex coordinates")
+    return verts.astype(float, copy=False)
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     vertices: np.ndarray
     divisions: int
 
     def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=float)
+        v = _vertex_array(self.vertices)
         object.__setattr__(self, "vertices", v)
-        if v.ndim != 2 or v.shape[1] != 3 or v.shape[0] < 2:
-            raise GeometryInvalid("generator needs an (n, 3) vertex array")
         whole("key divisions", self.divisions, 2, error=GeometryInvalid)
         if np.linalg.norm(v[0]) > _TOL:
             raise GeometryInvalid("generator must start at the origin")
@@ -267,12 +281,10 @@ def divider_walk(vertices: np.ndarray, eps: float) -> float:
     way one scalar root test runs on each segment not ruled out.  Segment
     data is read as Python floats one chunk at a time.
     Raises GeometryInvalid for a ruler that is not a finite number above 0
-    or a vertex that is not finite.
+    or vertices that are not an (n, 3) array of finite numbers, n >= 2.
     """
     eps = finite("key eps", eps, positive=True, error=GeometryInvalid)
-    verts = np.asarray(vertices, dtype=float)
-    if not np.isfinite(verts).all():
-        raise GeometryInvalid("need finite vertex coordinates")
+    verts = _vertex_array(vertices)
     dirs = verts[1:] - verts[:-1]
     n = len(dirs)
     eps2 = eps * eps
@@ -359,9 +371,10 @@ def default_rulers(vertices: np.ndarray) -> np.ndarray:
     oscillate log-periodically, and an arbitrary ladder samples the
     oscillation at drifting phase; prefer construction_rulers there.
     Raises GeometryInvalid when either end of the ladder is 0: a closed
-    curve, or a segment of length 0.
+    curve, or a segment of length 0; and for vertices that are not an
+    (n, 3) array of finite numbers, n >= 2.
     """
-    verts = np.asarray(vertices, dtype=float)
+    verts = _vertex_array(vertices)
     span = float(np.linalg.norm(verts[-1] - verts[0]))
     seg_min = float(np.min(np.linalg.norm(np.diff(verts, axis=0), axis=1)))
     if not (span > 0.0 and seg_min > 0.0):
@@ -389,20 +402,22 @@ def measured_dimension(vertices: np.ndarray, rulers=None,
     Raises InsufficientData when the rulers span fewer than min_decades
     decades (or min_decades is NaN); self-similar curves below level 5
     cannot honestly reach two decades, so convergence studies over levels
-    pass a lower min_decades explicitly.  Raises GeometryInvalid for a
-    curve of fewer than two vertices, rulers that are not a flat list of
-    at least one, a ruler that is not a finite number above 0, or a walk
-    of length 0.
+    pass a lower min_decades explicitly.  Raises GeometryInvalid for
+    vertices that are not an (n, 3) array of finite numbers, n >= 2,
+    rulers that are not a flat list of at least one, a ruler that is not a
+    finite number above 0, or a walk of length 0.
     """
-    verts = np.asarray(vertices, dtype=float)
-    if len(verts) < 2:
-        raise GeometryInvalid("need a curve of at least two vertices")
+    verts = _vertex_array(vertices)
     if rulers is None:
         rulers = default_rulers(verts)
-    if np.ndim(rulers) != 1 or np.size(rulers) == 0:
+    try:
+        flat = np.ndim(rulers) == 1 and np.size(rulers) > 0
+    except ValueError:  # ragged nesting
+        flat = False
+    if not flat:
         raise GeometryInvalid(
-            f"need a flat list of at least one ruler, got shape "
-            f"{np.shape(rulers)}")
+            f"key rulers: need a flat list of at least one ruler, got "
+            f"{rulers!r}")
     rulers = finite("key rulers", rulers, np.size(rulers), positive=True,
                     error=GeometryInvalid)
     span = math.log10(rulers.max() / rulers.min())
@@ -421,11 +436,7 @@ def _axis_frame(vertices: np.ndarray):
     and two transverse coordinates relative to the first vertex, and the
     span unit vector u.  Raises GeometryInvalid unless vertices is an
     (n, 3) array of finite numbers with n >= 2 and distinct endpoints."""
-    verts = np.asarray(vertices, dtype=float)
-    if verts.ndim != 2 or verts.shape[0] < 2 or verts.shape[1] != 3:
-        raise GeometryInvalid("need an (n, 3) vertex array with n >= 2")
-    if not np.isfinite(verts).all():
-        raise GeometryInvalid("need finite vertex coordinates")
+    verts = _vertex_array(vertices)
     span_vec = verts[-1] - verts[0]
     span = float(np.linalg.norm(span_vec))
     if span < 1e-12:
@@ -482,8 +493,8 @@ def curve_spin(vertices: np.ndarray, m: float, v: float, *,
 def shrink_transverse(vertices: np.ndarray, q: float) -> np.ndarray:
     """Contract the curve towards its span axis by 1/q, azimuths intact."""
     finite("key q", q, positive=True, error=GeometryInvalid)
+    _, axial, _, _, u = _axis_frame(vertices)
     verts = np.asarray(vertices, dtype=float)
-    _, axial, _, _, u = _axis_frame(verts)
     transverse = (verts - verts[0]) - np.outer(axial, u)
     return verts[0] + np.outer(axial, u) + transverse / q
 

@@ -23,11 +23,14 @@ noise step lengths, 10 sqrt(2 D dt).
 
 A single path, deterministic or stochastic, steps in Python floats: on
 three numbers a step costs less that way than the numpy calls on
-3-element arrays would.  Ensembles step a block of paths at once, each of
-the x, y, z columns a numpy array.  Both evaluate the drift through the
-one kernel _swirl and step each coordinate as x + v dt + eta sqrt(2 D dt),
-with the same operations in the same order, so a single path equals the
-matching ensemble path bit for bit.
+3-element arrays would.  RK4 spells out _raw_swirl's operations in each
+of its four stages, so a step calls no Python function, and calls
+_raw_swirl only to refuse a stage inside the core.  Ensembles step a
+block of paths at once, each of the x, y, z columns a numpy array.  The
+single stochastic path and the ensemble block both evaluate the drift
+through the one kernel _swirl and step each coordinate as
+x + v dt + eta sqrt(2 D dt), with the same operations in the same order,
+so a single path equals the matching ensemble path bit for bit.
 
 An ensemble runs in blocks of paths.  The main thread draws a block's
 noise into rows 1..n of a path array and steps it there in place, while
@@ -172,23 +175,49 @@ def _trajectory(cfg: SimConfig, buf: array) -> Trajectory:
 def integrate_deterministic(cfg: SimConfig) -> Trajectory:
     """Classical fixed-step RK4 on the raw (unregularized) drift; rho and
     L_z hold to round-off only while dt sigma0/(m rho^2) is small (unchecked).
-    Raises AxisSingularity when a stage lands at rho <= r_min (default 0)."""
+    Raises AxisSingularity when a stage lands at rho <= r_min (default 0).
+
+    Each stage spells out _raw_swirl's operations in their order, rho^2
+    as x x + y y and the slope as (-k) y / rho^2, k x / rho^2, so a step
+    calls no Python function; a stage it refuses calls _raw_swirl, which
+    spells the message.  A NaN rho^2 is not refused, here as in
+    _raw_swirl, and the run carries on in NaN."""
     r_min = 0.0 if cfg.r_min is None else cfg.r_min
+    r2 = r_min * r_min
     dt, k, vz = cfg.dt, cfg.sigma0 / cfg.m, cfg.p0 / cfg.m
+    nk = -k  # _swirl's -k * y is (-k) * y
     half, sixth = 0.5 * dt, dt / 6.0
+    # the z drift is constant, so is its step; the sum keeps the order of
+    # the (k1 + 2 k2 + 2 k3 + k4) vector form, so z rounds as it did there
+    dz = sixth * (vz + 2 * vz + 2 * vz + vz)
     x, y, z = (float(v) for v in cfg.x0)
     buf = array("d", (x, y, z))
     put = buf.extend
     for _ in range(cfg.n_steps):
-        # the z drift is constant; the sum keeps the order of the (k1 +
-        # 2 k2 + 2 k3 + k4) vector form, so z rounds as it did there
-        ax, ay = _raw_swirl(x, y, k, r_min)
-        bx, by = _raw_swirl(x + half * ax, y + half * ay, k, r_min)
-        cx, cy = _raw_swirl(x + half * bx, y + half * by, k, r_min)
-        dx, dy = _raw_swirl(x + dt * cx, y + dt * cy, k, r_min)
-        x = x + sixth * (ax + 2 * bx + 2 * cx + dx)
-        y = y + sixth * (ay + 2 * by + 2 * cy + dy)
-        z = z + sixth * (vz + 2 * vz + 2 * vz + vz)
+        d = x * x + y * y
+        if d <= r2:
+            _raw_swirl(x, y, k, r_min)  # raises
+        ax, ay = nk * y / d, k * x / d
+        px, py = x + half * ax, y + half * ay
+        d = px * px + py * py
+        if d <= r2:
+            _raw_swirl(px, py, k, r_min)
+        bx, by = nk * py / d, k * px / d
+        px, py = x + half * bx, y + half * by
+        d = px * px + py * py
+        if d <= r2:
+            _raw_swirl(px, py, k, r_min)
+        cx, cy = nk * py / d, k * px / d
+        px, py = x + dt * cx, y + dt * cy
+        d = px * px + py * py
+        if d <= r2:
+            _raw_swirl(px, py, k, r_min)
+        dx, dy = nk * py / d, k * px / d
+        # 2.0, not 2: float times float takes the interpreter's fast path,
+        # and either product is exact
+        x = x + sixth * (ax + 2.0 * bx + 2.0 * cx + dx)
+        y = y + sixth * (ay + 2.0 * by + 2.0 * cy + dy)
+        z = z + dz
         put((x, y, z))
     return _trajectory(cfg, buf)
 

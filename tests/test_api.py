@@ -128,8 +128,7 @@ def test_raised_builtins_sees_each_spelling():
 OWN_FINITE_CHECKS = {
     ("fields.py", "_sum"): "the hot path: value and partial check each "
                            "point inline, 24,000 times per fieldmap pass",
-    ("hyperhelix.py", "divider_walk"): "vertex arrays of any length",
-    ("hyperhelix.py", "_axis_frame"): "vertex arrays of any length",
+    ("hyperhelix.py", "_vertex_array"): "vertex arrays of any length",
 }
 
 
@@ -346,6 +345,14 @@ def _drift(**kw):
      "key c: need a finite number > 0, got 0.0"),
     (lambda: fractalspin.dynamics.strip_rest_phase(_WAVE, hbar=np.inf),
      "key hbar: need a finite number > 0, got inf"),
+    # a NaN diffusion gave all-NaN residuals and accelerations, and the
+    # witness ignored it
+    (lambda: fractalspin.geodesic_residual(_WAVE, np.nan, _PT),
+     "key diffusion: need a finite number, got nan"),
+    (lambda: fractalspin.acceleration_field(_WAVE, np.inf, _PT),
+     "key diffusion: need a finite number, got inf"),
+    (lambda: fractalspin.gradient_witness(_WAVE, np.nan, [_PT]),
+     "key diffusion: need a finite number, got nan"),
     # ragged lag times ended in numpy's bare ValueError
     (lambda: fractalspin.crossover_lag([[1, 2], [3]], [1, 2]),
      r"key lag_times: need finite numbers > 0, got \[\[1, 2\], \[3\]\]"),

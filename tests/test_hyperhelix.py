@@ -271,10 +271,13 @@ def test_scaling_factor_refuses_a_dimension_not_finite_and_positive(bad):
         scaling_factor(2.0, bad)
 
 
-@pytest.mark.parametrize("rulers", [[], [[1.0, 0.1], [0.01, 0.001]], 0.5])
+# ragged rulers ended in numpy's bare ValueError
+@pytest.mark.parametrize("rulers", [[], [[1.0, 0.1], [0.01, 0.001]], 0.5,
+                                    [[1, 2], [3]]])
 def test_measured_dimension_refuses_rulers_not_a_flat_list(rulers):
     verts = iterate(helical_generator(), 2)
-    with pytest.raises(GeometryInvalid, match="flat list of at least one"):
+    with pytest.raises(GeometryInvalid,
+                       match="key rulers: need a flat list of at least one"):
         measured_dimension(verts, rulers=rulers)
 
 
@@ -295,13 +298,53 @@ def test_default_rulers_refuse_a_ladder_ending_at_zero(verts):
     lambda verts: curve_spin(verts, m=1.0, v=1.0),
     spin_kernel,
     lambda verts: shrink_transverse(verts, 2.0),
+    # a generator with a NaN vertex was taken
+    lambda verts: GeneratorSpec(verts, divisions=2),
 ], ids=["divider_walk", "measured_dimension", "curve_spin", "spin_kernel",
-        "shrink_transverse"])
+        "shrink_transverse", "GeneratorSpec"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_curve_functions_refuse_a_vertex_not_finite(call, bad):
     verts = np.array([[0.0, 0.0, 0.0], [0.5, bad, 0.0], [1.0, 0.0, 0.0]])
     with pytest.raises(GeometryInvalid, match="need finite vertex"):
         call(verts)
+
+
+_CURVE_CALLS = {
+    "divider_walk": lambda verts: divider_walk(verts, 0.1),
+    "default_rulers": default_rulers,
+    "measured_dimension": lambda verts: measured_dimension(
+        verts, rulers=[1e-3, 1.0]),
+    "curve_spin": lambda verts: curve_spin(verts, m=1.0, v=1.0),
+    "spin_kernel": spin_kernel,
+    "shrink_transverse": lambda verts: shrink_transverse(verts, 2.0),
+    "GeneratorSpec": lambda verts: GeneratorSpec(verts, divisions=3),
+}
+_HELIX2 = iterate(helical_generator(), 2)
+_NOT_A_CURVE = {
+    "ragged": [[0.0, 0.0, 0.0], [0.5, 0.1], [1.0, 0.0, 0.0]],
+    "four columns": np.column_stack((_HELIX2, np.zeros(len(_HELIX2)))),
+    "two columns": _HELIX2[:, :2],
+    "one axis": _HELIX2[:, 0],
+    "one vertex": np.zeros((1, 3)),
+    "strings": _HELIX2.astype(str),
+}
+
+
+# each ended in a bare ValueError, TypeError or numpy AxisError, or gave a
+# number (strings were cast to floats); the calls and inputs left out were
+# already refused in this wording
+@pytest.mark.parametrize("call, curve", [
+    *[(call, "ragged") for call in _CURVE_CALLS],
+    *[(call, curve)
+      for call in ("divider_walk", "default_rulers", "measured_dimension")
+      for curve in ("four columns", "two columns", "one axis")],
+    ("divider_walk", "one vertex"), ("default_rulers", "one vertex"),
+    *[(call, "strings") for call in _CURVE_CALLS if call != "GeneratorSpec"],
+])
+def test_curve_functions_refuse_vertices_not_an_n_by_3_array(call, curve):
+    with pytest.raises(GeometryInvalid,
+                       match=r"need an \(n, 3\) vertex array with n >= 2"):
+        _CURVE_CALLS[call](_NOT_A_CURVE[curve])
 
 
 # (2, 1) ended in a ZeroDivisionError, (0, 3) and (9, 0) in a ValueError

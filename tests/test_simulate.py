@@ -542,12 +542,15 @@ def _old_stochastic(cfg, seed):
     dict(n_steps=1, x0=(2, 1, 0)),
     # z rounds differently if summed as dt * vz instead of the RK4 sum
     dict(n_steps=300, dt=0.007, p0=0.3, x0=(0.5, 0.5, 0.0)),
+    # signed zeros: compared by bytes, -0.0 and 0.0 are told apart
+    dict(n_steps=50, sigma0=0.0, x0=(-0.0, 0.5, -0.0)),
+    dict(n_steps=50, sigma0=-0.0, p0=-0.0, x0=(0.7, -0.0, 0.0)),
 ])
 def test_rk4_float_loop_equals_numpy_oracle(overrides):
     cfg = spiral_preset(**overrides)
     traj = integrate_deterministic(cfg)
     assert traj.positions.shape == (cfg.n_steps + 1, 3)
-    assert np.array_equal(traj.positions, _old_rk4(cfg))
+    assert _same_bits(traj.positions, _old_rk4(cfg))
     assert np.array_equal(traj.times, np.arange(cfg.n_steps + 1) * cfg.dt)
 
 
@@ -563,15 +566,19 @@ def test_rk4_near_axis_raises_where_the_oracle_does(monkeypatch, x0, r_min):
     calls = []
     raw_swirl = simulate._raw_swirl
 
-    def counting(*args):
+    def recording(*args):
         calls.append(args)
         return raw_swirl(*args)
 
-    monkeypatch.setattr(simulate, "_raw_swirl", counting)
+    monkeypatch.setattr(simulate, "_raw_swirl", recording)
     with pytest.raises(AxisSingularity) as new:
         integrate_deterministic(cfg)
-    # the same stage of the same step, at the same radius
-    assert len(calls) == len(old_calls)
+    # _raw_swirl runs only to refuse: once, at the oracle's last stage
+    # point, bit for bit, so the same stage of the same step
+    x, y = old_calls[-1][:2].tolist()
+    assert len(calls) == 1
+    assert _same_bits(np.array(calls[0]),
+                      np.array([x, y, cfg.sigma0 / cfg.m, r_min or 0.0]))
     assert str(new.value) == str(old.value)
 
 
@@ -587,7 +594,7 @@ def test_rk4_near_axis_raises_where_the_oracle_does(monkeypatch, x0, r_min):
 def test_stochastic_float_loop_equals_block_oracle(overrides):
     cfg = spiral_preset(**{"n_steps": 2000, **overrides})
     traj = integrate_stochastic(cfg)
-    assert np.array_equal(traj.positions, _old_stochastic(cfg, cfg.seed))
+    assert _same_bits(traj.positions, _old_stochastic(cfg, cfg.seed))
     assert np.array_equal(traj.times, np.arange(cfg.n_steps + 1) * cfg.dt)
 
 
