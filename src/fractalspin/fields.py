@@ -18,6 +18,9 @@ evaluated per point, and the phase factor comes from cmath.exp.  value and
 partial run one loop over the terms that adds amplitude * factor into the
 four complex coefficients of the result, term by term, with the same
 operations in the same order as the biquaternion products and sums.
+partial(pt, (0, 1, 2, 3)) returns all four derivatives from that one loop:
+each term's phase is evaluated once and feeds sixteen coefficient sums, so
+every derivative has the bits of its own one-index call.
 
 Sign conventions implied by the phase above: the momentum operator is
 p_hat = +i hbar grad and the energy operator is E_hat = -i hbar d/dt, i.e.
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -41,6 +45,8 @@ _AXIS_EPS2 = 1e-24
 #: the start of every coefficient sum: -0.0 + x is x bit for bit, where
 #: 0.0 + -0.0 would turn a -0.0 into +0.0
 _NEG_ZERO = complex(-0.0, -0.0)
+#: the mu that asks partial for all four derivatives at once
+_ALL_MU = (0, 1, 2, 3)
 
 
 class SpacetimePoint(NamedTuple):
@@ -115,13 +121,15 @@ class SpinorField:
     def _sum(self, pt, mu):
         """Sum over the terms of amplitude * w at pt, with w = exp(-i theta)
         for mu None (the value) and w = -i (d_mu theta) exp(-i theta) for
-        mu in 0..3 (the derivative d_mu psi).  The phase gradient is the
-        term's wave vector plus, for sigma != 0, the azimuthal part; the
-        azimuth and its gradient (-y, x)/rho^2 are computed once, at the
-        first spiraling term.  The sum runs coefficient by coefficient,
-        term by term, from the exact additive identity -0.0.  Raises
-        ConfigError where a coordinate of pt is not finite, NumericalError
-        where a term's theta or phase gradient is not finite."""
+        mu in 0..3 (the derivative d_mu psi); for mu _ALL_MU, the four
+        derivatives d_0..d_3 psi from one phase per term.  The phase
+        gradient is the term's wave vector plus, for sigma != 0, the
+        azimuthal part; the azimuth and its gradient (-y, x)/rho^2 are
+        computed once, at the first spiraling term.  Each sum runs
+        coefficient by coefficient, term by term, from the exact additive
+        identity -0.0.  Raises ConfigError where a coordinate of pt is not
+        finite, NumericalError where a term's theta or phase gradient is
+        not finite."""
         t, x, y, z = map(float, pt)
         if not (math.isfinite(t) and math.isfinite(x) and math.isfinite(y)
                 and math.isfinite(z)):
@@ -129,6 +137,11 @@ class SpinorField:
                 f"key point: need finite numbers, got {(t, x, y, z)}")
         hbar = self.hbar
         c0 = c1 = c2 = c3 = _NEG_ZERO
+        every = mu is _ALL_MU
+        if every:
+            # d<mu><k> sums coefficient k of d_mu psi
+            d00 = d01 = d02 = d03 = d10 = d11 = d12 = d13 = _NEG_ZERO
+            d20 = d21 = d22 = d23 = d30 = d31 = d32 = d33 = _NEG_ZERO
         azimuth = None
         for i, (amplitude, px, py, pz, energy, sigma, wave) in \
                 enumerate(self._flat):
@@ -156,23 +169,60 @@ class SpinorField:
                     f"term {i} phase: not finite at {(t, x, y, z)}, "
                     f"got {theta}")
             w = cmath.exp(-1j * theta)
-            if mu is not None:
-                w = -1j * wave[mu] * w
             a0, a1, a2, a3 = amplitude._c
-            c0 += a0 * w
-            c1 += a1 * w
-            c2 += a2 * w
-            c3 += a3 * w
+            if every:
+                w0, w1, w2, w3 = wave
+                d = -1j * w0 * w
+                d00 += a0 * d
+                d01 += a1 * d
+                d02 += a2 * d
+                d03 += a3 * d
+                d = -1j * w1 * w
+                d10 += a0 * d
+                d11 += a1 * d
+                d12 += a2 * d
+                d13 += a3 * d
+                d = -1j * w2 * w
+                d20 += a0 * d
+                d21 += a1 * d
+                d22 += a2 * d
+                d23 += a3 * d
+                d = -1j * w3 * w
+                d30 += a0 * d
+                d31 += a1 * d
+                d32 += a2 * d
+                d33 += a3 * d
+            else:
+                if mu is not None:
+                    w = -1j * wave[mu] * w
+                c0 += a0 * w
+                c1 += a1 * w
+                c2 += a2 * w
+                c3 += a3 * w
+        if every:
+            new = Biquaternion._new
+            return (new((d00, d01, d02, d03)), new((d10, d11, d12, d13)),
+                    new((d20, d21, d22, d23)), new((d30, d31, d32, d33)))
         return Biquaternion._new((c0, c1, c2, c3))
 
     def value(self, pt) -> Biquaternion:
         return self._sum(pt, None)
 
-    def partial(self, pt, mu: int) -> Biquaternion:
-        """Analytic coordinate derivative d_mu psi, mu in 0..3 = (t,x,y,z)."""
-        if mu not in (0, 1, 2, 3):
-            raise ConfigError(f"key mu: need 0, 1, 2 or 3, got {mu!r}")
-        return self._sum(pt, mu)
+    def partial(self, pt, mu):
+        """Analytic coordinate derivative d_mu psi, mu in 0..3 = (t,x,y,z).
+
+        mu may also be the tuple (0, 1, 2, 3), which returns the four
+        derivatives (d_t, d_x, d_y, d_z) psi as a tuple from one phase
+        evaluation per term, each equal bit for bit to its one-index call.
+        Raises ConfigError, "key mu: ...", for any other mu: a float, a
+        list or another tuple among them."""
+        if mu.__class__ is tuple:
+            if mu == _ALL_MU and all(k.__class__ is int for k in mu):
+                return self._sum(pt, _ALL_MU)
+        elif isinstance(mu, numbers.Integral) and 0 <= mu <= 3:
+            return self._sum(pt, int(mu))
+        raise ConfigError(f"key mu: need 0, 1, 2 or 3, got {mu!r}; "
+                          "the tuple (0, 1, 2, 3) asks for all four")
 
     # -- derived fields, of the same class as self -----------------------
 

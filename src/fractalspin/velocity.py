@@ -19,7 +19,8 @@ raising of ((1/c) d_t, grad) scaled by c so that every returned component
 carries velocity units.  With the field convention of
 :mod:`fractalspin.fields` (energy operator -i hbar d_t) this is the unique
 feed for which plane waves give +p/m spatially and +c for the time
-component of a rest field.  Every route reads D^mu from field.partial.
+component of a rest field.  Every route reads D^mu from one
+field.partial(pt, (0, 1, 2, 3)) call and psi from one field.value call.
 """
 
 from __future__ import annotations
@@ -42,14 +43,15 @@ _CLOSURE_RTOL = 1e-10  # closure error allowed per unit of conjugate velocity
 def _fed_partials(field: SpinorField, pt):
     """Raised-index derivatives D^mu psi = (-d_t, c d_x, c d_y, c d_z) psi.
 
-    The feed makes one SpinorField.partial call per mu, and each route one
-    SpinorField.value call: the per-layer benchmark trace (``--trace 1``)
-    counts and times these calls, so a route that takes its derivatives
-    from one joint evaluation waits until that trace counts the joint
-    evaluation as well."""
-    d = [field.partial(pt, mu) for mu in range(4)]
+    The four derivatives come from one SpinorField.partial(pt, (0, 1, 2,
+    3)) call, which evaluates each term's phase once.  psi itself stays a
+    separate SpinorField.value call in each route: the per-layer benchmark
+    trace (``--trace 1``) counts and times value and partial calls, and
+    divides by both counts, so folding psi into the derivative call waits
+    until that trace counts a joint evaluation."""
+    d0, d1, d2, d3 = field.partial(pt, (0, 1, 2, 3))
     c = field.c
-    return (d[0] * (-1.0), d[1] * c, d[2] * c, d[3] * c)
+    return (d0 * (-1.0), d1 * c, d2 * c, d3 * c)
 
 
 def _route(left: Biquaternion, field: SpinorField,

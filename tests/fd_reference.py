@@ -1,8 +1,9 @@
 """Finite-difference reference fields for the cross-checks.
 
-The velocity routes take their derivatives from ``field.partial``; handing
-them an FDPartialField makes them differentiate by central difference
-instead, at the fixed step FD_H.  Derived fields (``remove_rest_phase``,
+The velocity routes take their derivatives from one
+``field.partial(pt, (0, 1, 2, 3))`` call; handing them an FDPartialField
+makes them differentiate by central difference instead, at the fixed step
+FD_H, one axis at a time.  Derived fields (``remove_rest_phase``,
 ``project_large``) keep the class, so the primed field inside
 ``nonrel_reduce`` is differentiated the same way.
 
@@ -43,9 +44,15 @@ def central_difference(fn, pt, mu: int, h: float):
 
 
 class FDPartialField(SpinorField):
-    """A SpinorField whose partial is the central difference of its value."""
+    """A SpinorField whose partial is the central difference of its value.
+
+    The tuple call partial(pt, (0, 1, 2, 3)), which the velocity routes
+    make, gives the four per-mu central differences; without it that call
+    would reach SpinorField's analytic derivatives."""
 
     def partial(self, pt, mu):
+        if isinstance(mu, tuple):
+            return tuple(self.partial(pt, k) for k in mu)
         return central_difference(self.value, pt, mu, FD_H)
 
 

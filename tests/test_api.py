@@ -179,6 +179,8 @@ def test_finite_wordings_sees_each_spelling():
 _WAVE = fractalspin.ExponentialField([(fractalspin.ONE,
                                        [0.1j, -0.2, 0.3j, 0.0])])
 _PT = (0.0, 0.4, 0.2, 0.1)
+_PW = fractalspin.plane_wave(fractalspin.ONE, (0.0, 0.0, 1.0), 0.5)
+_PW_PT = (0.0, 1.0, 0.0, 0.0)
 
 
 _PHI = fractalspin.ExponentialField([(np.array([1.0, 0.0]),
@@ -202,6 +204,18 @@ def _drift(**kw):
     (lambda: fractalspin.SpinorField([]), "key terms: need at least one"),
     (lambda: fractalspin.plane_wave(fractalspin.ONE, (0.0, 0.0, 1.0), 0.5)
      .partial((0.0, 1.0, 0.0, 0.0), 4), "key mu: need 0, 1, 2 or 3, got 4"),
+    # a float mu ended in a bare TypeError, "tuple indices must be
+    # integers"; only the tuple (0, 1, 2, 3) asks for all four derivatives
+    (lambda: _PW.partial(_PW_PT, 1.0), "key mu: need 0, 1, 2 or 3, got 1.0"),
+    (lambda: _PW.partial(_PW_PT, np.float64(3.0)),
+     r"key mu: need 0, 1, 2 or 3, got np.float64\(3.0\)"),
+    (lambda: _PW.partial(_PW_PT, (0, 1)),
+     r"key mu: need 0, 1, 2 or 3, got \(0, 1\); the tuple \(0, 1, 2, 3\) "
+     "asks for all four"),
+    (lambda: _PW.partial(_PW_PT, [0, 1, 2, 3]),
+     r"key mu: need 0, 1, 2 or 3, got \[0, 1, 2, 3\]"),
+    (lambda: _PW.partial(_PW_PT, (0.0, 1, 2, 3)),
+     r"key mu: need 0, 1, 2 or 3, got \(0.0, 1, 2, 3\)"),
     (lambda: fractalspin.ExponentialField([]), "key terms: need at least one"),
     (lambda: fractalspin.rotor_field(0, 1.0, (0.0, 0.0, 1.0)),
      "key axis: need 1, 2 or 3, got 0"),

@@ -57,6 +57,31 @@ def test_fd_matches_analytic():
         assert (d_true - d_fd).max_abs() < 1e-6
 
 
+def test_fd_field_answers_the_four_derivative_call_by_finite_difference():
+    # the velocity routes ask for (0, 1, 2, 3) at once: the FD reference
+    # must answer from its own per-mu central differences, not fall back
+    # on SpinorField's analytic ones
+    f = _wave(p=(0.4, 0.2, -0.6), energy=0.9, sigma=0.5)
+    fd = fd_field(f)
+    pt = (0.3, 0.9, 0.4, -0.2)
+    every = fd.partial(pt, (0, 1, 2, 3))
+    assert len(every) == 4
+    for mu in range(4):
+        assert _coeff_bytes(every[mu]) == _coeff_bytes(fd.partial(pt, mu))
+        assert _coeff_bytes(every[mu]) == _coeff_bytes(
+            central_difference(f.value, pt, mu, FD_H))
+        assert _coeff_bytes(every[mu]) != _coeff_bytes(f.partial(pt, mu))
+
+
+def test_partial_takes_any_integral_mu():
+    f = _wave(sigma=0.5)
+    pt = (0.3, 0.9, 0.4, -0.2)
+    for mu in range(4):
+        want = _coeff_bytes(f.partial(pt, mu))
+        for same in (np.int64(mu), np.uint8(mu)):
+            assert _coeff_bytes(f.partial(pt, same)) == want
+
+
 def test_spiral_phase_gradient():
     # at (x, y) = (1, 0) the azimuthal gradient points along +y with
     # magnitude sigma
@@ -88,7 +113,7 @@ def test_value_and_partial_refuse_a_non_finite_point(bad):
         message = f"key point: need finite numbers, got {tuple(pt)}"
         with pytest.raises(ConfigError, match=re.escape(message)):
             f.value(pt)
-        for mu in range(4):
+        for mu in (0, 1, 2, 3, (0, 1, 2, 3)):
             with pytest.raises(ConfigError, match=re.escape(message)):
                 f.partial(np.array(pt), mu)
 
@@ -100,7 +125,7 @@ def test_value_and_partial_refuse_an_overflowing_phase():
     f = plane_wave(ONE, (2.0, 0.0, 0.0), 1.0)
     with pytest.raises(NumericalError, match=message):
         f.value(pt)
-    for mu in range(4):
+    for mu in (0, 1, 2, 3, (0, 1, 2, 3)):
         with pytest.raises(NumericalError, match=message):
             f.partial(pt, mu)
     # the term is named: here the second one overflows through its azimuth
@@ -117,8 +142,9 @@ def test_partial_refuses_an_overflowing_azimuthal_gradient():
     f = plane_wave(ONE, (0.0, 0.0, 1.0), 0.5, sigma=1e300, hbar=1e-10)
     pt = (0.0, 1.0, 0.0, 0.0)
     message = re.escape(f"term 0 phase gradient: not finite at {pt}")
-    with pytest.raises(NumericalError, match=message):
-        f.partial(pt, 2)
+    for mu in (2, (0, 1, 2, 3)):
+        with pytest.raises(NumericalError, match=message):
+            f.partial(pt, mu)
     with pytest.raises(NumericalError, match=message):
         bq_velocity(f, pt)
 
@@ -283,9 +309,12 @@ def test_central_difference_reproduces_the_old_stencils_bitwise():
                                       rotor_field, sample_box)
 
     class OldStencilField(SpinorField):
-        """partial() is the old SpinorField.partial_fd at h = 1e-4."""
+        """partial() is the old SpinorField.partial_fd at h = 1e-4; the
+        tuple call the velocity routes make gives it per mu."""
 
         def partial(self, pt, mu):
+            if isinstance(mu, tuple):
+                return tuple(self.partial(pt, k) for k in mu)
             up, dn = list(pt), list(pt)
             up[mu] += 1e-4
             dn[mu] -= 1e-4
@@ -433,9 +462,11 @@ def test_field_evaluation_equals_the_old_evaluation_bitwise(hbar, n_terms,
         for pt in _oracle_points(rng):
             assert _coeff_bytes(field.value(pt)) == \
                 _coeff_bytes(_old_value(field, pt))
+            every = field.partial(pt, (0, 1, 2, 3))
             for mu in range(4):
-                assert _coeff_bytes(field.partial(pt, mu)) == \
-                    _coeff_bytes(_old_partial(field, pt, mu))
+                want = _coeff_bytes(_old_partial(field, pt, mu))
+                assert _coeff_bytes(field.partial(pt, mu)) == want
+                assert _coeff_bytes(every[mu]) == want
 
 
 def test_axis_singularity_at_and_below_the_threshold():
@@ -449,7 +480,7 @@ def test_axis_singularity_at_and_below_the_threshold():
         pt = (0.3, x, y, -0.2)
         with pytest.raises(AxisSingularity):
             field.value(pt)
-        for mu in range(4):
+        for mu in (0, 1, 2, 3, (0, 1, 2, 3)):
             with pytest.raises(AxisSingularity):
                 field.partial(pt, mu)
         # sigma = 0 terms carry no azimuth and stay defined on the axis
@@ -512,9 +543,11 @@ def test_phases_equal_the_per_term_azimuth_oracle_bitwise(hbar, sigmas):
         for pt in _oracle_points(rng):
             assert _coeff_bytes(field.value(pt)) == \
                 _coeff_bytes(_old_sum(field, pt, None))
+            every = field.partial(pt, (0, 1, 2, 3))
             for mu in range(4):
-                assert _coeff_bytes(field.partial(pt, mu)) == \
-                    _coeff_bytes(_old_sum(field, pt, mu))
+                want = _coeff_bytes(_old_sum(field, pt, mu))
+                assert _coeff_bytes(field.partial(pt, mu)) == want
+                assert _coeff_bytes(every[mu]) == want
 
 
 def test_axis_refusal_names_the_first_spiraling_term():
@@ -525,7 +558,7 @@ def test_axis_refusal_names_the_first_spiraling_term():
     pt = (0.3, 1e-13, -2e-13, 0.1)
     with pytest.raises(AxisSingularity) as want:
         _old_phases(field, pt)
-    for mu in (None, 0, 1, 2, 3):
+    for mu in (None, 0, 1, 2, 3, (0, 1, 2, 3)):
         with pytest.raises(AxisSingularity) as got:
             field.value(pt) if mu is None else field.partial(pt, mu)
         assert str(got.value) == str(want.value)
