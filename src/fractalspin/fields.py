@@ -19,8 +19,8 @@ partial run one loop over the terms that adds amplitude * factor into the
 four complex coefficients of the result, term by term, with the same
 operations in the same order as the biquaternion products and sums.
 partial(pt, (0, 1, 2, 3)) returns all four derivatives from that one loop:
-each term's phase is evaluated once and feeds sixteen coefficient sums, so
-every derivative has the bits of its own one-index call.
+each term's phase is evaluated once and feeds sixteen coefficient sums.  A
+one-index call partial(pt, mu) is the mu-th entry of the same tuple.
 
 Sign conventions implied by the phase above: the momentum operator is
 p_hat = +i hbar grad and the energy operator is E_hat = -i hbar d/dt, i.e.
@@ -118,12 +118,12 @@ class SpinorField:
 
     # -- evaluation -----------------------------------------------------
 
-    def _sum(self, pt, mu):
-        """Sum over the terms of amplitude * w at pt, with w = exp(-i theta)
-        for mu None (the value) and w = -i (d_mu theta) exp(-i theta) for
-        mu in 0..3 (the derivative d_mu psi); for mu _ALL_MU, the four
-        derivatives d_0..d_3 psi from one phase per term.  The phase
-        gradient is the term's wave vector plus, for sigma != 0, the
+    def _sum(self, pt, derivatives):
+        """Sum over the terms of amplitude * exp(-i theta) at pt (the value
+        psi) when derivatives is false; when it is true, the four sums of
+        amplitude * -i (d_mu theta) exp(-i theta), mu = 0..3 (the
+        derivatives d_t, d_x, d_y, d_z psi), from one phase per term.  The
+        phase gradient is the term's wave vector plus, for sigma != 0, the
         azimuthal part; the azimuth and its gradient (-y, x)/rho^2 are
         computed once, at the first spiraling term.  Each sum runs
         coefficient by coefficient, term by term, from the exact additive
@@ -136,12 +136,12 @@ class SpinorField:
             raise ConfigError(
                 f"key point: need finite numbers, got {(t, x, y, z)}")
         hbar = self.hbar
-        c0 = c1 = c2 = c3 = _NEG_ZERO
-        every = mu is _ALL_MU
-        if every:
+        if derivatives:
             # d<mu><k> sums coefficient k of d_mu psi
             d00 = d01 = d02 = d03 = d10 = d11 = d12 = d13 = _NEG_ZERO
             d20 = d21 = d22 = d23 = d30 = d31 = d32 = d33 = _NEG_ZERO
+        else:
+            c0 = c1 = c2 = c3 = _NEG_ZERO
         azimuth = None
         for i, (amplitude, px, py, pz, energy, sigma, wave) in \
                 enumerate(self._flat):
@@ -170,7 +170,7 @@ class SpinorField:
                     f"got {theta}")
             w = cmath.exp(-1j * theta)
             a0, a1, a2, a3 = amplitude._c
-            if every:
+            if derivatives:
                 w0, w1, w2, w3 = wave
                 d = -1j * w0 * w
                 d00 += a0 * d
@@ -193,34 +193,32 @@ class SpinorField:
                 d32 += a2 * d
                 d33 += a3 * d
             else:
-                if mu is not None:
-                    w = -1j * wave[mu] * w
                 c0 += a0 * w
                 c1 += a1 * w
                 c2 += a2 * w
                 c3 += a3 * w
-        if every:
-            new = Biquaternion._new
+        new = Biquaternion._new
+        if derivatives:
             return (new((d00, d01, d02, d03)), new((d10, d11, d12, d13)),
                     new((d20, d21, d22, d23)), new((d30, d31, d32, d33)))
-        return Biquaternion._new((c0, c1, c2, c3))
+        return new((c0, c1, c2, c3))
 
     def value(self, pt) -> Biquaternion:
-        return self._sum(pt, None)
+        return self._sum(pt, False)
 
     def partial(self, pt, mu):
         """Analytic coordinate derivative d_mu psi, mu in 0..3 = (t,x,y,z).
 
         mu may also be the tuple (0, 1, 2, 3), which returns the four
         derivatives (d_t, d_x, d_y, d_z) psi as a tuple from one phase
-        evaluation per term, each equal bit for bit to its one-index call.
-        Raises ConfigError, "key mu: ...", for any other mu: a float, a
-        list or another tuple among them."""
+        evaluation per term; a one-index call is the mu-th entry of that
+        tuple.  Raises ConfigError, "key mu: ...", for any other mu: a
+        float, a list or another tuple among them."""
         if mu.__class__ is tuple:
-            if mu == _ALL_MU and all(k.__class__ is int for k in mu):
-                return self._sum(pt, _ALL_MU)
+            if mu == _ALL_MU:
+                return self._sum(pt, True)
         elif isinstance(mu, numbers.Integral) and 0 <= mu <= 3:
-            return self._sum(pt, int(mu))
+            return self._sum(pt, True)[int(mu)]
         raise ConfigError(f"key mu: need 0, 1, 2 or 3, got {mu!r}; "
                           "the tuple (0, 1, 2, 3) asks for all four")
 

@@ -127,7 +127,7 @@ def test_raised_builtins_sees_each_spelling():
 # the reason it does not call errors.finite
 OWN_FINITE_CHECKS = {
     ("fields.py", "_sum"): "the hot path: value and partial check each "
-                           "point inline, 24,000 times per fieldmap pass",
+                           "point inline, 9,600 times per fieldmap pass",
     ("hyperhelix.py", "_vertex_array"): "vertex arrays of any length",
 }
 
@@ -214,8 +214,6 @@ def _drift(**kw):
      "asks for all four"),
     (lambda: _PW.partial(_PW_PT, [0, 1, 2, 3]),
      r"key mu: need 0, 1, 2 or 3, got \[0, 1, 2, 3\]"),
-    (lambda: _PW.partial(_PW_PT, (0.0, 1, 2, 3)),
-     r"key mu: need 0, 1, 2 or 3, got \(0.0, 1, 2, 3\)"),
     (lambda: fractalspin.ExponentialField([]), "key terms: need at least one"),
     (lambda: fractalspin.rotor_field(0, 1.0, (0.0, 0.0, 1.0)),
      "key axis: need 1, 2 or 3, got 0"),
