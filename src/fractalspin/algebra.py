@@ -16,6 +16,7 @@ matrices; it is a ring isomorphism onto the full complex 2x2 matrix algebra.
 from __future__ import annotations
 
 import cmath
+import math
 import numbers
 import operator
 
@@ -169,23 +170,34 @@ class Biquaternion:
     def complex_norm(self) -> complex:
         """N = self * conj(self) = a0^2 + a1^2 + a2^2 + a3^2, a complex
         scalar, not a positive real; it vanishes exactly on the zero
-        divisors of the ring."""
-        return sum(a * a for a in self._c)
+        divisors of the ring.  Summed left to right from 0."""
+        a0, a1, a2, a3 = self._c
+        return 0 + a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
 
     def eight_square_norm(self) -> float:
-        """sum_k |a_k|^2: the sum of squares of all eight real components."""
-        c = self._c
-        return sum(a.real * a.real for a in c) + sum(a.imag * a.imag for a in c)
+        """sum_k |a_k|^2: the sum of squares of all eight real components,
+        the four real parts and then the four imaginary parts, each sum
+        left to right from 0."""
+        a0, a1, a2, a3 = self._c
+        real = (0 + a0.real * a0.real + a1.real * a1.real
+                + a2.real * a2.real + a3.real * a3.real)
+        imag = (0 + a0.imag * a0.imag + a1.imag * a1.imag
+                + a2.imag * a2.imag + a3.imag * a3.imag)
+        return real + imag
 
     def inverse(self) -> "Biquaternion":
         """conj / N.  Raises ZeroDivisor where N vanishes relative to the
         size of the element (see ZERO_DIVISOR_EPS), NumericalError where a
-        coefficient or the inverse is not finite.  An element whose N or
-        size overflows or underflows is inverted as (self / s)^-1 / s, s
-        its largest real component."""
+        coefficient or the inverse is not finite.  An element whose N, |N|
+        or size overflows or underflows is inverted as (self / s)^-1 / s,
+        s its largest real component."""
         n = self.complex_norm()
         size = self.eight_square_norm()
-        if not abs(n) > ZERO_DIVISOR_EPS * size:
+        try:
+            modulus = abs(n)
+        except OverflowError:  # |N| overflows though the parts of N do not
+            modulus = math.inf
+        if not modulus > ZERO_DIVISOR_EPS * size:
             if not all(map(cmath.isfinite, self._c)):
                 raise NumericalError("Biquaternion is not finite: "
                                      f"sum |a_k|^2 = {size}")
@@ -197,8 +209,9 @@ class Biquaternion:
                 return out
             raise ZeroDivisor(
                 "Biquaternion is a (near-)zero divisor: "
-                f"|N| = {abs(n):.3e}, sum |a_k|^2 = {size:.3e}")
-        return self.conjugate() / n
+                f"|N| = {modulus:.3e}, sum |a_k|^2 = {size:.3e}")
+        a0, a1, a2, a3 = self._c
+        return self._new((a0 / n, -a1 / n, -a2 / n, -a3 / n))
 
     def allclose(self, other: "Biquaternion", atol: float = 1e-12,
                  rtol: float = 0.0) -> bool:

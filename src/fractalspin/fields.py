@@ -70,6 +70,20 @@ def s0_from_diffusion(m: float, diffusion: float) -> float:
     return 2.0 * m * diffusion
 
 
+def _coordinates(pt) -> list:
+    """The four coordinates of pt as Python floats, inf and nan included
+    (_sum refuses those, naming the point).  Anything but four numbers,
+    such as three or five coordinates or numeric strings, errors.finite
+    refuses: ConfigError "key point: need four finite numbers, got ..."."""
+    try:
+        arr = np.asarray(pt)
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is not None and arr.dtype.kind in "biuf" and arr.size == 4:
+        return arr.astype(float).reshape(-1).tolist()
+    return finite("key point", pt, 4).tolist()
+
+
 class SpinorField:
     """Finite sum of plane-wave terms with shared physical constants.
 
@@ -84,9 +98,11 @@ class SpinorField:
     term's amplitude is not a Biquaternion, its p is not three finite
     numbers, its energy, sigma or an amplitude coefficient is not finite,
     or its wave vector (-energy, p) / hbar is not.  value and partial
-    raise ConfigError, naming the point, where a coordinate is not
-    finite, and NumericalError, naming the term and the point, where a
-    phase theta or its gradient is not finite.
+    raise ConfigError, "key point: ...", unless the point is four numbers
+    (three or five coordinates or numeric strings are refused with
+    errors.finite's wording) and where a coordinate is not finite, and
+    NumericalError, naming the term and the point, where a phase theta or
+    its gradient is not finite.
     """
 
     def __init__(self, terms: Iterable[PlaneWaveTerm], *, hbar: float = 1.0,
@@ -127,10 +143,19 @@ class SpinorField:
         azimuthal part; the azimuth and its gradient (-y, x)/rho^2 are
         computed once, at the first spiraling term.  Each sum runs
         coefficient by coefficient, term by term, from the exact additive
-        identity -0.0.  Raises ConfigError where a coordinate of pt is not
-        finite, NumericalError where a term's theta or phase gradient is
-        not finite."""
-        t, x, y, z = map(float, pt)
+        identity -0.0.  A point of four Python floats is taken as it is,
+        any other through _coordinates.  Raises ConfigError where pt is not
+        four numbers or a coordinate is not finite, NumericalError where a
+        term's theta or phase gradient is not finite."""
+        try:
+            t, x, y, z = pt
+        except (TypeError, ValueError):  # not four items
+            floats = False
+        else:
+            floats = (t.__class__ is float and x.__class__ is float
+                      and y.__class__ is float and z.__class__ is float)
+        if not floats:
+            t, x, y, z = _coordinates(pt)
         if not (math.isfinite(t) and math.isfinite(x) and math.isfinite(y)
                 and math.isfinite(z)):
             raise ConfigError(

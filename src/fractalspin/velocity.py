@@ -21,6 +21,13 @@ carries velocity units.  With the field convention of
 feed for which plane waves give +p/m spatially and +c for the time
 component of a rest field.  Every route reads D^mu from one
 field.partial(pt, (0, 1, 2, 3)) call and psi from one field.value call.
+
+The routes work on coefficient 4-tuples rather than on Biquaternion
+objects: the raised feed scales the derivative coefficients, the two
+biquaternion routes multiply through the ring's one product kernel,
+algebra._hamilton, and only the results are built as Biquaternions.  Every
+operation is the one the Biquaternion operators perform, in their order,
+so the results keep their bits, signed zeros included.
 """
 
 from __future__ import annotations
@@ -31,35 +38,54 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import Biquaternion
+from .algebra import Biquaternion, _hamilton
 from .errors import NotNormalized, SmallComponentsNotSmall
 from .fields import SpinorField
 
 _SMALL_TOL = 1e-8  # largest lower/upper amplitude ratio nonrel_reduce takes
 _NORM_TOL = 1e-8  # largest |N8 - 1| of the primed value nonrel_reduce takes
 _CLOSURE_RTOL = 1e-10  # closure error allowed per unit of conjugate velocity
+_MINUS_ONE = complex(-1.0)  # the factor of the time derivative in D^0
 
 
-def _fed_partials(field: SpinorField, pt):
-    """Raised-index derivatives D^mu psi = (-d_t, c d_x, c d_y, c d_z) psi.
+def _raised_coeffs(field: SpinorField, pt) -> tuple[tuple, ...]:
+    """Coefficient 4-tuples of the raised-index derivatives D^mu psi =
+    (-d_t, c d_x, c d_y, c d_z) psi, mu = 0..3.
 
     The four derivatives come from one SpinorField.partial(pt, (0, 1, 2,
-    3)) call, which evaluates each term's phase once.  psi itself stays a
-    separate SpinorField.value call in each route: the per-layer benchmark
-    trace (``--trace 1``) counts and times value and partial calls, and
-    divides by both counts, so folding psi into the derivative call waits
-    until that trace counts a joint evaluation."""
+    3)) call, which evaluates each term's phase once.  Each coefficient is
+    multiplied by complex(-1.0) or complex(c), as a Biquaternion times a
+    float multiplies them.  The factors stay complex: from Python 3.14 a
+    complex times a float is no longer the complex product, and the signs
+    of zeros could differ.
+    psi itself stays a separate SpinorField.value call in each route: the
+    per-layer benchmark trace (``--trace 1``) counts and times value and
+    partial calls, and divides by both counts, so folding psi into the
+    derivative call waits until that trace counts a joint evaluation."""
     d0, d1, d2, d3 = field.partial(pt, (0, 1, 2, 3))
-    c = field.c
-    return (d0 * (-1.0), d1 * c, d2 * c, d3 * c)
+    c = complex(field.c)
+    a0, a1, a2, a3 = d0._c
+    t = (a0 * _MINUS_ONE, a1 * _MINUS_ONE, a2 * _MINUS_ONE, a3 * _MINUS_ONE)
+    a0, a1, a2, a3 = d1._c
+    x = (a0 * c, a1 * c, a2 * c, a3 * c)
+    a0, a1, a2, a3 = d2._c
+    y = (a0 * c, a1 * c, a2 * c, a3 * c)
+    a0, a1, a2, a3 = d3._c
+    return t, x, y, (a0 * c, a1 * c, a2 * c, a3 * c)
 
 
 def _route(left: Biquaternion, field: SpinorField,
            pt) -> tuple[Biquaternion, ...]:
     """i (s0/(m c)) left D^mu psi for mu = 0..3: the one product behind
-    both biquaternion routes."""
+    both biquaternion routes, formed on coefficient tuples by the ring's
+    product kernel and scaled coefficient by coefficient."""
     scale = 1j * field.s0 / (field.m * field.c)
-    return tuple((left * d) * scale for d in _fed_partials(field, pt))
+    a, new = left._c, Biquaternion._new
+    out = []
+    for d in _raised_coeffs(field, pt):
+        p0, p1, p2, p3 = _hamilton(a, d)
+        out.append(new((p0 * scale, p1 * scale, p2 * scale, p3 * scale)))
+    return tuple(out)
 
 
 def bq_velocity(field: SpinorField, pt) -> tuple[Biquaternion, ...]:
@@ -140,8 +166,8 @@ def component_velocities(field: SpinorField, pt) -> VelocityComponents:
     c = field.value(pt)._c
     f, x = [a.real for a in c], [a.imag for a in c]
     scale = -field.s0 / (field.m * field.c)
-    sums = [_pq_sums(f, x, [a.real for a in d._c], [a.imag for a in d._c])
-            for d in _fed_partials(field, pt)]
+    sums = [_pq_sums(f, x, [a.real for a in d], [a.imag for a in d])
+            for d in _raised_coeffs(field, pt)]
     # sector k by raised index mu
     plus = [[scale * (p[k] + q[k]) for p, q in sums] for k in range(4)]
     minus = [[scale * (p[k] - q[k]) for p, q in sums] for k in range(4)]
@@ -169,7 +195,7 @@ def recompose_velocity(comp: VelocityComponents) -> tuple[Biquaternion, ...]:
     sectors = [map(_pair, a.tolist(), b.tolist()) for a, b in (
         (comp.v_pp, comp.v_mm), (comp.v_pm, comp.v_mp),
         (comp.vt_pp, comp.vt_mm), (comp.vt_pm, comp.vt_mp))]
-    return tuple(Biquaternion(*coeffs) for coeffs in zip(*sectors))
+    return tuple(map(Biquaternion._new, zip(*sectors)))
 
 
 def closure(field: SpinorField, pt) -> tuple[VelocityComponents, float, bool]:

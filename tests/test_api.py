@@ -214,6 +214,16 @@ def _drift(**kw):
      "asks for all four"),
     (lambda: _PW.partial(_PW_PT, [0, 1, 2, 3]),
      r"key mu: need 0, 1, 2 or 3, got \[0, 1, 2, 3\]"),
+    # SpinorField: a three- or five-coordinate point ended in a bare
+    # ValueError, and numeric strings were taken as numbers
+    (lambda: _PW.value((0.0, 1.0, 0.0)),
+     r"key point: need four finite numbers, got \(0.0, 1.0, 0.0\)"),
+    (lambda: _PW.value(("0", "1", "0", "0")),
+     r"key point: need four finite numbers, got \('0', '1', '0', '0'\)"),
+    (lambda: _PW.partial((0, 1, 0, 0, 0), (0, 1, 2, 3)),
+     r"key point: need four finite numbers, got \(0, 1, 0, 0, 0\)"),
+    (lambda: _PW.partial(("0", "1", "0", "0"), 1),
+     r"key point: need four finite numbers, got \('0', '1', '0', '0'\)"),
     (lambda: fractalspin.ExponentialField([]), "key terms: need at least one"),
     (lambda: fractalspin.rotor_field(0, 1.0, (0.0, 0.0, 1.0)),
      "key axis: need 1, 2 or 3, got 0"),

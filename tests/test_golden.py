@@ -32,6 +32,18 @@ RUNS = {
                     "--c", "3"],
     "check_seed0": ["check", "--seed", "0"],
     "check_seed3": ["check", "--seed", "3"],
+    # a 2000 x 500 ensemble stands in for the 10^4-path one
+    "simulate_seed1": ["simulate", "--preset", "spiral_demo", "--n-traj",
+                       "2000", "--n-steps", "500", "--seed", "1"],
+    "simulate_seed2": ["simulate", "--preset", "spiral_demo", "--n-traj",
+                       "2000", "--n-steps", "500", "--seed", "2"],
+    "simulate_path_csv": ["simulate", "--preset", "spiral_demo",
+                          "--n-steps", "100", "--seed", "7"],
+    "spiral_csv": ["spiral", "--preset", "spiral_demo", "--n-steps", "100"],
+    "hyperhelix_helix": ["hyperhelix", "--generator", "helix", "--level",
+                         "5"],
+    "hyperhelix_koch": ["hyperhelix", "--generator", "koch", "--level", "5"],
+    "hyperhelix_line": ["hyperhelix", "--generator", "line", "--level", "5"],
 }
 
 

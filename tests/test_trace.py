@@ -2,8 +2,13 @@
 
 The trace divides the time of SpinorField.value and SpinorField.partial
 by their call counts, so a route that stops making either call ends
-``--trace 1`` in ZeroDivisionError.  This runs the traced pass the way
-the benchmark's runner does, in a process of its own (about 1.5 s).
+``--trace 1`` in ZeroDivisionError.  It also times Biquaternion.__mul__
+and Biquaternion.inverse over the operands it counted, and a loop over no
+operands divides by zero as well.  The velocity routes multiply through
+algebra._hamilton on coefficient tuples and call neither operator, so the
+products counted on this pass are the curl witness's; bq_velocity still
+calls inverse once per point.  This runs the traced pass the way the
+benchmark's runner does, in a process of its own (about 1.5 s).
 """
 
 import json
@@ -28,3 +33,5 @@ def test_traced_fieldmap_pass_counts_value_and_partial_calls():
     metrics = result["metrics"]
     assert metrics["fields.value_calls"] > 0
     assert metrics["fields.partial_calls"] > 0
+    assert metrics["algebra.mul_calls"] > 0
+    assert metrics["algebra.inverse_calls"] > 0
