@@ -237,7 +237,7 @@ def simulate(config_path, preset, out, **kw):
 @_sim_options
 @_exit_codes
 def spiral(config_path, preset, out, **kw):
-    """Integrate the deterministic spiral drift (RK4) to CSV."""
+    """Trace the deterministic spiral drift's exact orbit to CSV."""
     cfg = resolve_sim_config(_load_raw_config(config_path, preset, kw))
     _emit(_trajectory_csv(integrate_deterministic(cfg)), out)
 

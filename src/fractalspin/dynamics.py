@@ -258,8 +258,16 @@ def gradient_witness(field, diffusion: float, points) -> float:
 
 def sample_box(bounds, n: int, seed: int = 0):
     """n uniform random spacetime points in the box bounds = ((lo, hi),) * 4.
-    Raises ConfigError unless bounds are eight finite numbers and n >= 1."""
-    bounds = finite("key bounds", bounds, 8).reshape(4, 2).tolist()
+    Raises ConfigError unless bounds are four pairs of finite numbers and
+    n >= 1."""
+    try:
+        pairs = np.shape(bounds) == (4, 2)
+    except ValueError:  # ragged nesting
+        pairs = False
+    if not pairs:
+        raise ConfigError(f"key bounds: need four (lo, hi) pairs, got "
+                          f"{bounds!r}")
+    bounds = [finite("key bounds", pair, 2).tolist() for pair in bounds]
     rng = np.random.default_rng(seed)
     return [np.array([rng.uniform(lo, hi) for lo, hi in bounds])
             for _ in range(whole("key n", n, 1))]

@@ -64,7 +64,8 @@ def finite(label: str, value, size: int | None = None, *, dtype=float,
     number, got {value!r}" ("need three finite numbers > 0", "need finite
     numbers" and so on), unless every entry is a number (never a string
     or None, nor ragged nesting; a complex only where dtype is), none is
-    inf or nan, and each is above 0 where positive is set."""
+    inf or nan, and each is above 0 where positive is set; a value with a
+    size is a flat sequence, never a scalar nor nested."""
     try:
         arr = np.asarray(value)
     except ValueError:  # ragged nesting
@@ -73,7 +74,8 @@ def finite(label: str, value, size: int | None = None, *, dtype=float,
                             else "biuf")
     if ok:
         arr = arr.astype(dtype, copy=False)
-        ok = (arr.ndim == 0 if size is None else size in (-1, arr.size)) \
+        ok = (arr.ndim == 0 if size is None
+              else arr.ndim == 1 and size in (-1, arr.size)) \
             and np.isfinite(arr).all() and (not positive or (arr > 0).all())
     if not ok:
         count = ("a finite number" if size is None
@@ -81,7 +83,7 @@ def finite(label: str, value, size: int | None = None, *, dtype=float,
                  else f"{_WORDS[size] if size < 10 else size} finite numbers")
         raise error(f"{label}: need {count}{' > 0' * positive}, "
                     f"got {value!r}")
-    return arr.item() if size is None else arr.reshape(-1)
+    return arr.item() if size is None else arr
 
 
 def whole(label: str, value, least: int, *,

@@ -74,13 +74,14 @@ def _coordinates(pt) -> list:
     """The four coordinates of pt as Python floats, inf and nan included
     (_sum refuses those, naming the point).  Anything but four numbers,
     such as three or five coordinates or numeric strings, errors.finite
-    refuses: ConfigError "key point: need four finite numbers, got ..."."""
+    refuses: ConfigError "key point: need four finite numbers, got ...",
+    nested lists of four included."""
     try:
         arr = np.asarray(pt)
     except ValueError:  # ragged nesting
         arr = None
-    if arr is not None and arr.dtype.kind in "biuf" and arr.size == 4:
-        return arr.astype(float).reshape(-1).tolist()
+    if arr is not None and arr.dtype.kind in "biuf" and arr.shape == (4,):
+        return arr.astype(float).tolist()
     return finite("key point", pt, 4).tolist()
 
 

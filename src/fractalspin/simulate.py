@@ -7,13 +7,12 @@ superposition:
     vy = +(sigma0/m) x / (x^2 + y^2)
     vz = p0 / m
 
-a rigid rotation about the z axis (tangential speed sigma0/(m rho))
+a rigid rotation about the z axis at angular speed sigma0/(m rho^2)
 superposed on uniform axial motion.  The deterministic integrator is
-classical RK4; it conserves rho and the angular momentum m(x vy - y vx)
-to round-off-dominated accuracy while the turn per step dt sigma0/(m rho^2)
-is small.  The turn grows as 1/rho^2 near the axis, where the orbit drifts
-outward: a 2 rad step at rho = 0.05 grows rho by 27%.  The stochastic
-integrator is Euler-Maruyama with increments
+that flow in closed form: rho is its invariant, so step n turns the
+start by n dt sigma0/(m rho^2) and moves it n dt p0/m along z, and rho
+and the angular momentum m(x vy - y vx) hold to rounding at any step
+size.  The stochastic integrator is Euler-Maruyama with increments
 
     dX = v(X) dt + eta sqrt(2 D dt),   eta ~ N(0, 1) per component,
 
@@ -23,14 +22,12 @@ noise step lengths, 10 sqrt(2 D dt).
 
 A single path, deterministic or stochastic, steps in Python floats: on
 three numbers a step costs less that way than the numpy calls on
-3-element arrays would.  RK4 spells out _raw_swirl's operations in each
-of its four stages, so a step calls no Python function, and calls
-_raw_swirl only to refuse a stage inside the core.  Ensembles step a
-block of paths at once, each of the x, y, z columns a numpy array.  The
-single stochastic path and the ensemble block both evaluate the drift
-through the one kernel _swirl and step each coordinate as
-x + v dt + eta sqrt(2 D dt), with the same operations in the same order,
-so a single path equals the matching ensemble path bit for bit.
+3-element arrays would.  Ensembles step a block of paths at once, each of
+the x, y, z columns a numpy array.  The single stochastic path and the
+ensemble block both evaluate the drift through the one kernel _swirl and
+step each coordinate as x + v dt + eta sqrt(2 D dt), with the same
+operations in the same order, so a single path equals the matching
+ensemble path bit for bit.
 
 An ensemble runs in blocks of paths.  The main thread draws a block's
 noise into rows 1..n of a path array and steps it there in place, while
@@ -173,52 +170,32 @@ def _trajectory(cfg: SimConfig, buf: array) -> Trajectory:
 
 
 def integrate_deterministic(cfg: SimConfig) -> Trajectory:
-    """Classical fixed-step RK4 on the raw (unregularized) drift; rho and
-    L_z hold to round-off only while dt sigma0/(m rho^2) is small (unchecked).
-    Raises AxisSingularity when a stage lands at rho <= r_min (default 0).
-
-    Each stage spells out _raw_swirl's operations in their order, rho^2
-    as x x + y y and the slope as (-k) y / rho^2, k x / rho^2, so a step
-    calls no Python function; a stage it refuses calls _raw_swirl, which
-    spells the message.  A NaN rho^2 is not refused, here as in
-    _raw_swirl, and the run carries on in NaN."""
+    """The drift's exact flow from cfg.x0: row n is the start turned about
+    the z axis by n theta, theta = k dt / rho^2 with k = sigma0/m, and
+    moved n dt p0/m along z.  rho^2 is the flow's invariant, so theta is
+    formed once; each row takes its own cosine and sine of n theta, so
+    rounding does not build up from row to row and rho holds to a few
+    ulp at any step size and length.  Raises AxisSingularity when the
+    start lies at rho <= r_min (default 0), and NumericalError when the
+    turn over the run is not finite (a rho^2 that underflows to a
+    subnormal, or k dt overflowing)."""
     r_min = 0.0 if cfg.r_min is None else cfg.r_min
-    r2 = r_min * r_min
-    dt, k, vz = cfg.dt, cfg.sigma0 / cfg.m, cfg.p0 / cfg.m
-    nk = -k  # _swirl's -k * y is (-k) * y
-    half, sixth = 0.5 * dt, dt / 6.0
-    # the z drift is constant, so is its step; the sum keeps the order of
-    # the (k1 + 2 k2 + 2 k3 + k4) vector form, so z rounds as it did there
-    dz = sixth * (vz + 2 * vz + 2 * vz + vz)
-    x, y, z = (float(v) for v in cfg.x0)
-    buf = array("d", (x, y, z))
+    x0, y0, z0 = (float(v) for v in cfg.x0)
+    k = cfg.sigma0 / cfg.m
+    _raw_swirl(x0, y0, k, r_min)  # refuses a start inside the core
+    theta = k * cfg.dt / (x0 * x0 + y0 * y0)
+    if not math.isfinite(theta * cfg.n_steps):
+        raise NumericalError(
+            f"spiral turn over the run, {cfg.n_steps} x {theta!r} rad at "
+            f"rho = {math.hypot(x0, y0):.3e}, is not finite")
+    dz = cfg.p0 / cfg.m * cfg.dt
+    cos, sin = math.cos, math.sin
+    buf = array("d", (x0, y0, z0))
     put = buf.extend
-    for _ in range(cfg.n_steps):
-        d = x * x + y * y
-        if d <= r2:
-            _raw_swirl(x, y, k, r_min)  # raises
-        ax, ay = nk * y / d, k * x / d
-        px, py = x + half * ax, y + half * ay
-        d = px * px + py * py
-        if d <= r2:
-            _raw_swirl(px, py, k, r_min)
-        bx, by = nk * py / d, k * px / d
-        px, py = x + half * bx, y + half * by
-        d = px * px + py * py
-        if d <= r2:
-            _raw_swirl(px, py, k, r_min)
-        cx, cy = nk * py / d, k * px / d
-        px, py = x + dt * cx, y + dt * cy
-        d = px * px + py * py
-        if d <= r2:
-            _raw_swirl(px, py, k, r_min)
-        dx, dy = nk * py / d, k * px / d
-        # 2.0, not 2: float times float takes the interpreter's fast path,
-        # and either product is exact
-        x = x + sixth * (ax + 2.0 * bx + 2.0 * cx + dx)
-        y = y + sixth * (ay + 2.0 * by + 2.0 * cy + dy)
-        z = z + dz
-        put((x, y, z))
+    for n in range(1, cfg.n_steps + 1):
+        turn = n * theta
+        c, s = cos(turn), sin(turn)
+        put((c * x0 - s * y0, s * x0 + c * y0, z0 + n * dz))
     return _trajectory(cfg, buf)
 
 
@@ -487,7 +464,8 @@ def increment_scaling(positions: np.ndarray, dt: float,
     dt = finite("key dt", dt, positive=True)
     x = np.asarray(positions, dtype=float)
     lags = _path_lags(x, lags)
-    counts, rms = rms_increments(x, lags)
+    counts, sums = _lag_sq_sums(x, lags)
+    rms = np.sqrt(sums / counts)
     lag_times = lags * dt
     slope = _hurst_fit(lags, lag_times, counts, rms)
     return ScalingResult(slope, 1.0 / slope, lag_times, rms)

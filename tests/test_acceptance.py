@@ -297,8 +297,8 @@ def test_ac09_magnetic_moment_anchor():
 
 
 def test_ac10_spiral_conservation():
-    # RK4 on the spiral drift holds radius and angular momentum to 1e-8
-    # over 10^4 steps
+    # the spiral drift's exact flow holds radius and angular momentum to
+    # 1e-8 over 10^4 steps
     cfg = spiral_preset(dt=1e-3, n_steps=10_000)
     traj = integrate_deterministic(cfg)
     rho = np.hypot(traj.positions[:, 0], traj.positions[:, 1])

@@ -58,7 +58,7 @@ AWAITING = {
          "pauli_recompose"],
         "item 8: the Pauli 3-velocity as the c -> oo limit of the Dirac one"),
     "s0_from_diffusion": "item 11: Born-rule transport",
-    **dict.fromkeys(["crossover_lag", "increment_scaling"],
+    **dict.fromkeys(["crossover_lag", "increment_scaling", "rms_increments"],
                     "item 5: the fractal-to-scale transition"),
     "lz_series": "item 9: spin read back from the paths",
     **dict.fromkeys(["shrink_transverse", "scaling_factor"],
@@ -290,6 +290,17 @@ def _drift(**kw):
      "key seed: need a whole number of at least 0, got 1.5"),
     (lambda: fractalspin.SimConfig(x0=(1.0, 0.0)),
      r"key x0: need three finite numbers, got \(1.0, 0.0\)"),
+    # nested input of the right count was taken as the flat point: a
+    # 2 x 2 list as (t, x, y, z), a column or a row as a position
+    (lambda: _PW.value([[0, 1], [0, 0]]),
+     r"key point: need four finite numbers, got \[\[0, 1\], \[0, 0\]\]"),
+    (lambda: _WAVE.value([[0, 1], [0, 0]]),
+     r"key point: need four finite numbers, got \[\[0, 1\], \[0, 0\]\]"),
+    (lambda: fractalspin.spiral_drift([[1.0], [0.0], [0.0]], 1, 1, 0.5),
+     r"key pos: need three finite numbers, got \[\[1.0\], \[0.0\], "
+     r"\[0.0\]\]"),
+    (lambda: fractalspin.SimConfig(x0=[[1.0, 0.0, 0.0]]),
+     r"key x0: need three finite numbers, got \[\[1.0, 0.0, 0.0\]\]"),
     # each row below ended in a bare numpy error or a NaN result, or was
     # taken silently; numeric strings were taken as numbers or ended in a
     # bare TypeError
@@ -335,10 +346,15 @@ def _drift(**kw):
     (lambda: fractalspin.uniform_b_field(np.nan),
      "key b0: need a finite number, got nan"),
     (lambda: fractalspin.sample_box(((0, 1),) * 3, 2),
-     r"key bounds: need eight finite numbers, got \(\(0, 1\), \(0, 1\), "
+     r"key bounds: need four \(lo, hi\) pairs, got \(\(0, 1\), \(0, 1\), "
      r"\(0, 1\)\)"),
     (lambda: fractalspin.sample_box(((0, 1),) * 3 + ((0, np.nan),), 2),
-     r"key bounds: need eight finite numbers, got \(\(0, 1\), "),
+     r"key bounds: need two finite numbers, got \(0, nan\)"),
+    # eight flat numbers were taken as four pairs
+    (lambda: fractalspin.sample_box((0, 1) * 4, 2),
+     r"key bounds: need four \(lo, hi\) pairs, got \(0, 1, 0, 1, "),
+    (lambda: fractalspin.sample_box(((0, 1), (0,), (0, 1), (0, 1)), 2),
+     r"key bounds: need four \(lo, hi\) pairs, got \(\(0, 1\), \(0,\), "),
     (lambda: fractalspin.sample_box(((0, 1),) * 4, -1),
      "key n: need a whole number of at least 1, got -1"),
     (lambda: fractalspin.crossover_lag([1, 2, 3], [1, 2]),

@@ -389,7 +389,8 @@ def test_streamed_csv_is_the_same_on_stdout_and_in_a_file(runner, tmp_path):
     ["simulate", "--n-traj", "3", "--n-steps", "20", "--sigma0", "1e308",
      "--p0", "1e308"],
     ["simulate", "--n-steps", "20", "--sigma0", "1e308", "--p0", "1e308"],
-    ["spiral", "--n-steps", "3", "--sigma0", "1e308"],
+    # z moves p0 dt / m = inf per step
+    ["spiral", "--n-steps", "3", "--p0", "1e308", "--dt", "10"],
 ])
 def test_non_finite_output_exits_3_and_writes_nothing(runner, tmp_path, args):
     out = tmp_path / "run.out"
@@ -402,6 +403,23 @@ def test_non_finite_output_exits_3_and_writes_nothing(runner, tmp_path, args):
     # and nothing on stdout when no --out is given
     result = runner.invoke(main, args)
     assert result.exit_code == 3
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("flags", [
+    # rho^2 underflows to a subnormal
+    ["--x0", "1e-160,0,0"],
+    # k = sigma0/m overflows
+    ["--sigma0", "1e308", "--m", "1e-10"],
+])
+def test_spiral_non_finite_turn_exits_3_without_a_traceback(runner, flags):
+    result = runner.invoke(main, ["spiral", "--n-steps", "3", *flags])
+    assert result.exit_code == 3
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.stderr.startswith("numerical error: spiral turn over the "
+                                    "run, 3 x ")
+    assert result.stderr.endswith(", is not finite\n")
+    assert result.stderr.count("\n") == 1
     assert result.stdout == ""
 
 

@@ -58,7 +58,7 @@ def test_preset_and_core_radius():
     assert cfg.n_steps != 7  # replace, not mutation
 
 
-def test_rk4_conserves_radius_and_lz():
+def test_deterministic_conserves_radius_and_lz():
     cfg = SimConfig(dt=1e-3, n_steps=10_000, m=1.0, p0=1.0, sigma0=0.5,
                     x0=(1.0, 0.0, 0.0))
     traj = integrate_deterministic(cfg)
@@ -72,25 +72,41 @@ def test_rk4_conserves_radius_and_lz():
     assert np.allclose(traj.positions[:, 2], traj.times, atol=1e-12)
 
 
-def test_rk4_round_off_accuracy_needs_a_small_turn_per_step():
+def test_exact_flow_keeps_rho_to_rounding_at_any_turn_per_step():
     # the README quick-start orbit turns dt sigma0/(m rho^2) = 5e-4 rad a
     # step: over 10^4 steps rho and L_z move at round-off level only
     traj = integrate_deterministic(spiral_preset(dt=1e-3, n_steps=10_000))
     rho = np.hypot(traj.positions[:, 0], traj.positions[:, 1])
-    assert np.max(np.abs(rho - 1.0)) < 1e-13  # about 3e-15
+    assert np.max(np.abs(rho - 1.0)) < 1e-13  # about 1e-16
+    # central differences over 2 dt = 2e-3 carry the rows' rounding
     lz = lz_series(traj, mode="central")
-    assert np.max(np.abs(lz - lz[0])) < 1e-12 * 0.5  # about 7e-14
-    # at rho = 0.05 and dt = 0.01 one step turns 2 rad and the orbit drifts
-    coarse = integrate_deterministic(
-        spiral_preset(dt=0.01, n_steps=200, x0=(0.05, 0.0, 0.0)))
-    rho = np.hypot(coarse.positions[:, 0], coarse.positions[:, 1])
+    assert np.max(np.abs(lz - lz[0])) < 1e-12 * 0.5  # about 3.4e-13
+    # at rho = 0.05 and dt = 0.01 one step turns 2 rad: the exact flow
+    # still keeps rho to rounding, where the RK4 oracle drifts outward
+    coarse = spiral_preset(dt=0.01, n_steps=200, x0=(0.05, 0.0, 0.0))
+    rho = np.hypot(*integrate_deterministic(coarse).positions[:, :2].T)
+    assert np.max(np.abs(rho / 0.05 - 1.0)) < 1e-13  # about 2e-16
+    rho = np.hypot(*_old_rk4(coarse)[:, :2].T)
     assert rho[1] > 1.2 * 0.05 and rho[-1] > 1.7 * 0.05
 
 
-def test_rk4_hits_singularity_when_started_on_axis():
+def test_deterministic_hits_singularity_when_started_on_axis():
     cfg = SimConfig(dt=1e-3, n_steps=10, x0=(0.0, 0.0, 0.0))
     with pytest.raises(AxisSingularity):
         integrate_deterministic(cfg)
+
+
+@pytest.mark.parametrize("overrides", [
+    # rho^2 underflows to a subnormal: the turn per step is inf
+    dict(x0=(1e-160, 0.0, 0.0)),
+    # k = sigma0/m overflows
+    dict(sigma0=1e308, m=1e-10),
+    # k overflows and rho^2 too: the turn is inf / inf
+    dict(sigma0=1e308, m=1e-10, x0=(1e200, 0.0, 0.0)),
+])
+def test_non_finite_turn_is_a_numerical_error(overrides):
+    with pytest.raises(NumericalError, match="not finite"):
+        integrate_deterministic(spiral_preset(n_steps=3, **overrides))
 
 
 def test_stochastic_reproducible_by_seed():
@@ -504,12 +520,10 @@ def test_drift_kernel_equals_the_old_formulas():
     assert np.array_equal(vx, old_vx) and np.array_equal(vy, old_vy)
 
 
-def _old_rk4(cfg, calls=None):
-    # the numpy RK4 loop before the Python-float rewrite; calls, when
-    # given, counts the drift evaluations
+def _old_rk4(cfg):
+    # classical RK4 on the raw drift, the deterministic integrator before
+    # the exact flow
     def drift(pos):
-        if calls is not None:
-            calls.append(pos)
         return _old_drift(pos, cfg.m, cfg.p0, cfg.sigma0, r_min)
 
     r_min = 0.0 if cfg.r_min is None else cfg.r_min
@@ -534,52 +548,66 @@ def _old_stochastic(cfg, seed):
         cfg, gen.standard_normal((1, cfg.n_steps, 3)))[0]
 
 
+def _exact_orbit(cfg):
+    # the closed-form orbit: (x, y) turned by omega t about the z axis,
+    # omega = sigma0/(m rho0^2), and z advanced by p0 t/m
+    x0, y0, z0 = (float(v) for v in cfg.x0)
+    rho0 = math.hypot(x0, y0)
+    omega = cfg.sigma0 / (cfg.m * rho0 ** 2)
+    t = np.arange(cfg.n_steps + 1) * cfg.dt
+    phase = math.atan2(y0, x0) + omega * t
+    return rho0, omega, np.stack([rho0 * np.cos(phase), rho0 * np.sin(phase),
+                                  z0 + cfg.p0 / cfg.m * t], axis=1)
+
+
 @pytest.mark.parametrize("overrides", [
     dict(n_steps=3000, dt=1e-3),
     dict(n_steps=500, r_min=0.05, x0=(0.3, -0.2, 1.5)),
     dict(n_steps=200, dt=0.02, m=2.0, p0=-0.7, sigma0=-1.3,
          x0=(-0.4, 0.9, 0.0)),
     dict(n_steps=1, x0=(2, 1, 0)),
-    # z rounds differently if summed as dt * vz instead of the RK4 sum
     dict(n_steps=300, dt=0.007, p0=0.3, x0=(0.5, 0.5, 0.0)),
-    # signed zeros: compared by bytes, -0.0 and 0.0 are told apart
     dict(n_steps=50, sigma0=0.0, x0=(-0.0, 0.5, -0.0)),
     dict(n_steps=50, sigma0=-0.0, p0=-0.0, x0=(0.7, -0.0, 0.0)),
 ])
-def test_rk4_float_loop_equals_numpy_oracle(overrides):
+def test_exact_flow_lies_on_the_orbit_and_near_the_rk4_oracle(overrides):
     cfg = spiral_preset(**overrides)
     traj = integrate_deterministic(cfg)
     assert traj.positions.shape == (cfg.n_steps + 1, 3)
-    assert _same_bits(traj.positions, _old_rk4(cfg))
     assert np.array_equal(traj.times, np.arange(cfg.n_steps + 1) * cfg.dt)
+    rho0, omega, exact = _exact_orbit(cfg)
+    pos = traj.positions
+    # the closed-form orbit, to rounding
+    assert np.max(np.abs(pos[:, :2] - exact[:, :2])) <= 1e-12 * rho0
+    assert np.allclose(pos[:, 2], exact[:, 2], rtol=1e-12, atol=0.0)
+    # RK4 within its global error scale omega T (omega dt)^4, as a
+    # distance at radius rho0
+    old = _old_rk4(cfg)
+    turn = abs(omega) * cfg.dt
+    tol = rho0 * (turn * cfg.n_steps * turn ** 4 + 1e-12)
+    assert np.max(np.abs(pos[:, :2] - old[:, :2])) <= tol
+    assert np.allclose(pos[:, 2], old[:, 2], rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("x0, r_min", [
     ((0.0, 0.0, 0.0), None), ((0.03, 0.0, 0.0), 0.04),
     ((0.05, 0.0, 0.0), 0.04), ((0.03, 0.0, 2.0), 0.02),
 ])
-def test_rk4_near_axis_raises_where_the_oracle_does(monkeypatch, x0, r_min):
+def test_exact_flow_refuses_exactly_a_start_in_the_core(x0, r_min):
     cfg = spiral_preset(dt=0.01, n_steps=50, x0=x0, r_min=r_min)
-    old_calls = []
+    # the RK4 oracle refuses every row: its stages reach the core
     with pytest.raises(AxisSingularity) as old:
-        _old_rk4(cfg, old_calls)
-    calls = []
-    raw_swirl = simulate._raw_swirl
-
-    def recording(*args):
-        calls.append(args)
-        return raw_swirl(*args)
-
-    monkeypatch.setattr(simulate, "_raw_swirl", recording)
-    with pytest.raises(AxisSingularity) as new:
-        integrate_deterministic(cfg)
-    # _raw_swirl runs only to refuse: once, at the oracle's last stage
-    # point, bit for bit, so the same stage of the same step
-    x, y = old_calls[-1][:2].tolist()
-    assert len(calls) == 1
-    assert _same_bits(np.array(calls[0]),
-                      np.array([x, y, cfg.sigma0 / cfg.m, r_min or 0.0]))
-    assert str(new.value) == str(old.value)
+        _old_rk4(cfg)
+    rho0 = math.hypot(x0[0], x0[1])
+    if rho0 <= (r_min or 0.0):
+        with pytest.raises(AxisSingularity) as new:
+            integrate_deterministic(cfg)
+        assert str(new.value) == str(old.value)
+    else:
+        # the exact orbit keeps rho0 and never enters the core
+        pos = integrate_deterministic(cfg).positions
+        rho = np.hypot(pos[:, 0], pos[:, 1])
+        assert np.max(np.abs(rho - rho0)) <= 1e-12 * rho0
 
 
 @pytest.mark.parametrize("overrides", [
