@@ -6,6 +6,13 @@ the same length 1/divisions.  Iterating substitutes a rotated, scaled copy
 of the generator into every segment, giving a self-similar curve with
 similarity dimension log(n_segments)/log(divisions).
 
+Dimensions are measured by divider walks: chords of one ruler length
+laid along the curve from end to end.  At a construction scale of the
+curve most chords run exactly from vertex to vertex, and divider_walk
+then follows chains of such chords that it builds for every vertex at
+once in numpy.  Each link repeats the scalar walk's float operations in
+their order, so every walk length is bitwise the one the plain walk gives.
+
 The spin of a curve is computed in the frame of its own span axis: scale
 the span to one de Broglie wavelength 2 pi hbar / (m v), traverse it in
 one period T = lambda/(v) times period_factor, and integrate
@@ -212,6 +219,12 @@ _T_EPS = 1e-9  # crossings that land on a vertex round to t = 1 +- ulp
 # a segment whose two ends both lie at squared distance below
 # eps^2 (1 - _MARGIN) from the anchor holds no crossing (divider_walk)
 _MARGIN = 1e-6
+# divider_walk builds a chain table when at least this share of segments
+# can take a chord from one vertex exactly onto the next (about 0.4 to 0.7
+# at the finest construction ruler of iterate's curves, 0 at the others)
+_CHAIN_SHARE = 0.25
+_CHAIN_POOL = 4096  # open chains advanced together; 32 kB per array
+_CHAIN_ROUNDS = 32  # a chain still open after this many rounds stays open
 
 
 def _dot3(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -247,6 +260,86 @@ def _first_crossing(verts, k, anchor, ball2):
     return None
 
 
+def _chain_table(verts, dirs, seg2, eps):
+    """For each vertex j, the chords a divider walk standing exactly on
+    verts[j] takes until it next lands exactly on a vertex: int arrays (to,
+    chords) with that vertex in to[j] (n for the curve's end) and the
+    number of chords in chords[j], or to[j] = -1 for a chain left open.
+
+    The chains advance in rounds of _chain_link, which takes each chain's
+    next segment test bitwise as divider_walk's scalar loop takes it.  A
+    chain stays open when its search runs off the curve's end or after
+    _CHAIN_ROUNDS rounds.  At most _CHAIN_POOL chains are open at once;
+    origins join in order as others close.
+    """
+    n = len(dirs)
+    to = np.full(n, -1, dtype=np.int32)
+    chords = np.zeros(n, dtype=np.int32)
+    # per open chain: origin, segment, chords so far, rounds, the anchor
+    # and its t on the segment
+    state = (np.empty(0, dtype=int),) * 4 + (np.empty(0),) * 4
+    fed = 0
+    while True:
+        if len(state[0]) <= _CHAIN_POOL // 2 and fed < n:
+            new = np.arange(fed, min(fed + _CHAIN_POOL - len(state[0]), n))
+            fed += len(new)
+            zero = np.zeros(len(new), dtype=int)
+            fresh = (new, new, zero, zero, *verts[new].T, np.zeros(len(new)))
+            state = tuple(np.concatenate(p) for p in zip(state, fresh))
+        if not len(state[0]):
+            return to, chords
+        origin, vertex, count, state = _chain_link(verts, dirs, seg2, eps,
+                                                   state)
+        to[origin] = vertex
+        chords[origin] = count
+
+
+def _chain_link(verts, dirs, seg2, eps, state):
+    """One round of _chain_table: every open chain tests its segment k with
+    the scalar root test's operations, in its order, on float64 arrays, so
+    each root, anchor and landing is bitwise divider_walk's.
+
+    Returns the origins of the chains whose chord landed exactly on a
+    vertex, those vertices and the chains' chord counts, and the state of
+    the chains still open.  Each round's temporaries are freed before the
+    next round allocates its own, which keeps the walk's peak resident
+    memory near the scalar walk's.
+    """
+    n = len(dirs)
+    eps2 = eps * eps
+    ball2 = eps2 * (1.0 - _MARGIN)
+    hi = 1.0 + _T_EPS
+    j, k, done, rounds, a0, a1, a2, lo = state
+    k1 = k + 1
+    s0, s1, s2 = verts.take(k, axis=0).T
+    d0, d1, d2 = dirs.take(k, axis=0).T
+    e0, e1, e2 = verts.take(k1, axis=0).T
+    aa = seg2.take(k)
+    w0, w1, w2 = s0 - a0, s1 - a1, s2 - a2
+    ww = (w0 * w0 + w2 * w2) + w1 * w1
+    f0, f1, f2 = e0 - a0, e1 - a1, e2 - a2
+    ff = (f0 * f0 + f2 * f2) + f1 * f1
+    bb = 2.0 * ((w0 * d0 + w2 * d2) + w1 * d1)
+    disc = bb * bb - 4.0 * aa * (ww - eps2)
+    ok = ((ww >= ball2) | (ff >= ball2)) & (disc >= 0.0) & (aa > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = np.sqrt(disc)
+        near = (-bb - root) / (2 * aa)
+        far = (-bb + root) / (2 * aa)
+    take_near = ok & (lo < near) & (near <= hi)
+    hit = take_near | (ok & (lo < far) & (far <= hi))
+    t = np.where(take_near, near, far)
+    land = hit & (t >= 1.0)
+    move = hit & ~land  # the chord ends inside segment k
+    k = np.where(hit, k, k1)
+    rounds = rounds + 1
+    keep = np.flatnonzero(~land & (k < n) & (rounds < _CHAIN_ROUNDS))
+    return j[land], k1[land], done[land] + 1, tuple(x.take(keep) for x in (
+        j, k, done + move, rounds, np.where(move, s0 + t * d0, a0),
+        np.where(move, s1 + t * d1, a1), np.where(move, s2 + t * d2, a2),
+        np.where(hit, t, 0.0)))
+
+
 def divider_walk(vertices: np.ndarray, eps: float) -> float:
     """Ruler length estimate: walk the polyline in chords of length eps
     (first-crossing rule) and return steps * eps plus the leftover chord.
@@ -256,7 +349,8 @@ def divider_walk(vertices: np.ndarray, eps: float) -> float:
     its segment (above 0 in later ones) and at most 1 + _T_EPS: a crossing
     sitting exactly on a shared vertex otherwise rounds out of both
     adjacent segments (t = 1 + ulp in one, t = 0 in the next) and the walk
-    loses it.
+    loses it.  A root t >= 1 lands the chord exactly on the segment's end
+    vertex.
 
     The walk takes that root only on segments that can hold it.  The
     ruler's ball is convex, so a segment whose two vertices lie at squared
@@ -280,6 +374,19 @@ def divider_walk(vertices: np.ndarray, eps: float) -> float:
     segments is skipped, the scan being the cheaper test there.  Either
     way one scalar root test runs on each segment not ruled out.  Segment
     data is read as Python floats one chunk at a time.
+
+    Where the ruler is a construction scale of the curve, most chords
+    start and end exactly on vertices, and the Python loop above is the
+    walk's whole cost.  A chord from a vertex lands exactly on the next
+    one only on a segment with |d|^2 in [eps^2 / (1 + _T_EPS)^2, eps^2];
+    when at least _CHAIN_SHARE of the segments have that length, the walk
+    first builds _chain_table in numpy: for every vertex, where the chords
+    from it next land exactly on a vertex and how many they are.  Each
+    table entry repeats the scalar test's operations in the same order,
+    and a chord's course depends only on where it starts, so wherever the
+    walk lands exactly on a vertex with a closed chain it adds that
+    chain's chords and resumes at the chain's end with the walk it would
+    have taken.  Open chains, and walks below the share, run the loop.
     Raises GeometryInvalid for a ruler that is not a finite number above 0
     or vertices that are not an (n, 3) array of finite numbers, n >= 2.
     """
@@ -290,6 +397,12 @@ def divider_walk(vertices: np.ndarray, eps: float) -> float:
     eps2 = eps * eps
     ball2 = eps2 * (1.0 - _MARGIN)  # the ball less its margin, squared
     hi = 1.0 + _T_EPS
+    seg2 = _dot3(dirs, dirs)  # squared segment lengths
+    to = chords = None
+    if np.count_nonzero((seg2 >= eps2 / (hi * hi)) & (seg2 <= eps2)) \
+            >= _CHAIN_SHARE * n:
+        # memoryviews read table entries as Python ints without a list
+        to, chords = map(memoryview, _chain_table(verts, dirs, seg2, eps))
     page, base, end = [], 0, 0  # segments base .. end-1 as float lists
 
     def load(k):
@@ -297,63 +410,71 @@ def divider_walk(vertices: np.ndarray, eps: float) -> float:
         # segments that follow; a row is a segment's start, difference,
         # squared length and end
         j = min(k + _SCAN_CHUNK, n)
-        d = dirs[k:j]
-        return np.column_stack((verts[k:j], d, _dot3(d, d),
+        return np.column_stack((verts[k:j], dirs[k:j], seg2[k:j],
                                 verts[k + 1:j + 1])).tolist(), k, j
 
+    idx, probe, steps = 0, 0, 0
     a0, a1, a2 = verts[0].tolist()
-    idx, t = 0, 0.0
-    probe = 0
-    steps = 0
     while True:
-        k, lo, stop = idx, t, min(idx + probe, n)
-        ww = None  # squared distance of segment k's start from the anchor
-        while True:
-            if k == stop:
-                hit = None if k == n else _first_crossing(
-                    verts, k, np.array((a0, a1, a2)), ball2)
-                if hit is None:
-                    return steps * eps + float(
-                        np.linalg.norm(verts[-1] - np.array((a0, a1, a2))))
-                if hit > k:
-                    k, lo, ww = hit, 0.0, None
-                stop = k + 1
-            if k >= end:
-                page, base, end = load(k)
-            s0, s1, s2, d0, d1, d2, aa, e0, e1, e2 = page[k - base]
-            if ww is None:
-                w0, w1, w2 = s0 - a0, s1 - a1, s2 - a2
-                ww = (w0 * w0 + w2 * w2) + w1 * w1
-            f0, f1, f2 = e0 - a0, e1 - a1, e2 - a2
-            ff = (f0 * f0 + f2 * f2) + f1 * f1
-            if ww >= ball2 or ff >= ball2:
-                bb = 2.0 * ((w0 * d0 + w2 * d2) + w1 * d1)
-                disc = bb * bb - 4.0 * aa * (ww - eps2)
-                if disc >= 0.0 and aa > 0.0:
-                    root = math.sqrt(disc)
-                    t = (-bb - root) / (2 * aa)
-                    if lo < t <= hi:
-                        break
-                    t = (-bb + root) / (2 * aa)
-                    if lo < t <= hi:
-                        break
-            w0, w1, w2, ww = f0, f1, f2, ff
-            k += 1
-            lo = 0.0
-        probe = 2 * (k - idx + 1)
-        if probe > _PROBE_MAX:
-            probe = 0
-        steps += 1
-        if t >= 1.0:
-            # t overshoots 1 by at most _T_EPS; land exactly on the vertex
-            # so the next step starts clean
-            idx, t = k + 1, 0.0
+        # the walk stands exactly on vertex idx: at the start, or after a
+        # chord that landed there
+        if to is not None and to[idx] >= 0:
+            while idx < n and to[idx] >= 0:
+                steps += chords[idx]
+                idx = to[idx]
             if idx == n:
                 return steps * eps  # no leftover chord
-            a0, a1, a2 = e0, e1, e2
-        else:
+            a0, a1, a2 = verts[idx].tolist()
+        t = 0.0
+        while True:  # chords until one lands exactly on a vertex
+            k, lo, stop = idx, t, min(idx + probe, n)
+            ww = None  # squared distance of segment k's start from anchor
+            while True:
+                if k == stop:
+                    hit = None if k == n else _first_crossing(
+                        verts, k, np.array((a0, a1, a2)), ball2)
+                    if hit is None:
+                        return steps * eps + float(np.linalg.norm(
+                            verts[-1] - np.array((a0, a1, a2))))
+                    if hit > k:
+                        k, lo, ww = hit, 0.0, None
+                    stop = k + 1
+                if k >= end:
+                    page, base, end = load(k)
+                s0, s1, s2, d0, d1, d2, aa, e0, e1, e2 = page[k - base]
+                if ww is None:
+                    w0, w1, w2 = s0 - a0, s1 - a1, s2 - a2
+                    ww = (w0 * w0 + w2 * w2) + w1 * w1
+                f0, f1, f2 = e0 - a0, e1 - a1, e2 - a2
+                ff = (f0 * f0 + f2 * f2) + f1 * f1
+                if ww >= ball2 or ff >= ball2:
+                    bb = 2.0 * ((w0 * d0 + w2 * d2) + w1 * d1)
+                    disc = bb * bb - 4.0 * aa * (ww - eps2)
+                    if disc >= 0.0 and aa > 0.0:
+                        root = math.sqrt(disc)
+                        t = (-bb - root) / (2 * aa)
+                        if lo < t <= hi:
+                            break
+                        t = (-bb + root) / (2 * aa)
+                        if lo < t <= hi:
+                            break
+                w0, w1, w2, ww = f0, f1, f2, ff
+                k += 1
+                lo = 0.0
+            probe = 2 * (k - idx + 1)
+            if probe > _PROBE_MAX:
+                probe = 0
+            steps += 1
+            if t >= 1.0:
+                break
             idx = k
             a0, a1, a2 = s0 + t * d0, s1 + t * d1, s2 + t * d2
+        # t overshoots 1 by at most _T_EPS; land exactly on the vertex so
+        # the next step starts clean
+        idx = k + 1
+        if idx == n:
+            return steps * eps  # no leftover chord
+        a0, a1, a2 = e0, e1, e2
 
 
 @dataclass
@@ -399,8 +520,9 @@ def measured_dimension(vertices: np.ndarray, rulers=None,
     """Divider (ruler) dimension: slope of log L(eps) against log(1/eps),
     plus one, with each L(eps) from one forward divider walk.
 
-    Raises InsufficientData when the rulers span fewer than min_decades
-    decades (or min_decades is NaN); self-similar curves below level 5
+    Raises InsufficientData, before any walk, when fewer than two rulers
+    are distinct or the rulers span fewer than min_decades decades (or
+    min_decades is NaN); self-similar curves below level 5
     cannot honestly reach two decades, so convergence studies over levels
     pass a lower min_decades explicitly.  Raises GeometryInvalid for
     vertices that are not an (n, 3) array of finite numbers, n >= 2,
@@ -420,6 +542,10 @@ def measured_dimension(vertices: np.ndarray, rulers=None,
             f"{rulers!r}")
     rulers = finite("key rulers", rulers, np.size(rulers), positive=True,
                     error=GeometryInvalid)
+    if rulers.min() == rulers.max():
+        raise InsufficientData(
+            f"need at least two distinct rulers for a slope, got only "
+            f"{float(rulers[0])!r}")
     span = math.log10(rulers.max() / rulers.min())
     if not span >= min_decades:
         raise InsufficientData(
@@ -435,11 +561,14 @@ def _axis_frame(vertices: np.ndarray):
     """(span, axial, t1, t2, u): the endpoint distance, each vertex's axial
     and two transverse coordinates relative to the first vertex, and the
     span unit vector u.  Raises GeometryInvalid unless vertices is an
-    (n, 3) array of finite numbers with n >= 2 and distinct endpoints."""
+    (n, 3) array of finite numbers with n >= 2 and endpoints further apart
+    than 1e-12 times the largest distance of a vertex from the first, so
+    the test does not depend on the curve's scale."""
     verts = _vertex_array(vertices)
-    span_vec = verts[-1] - verts[0]
+    rel = verts - verts[0]
+    span_vec = rel[-1]
     span = float(np.linalg.norm(span_vec))
-    if span < 1e-12:
+    if not span > 1e-12 * float(np.max(_row_norms(rel))):
         raise GeometryInvalid("curve endpoints coincide; span axis undefined")
     u = span_vec / span
     seed = np.zeros(3)
@@ -447,7 +576,6 @@ def _axis_frame(vertices: np.ndarray):
     n1 = seed - (seed @ u) * u
     n1 /= np.linalg.norm(n1)
     n2 = np.cross(u, n1)
-    rel = verts - verts[0]
     return span, rel @ u, rel @ n1, rel @ n2, u
 
 

@@ -168,6 +168,13 @@ def test_hyperhelix_command(runner):
     thin = runner.invoke(main, ["hyperhelix", "--level", "3"])
     assert thin.exit_code == 3  # 1.43 decades under the default gate
 
+    # level 0 has one ruler, which ended in numpy's LinAlgError (exit 1)
+    single = runner.invoke(main, ["hyperhelix", "--level", "0",
+                                  "--min-decades", "0"])
+    assert single.exit_code == 3
+    assert isinstance(single.exception, SystemExit)  # no traceback
+    assert "two distinct rulers" in single.stderr
+
 
 def test_hyperhelix_negative_level_exit_code(runner):
     result = runner.invoke(main, ["hyperhelix", "--level", "-1"])

@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fractalspin.errors import GeometryInvalid, InsufficientData
+from fractalspin import hyperhelix
+from fractalspin.errors import GeometryInvalid, InsufficientData, finite
 from fractalspin.hyperhelix import (
     GeneratorSpec,
     construction_rulers,
@@ -22,6 +23,7 @@ from fractalspin.hyperhelix import (
     similarity_dimension,
     spin_kernel,
     _rotation_to,
+    _vertex_array,
 )
 
 
@@ -179,10 +181,24 @@ def test_measured_dimension_converges_with_level():
     assert errs[1] < errs[0] < 0.15
 
 
-def test_measured_dimension_insufficient_span():
-    verts = iterate(helical_generator(), 3)
-    with pytest.raises(InsufficientData):
-        measured_dimension(verts, rulers=construction_rulers(3, 3))
+# one ruler ended in numpy's LinAlgError, three equal ones in a dimension
+# of 1.29 from a degenerate fit with a RankWarning
+@pytest.mark.parametrize("level, rulers, min_decades, message", [
+    (3, construction_rulers(3, 3), 2.0, "ruler span 1.43 decades < 2.00"),
+    (0, construction_rulers(3, 0), 0.0,
+     "need at least two distinct rulers for a slope, got only 1.0"),
+    (2, [0.3, 0.3, 0.3], 0.0,
+     "need at least two distinct rulers for a slope, got only 0.3"),
+])
+def test_measured_dimension_insufficient_rulers(monkeypatch, level, rulers,
+                                                min_decades, message):
+    def no_walk(*args):
+        raise AssertionError("a divider walk ran")
+
+    verts = iterate(helical_generator(4), level)
+    monkeypatch.setattr(hyperhelix, "divider_walk", no_walk)
+    with pytest.raises(InsufficientData, match=message):
+        measured_dimension(verts, rulers=rulers, min_decades=min_decades)
 
 
 def test_measured_dimension_nan_min_decades_fails_the_gate():
@@ -389,6 +405,24 @@ def test_curve_spin_sign_and_degenerate_axis():
         curve_spin(verts, m=-1.0, v=1.0)
     # straight axial line carries no winding at all
     assert curve_spin(iterate(line_generator(), 2), 1.0, 1.0) == 0.0
+
+
+def test_curve_spin_does_not_depend_on_the_curve_scale():
+    # the endpoint test compares the span with the curve's extent: an
+    # absolute 1e-12 refused the 1e-13 copy as a curve whose endpoints
+    # coincide
+    verts = iterate(helical_generator(4), 2)
+    sigma = curve_spin(verts, 1.0, 1.0)
+    for scale in (1e-13, 1e-6, 1e13):
+        assert math.isclose(curve_spin(verts * scale, 1.0, 1.0), sigma,
+                            rel_tol=1e-14)
+    th = np.linspace(0.0, 2 * np.pi, 100)
+    closed = np.stack([np.cos(th), np.sin(th), np.zeros_like(th)], axis=1)
+    for scale in (1e-13, 1.0, 1e13):
+        with pytest.raises(GeometryInvalid, match="curve endpoints coincide"):
+            curve_spin(closed * scale, 1.0, 1.0)
+    with pytest.raises(GeometryInvalid, match="curve endpoints coincide"):
+        spin_kernel(np.zeros((3, 3)))
 
 
 def test_curve_spin_against_smooth_swirl():
@@ -600,3 +634,297 @@ def test_divider_walk_matches_oracle_on_long_and_empty_segments():
     for v in (verts, verts[::-1]):
         for eps in (1.0, 0.7, 2.5):
             assert divider_walk(v, eps) == _oracle_divider_walk(v, eps)
+
+
+# -- the probing walk: divider_walk before the chain table, kept verbatim as
+# the reference that the table's jumps must match bit for bit, fast enough
+# for the finest rulers of a level-5 curve.  Its constants are those of
+# that version of the module.
+
+_PROBING_SCAN_CHUNK = 256
+_PROBING_PROBE_MAX = 64
+_PROBING_T_EPS = 1e-9
+_PROBING_MARGIN = 1e-6
+
+
+def _probing_dot3(u, v):
+    return (u[:, 0] * v[:, 0] + u[:, 2] * v[:, 2]) + u[:, 1] * v[:, 1]
+
+
+def _probing_first_crossing(verts, k, anchor, ball2):
+    i, size = k, _PROBING_SCAN_CHUNK
+    while i < len(verts):
+        w = verts[i:i + size] - anchor
+        far = np.flatnonzero(_probing_dot3(w, w) >= ball2)
+        if far.size:
+            return max(i + int(far[0]) - 1, k)
+        i, size = i + size, 2 * size
+    return None
+
+
+def _probing_divider_walk(vertices, eps):
+    eps = finite("key eps", eps, positive=True, error=GeometryInvalid)
+    verts = _vertex_array(vertices)
+    dirs = verts[1:] - verts[:-1]
+    n = len(dirs)
+    eps2 = eps * eps
+    ball2 = eps2 * (1.0 - _PROBING_MARGIN)  # the ball less its margin
+    hi = 1.0 + _PROBING_T_EPS
+    page, base, end = [], 0, 0  # segments base .. end-1 as float lists
+
+    def load(k):
+        # the walk only moves forward, so a page starting at k serves the
+        # segments that follow; a row is a segment's start, difference,
+        # squared length and end
+        j = min(k + _PROBING_SCAN_CHUNK, n)
+        d = dirs[k:j]
+        return np.column_stack((verts[k:j], d, _probing_dot3(d, d),
+                                verts[k + 1:j + 1])).tolist(), k, j
+
+    a0, a1, a2 = verts[0].tolist()
+    idx, t = 0, 0.0
+    probe = 0
+    steps = 0
+    while True:
+        k, lo, stop = idx, t, min(idx + probe, n)
+        ww = None  # squared distance of segment k's start from the anchor
+        while True:
+            if k == stop:
+                hit = None if k == n else _probing_first_crossing(
+                    verts, k, np.array((a0, a1, a2)), ball2)
+                if hit is None:
+                    return steps * eps + float(
+                        np.linalg.norm(verts[-1] - np.array((a0, a1, a2))))
+                if hit > k:
+                    k, lo, ww = hit, 0.0, None
+                stop = k + 1
+            if k >= end:
+                page, base, end = load(k)
+            s0, s1, s2, d0, d1, d2, aa, e0, e1, e2 = page[k - base]
+            if ww is None:
+                w0, w1, w2 = s0 - a0, s1 - a1, s2 - a2
+                ww = (w0 * w0 + w2 * w2) + w1 * w1
+            f0, f1, f2 = e0 - a0, e1 - a1, e2 - a2
+            ff = (f0 * f0 + f2 * f2) + f1 * f1
+            if ww >= ball2 or ff >= ball2:
+                bb = 2.0 * ((w0 * d0 + w2 * d2) + w1 * d1)
+                disc = bb * bb - 4.0 * aa * (ww - eps2)
+                if disc >= 0.0 and aa > 0.0:
+                    root = math.sqrt(disc)
+                    t = (-bb - root) / (2 * aa)
+                    if lo < t <= hi:
+                        break
+                    t = (-bb + root) / (2 * aa)
+                    if lo < t <= hi:
+                        break
+            w0, w1, w2, ww = f0, f1, f2, ff
+            k += 1
+            lo = 0.0
+        probe = 2 * (k - idx + 1)
+        if probe > _PROBING_PROBE_MAX:
+            probe = 0
+        steps += 1
+        if t >= 1.0:
+            # t overshoots 1 by at most _T_EPS; land exactly on the vertex
+            # so the next step starts clean
+            idx, t = k + 1, 0.0
+            if idx == n:
+                return steps * eps  # no leftover chord
+            a0, a1, a2 = e0, e1, e2
+        else:
+            idx = k
+            a0, a1, a2 = s0 + t * d0, s1 + t * d1, s2 + t * d2
+
+
+_CHAIN_TABLE = hyperhelix._chain_table
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """The rulers divider_walk builds a chain table for, in call order."""
+    built = []
+
+    def spy(verts, dirs, seg2, eps):
+        built.append(eps)
+        return _CHAIN_TABLE(verts, dirs, seg2, eps)
+
+    monkeypatch.setattr(hyperhelix, "_chain_table", spy)
+    return built
+
+
+def _table(verts, eps):
+    """The chain table of the curve at ruler eps, as arrays."""
+    dirs = verts[1:] - verts[:-1]
+    to, chords = _CHAIN_TABLE(verts, dirs, hyperhelix._dot3(dirs, dirs), eps)
+    return np.array(to), np.array(chords)
+
+
+def _chain_oracle(verts, j, eps, cap):
+    """The chain from vertex j, one segment test at a time in Python
+    floats: (the vertex where its chords land exactly, their number), or
+    (-1, 0) when they run off the curve's end or take more than cap
+    tests."""
+    eps2 = eps * eps
+    ball2 = eps2 * (1.0 - 1e-6)
+    hi = 1.0 + 1e-9
+    a = verts[j].tolist()
+    k, lo, chords = j, 0.0, 0
+    for _ in range(cap):
+        if k == len(verts) - 1:
+            break
+        s, e = verts[k].tolist(), verts[k + 1].tolist()
+        d, w, f = ([p - q for p, q in zip(u, v)]
+                   for u, v in ((e, s), (s, a), (e, a)))
+        aa, ww, ff = ((u[0] * u[0] + u[2] * u[2]) + u[1] * u[1]
+                      for u in (d, w, f))
+        hit = None
+        if ww >= ball2 or ff >= ball2:
+            bb = 2.0 * ((w[0] * d[0] + w[2] * d[2]) + w[1] * d[1])
+            disc = bb * bb - 4.0 * aa * (ww - eps2)
+            if disc >= 0.0 and aa > 0.0:
+                root = math.sqrt(disc)
+                hit = next((t for t in ((-bb - root) / (2 * aa),
+                                        (-bb + root) / (2 * aa))
+                            if lo < t <= hi), None)
+        if hit is None:
+            k, lo = k + 1, 0.0
+            continue
+        chords += 1
+        if hit >= 1.0:
+            return k + 1, chords
+        a, lo = [p + hit * q for p, q in zip(s, d)], hit
+    return -1, 0
+
+
+@pytest.mark.parametrize("winding", [1, 4])
+def test_chain_table_matches_a_chain_by_chain_oracle(winding):
+    # every origin of a small curve, at rulers whose chords span segments
+    # and at rulers whose chords fall inside them; the walks visit only
+    # some of the chains, so a wrong entry can leave every walk intact
+    verts = iterate(helical_generator(winding), 3)
+    closed = 0
+    for eps in construction_rulers(3, 5)[2:]:
+        to, chords = _table(verts, eps)
+        closed += np.sum(to >= 0)
+        for j in range(len(to)):
+            assert (to[j], chords[j]) == _chain_oracle(
+                verts, j, eps, hyperhelix._CHAIN_ROUNDS)
+    assert closed > 1000
+
+
+def _assert_walks_match(curves, rulers):
+    for verts in curves:
+        for v in (verts, verts[::-1]):
+            for eps in rulers:
+                assert divider_walk(v, eps) == _probing_divider_walk(v, eps)
+
+
+@pytest.mark.parametrize("gen", [
+    helical_generator(1), helical_generator(2), helical_generator(3),
+    helical_generator(4), koch_generator(), line_generator(),
+], ids=["helix1", "helix2", "helix3", "helix4", "koch", "line"])
+def test_divider_walk_matches_the_probing_walk_on_level5_rulers(gen, tables):
+    # all six construction rulers, the finest through the chain table
+    rulers = construction_rulers(gen.divisions, 5)
+    _assert_walks_match([iterate(gen, 5)], rulers)
+    assert tables == [rulers[-1]] * 2
+
+
+@pytest.mark.parametrize("gen", [helical_generator(1), line_generator()],
+                         ids=["helix1", "line"])
+@pytest.mark.parametrize("cap", [1, 2, 3, None])
+def test_chains_open_at_the_round_cap_walk_as_the_probing_walk(monkeypatch,
+                                                               gen, cap):
+    # chains from some vertices of these curves take far more than 32
+    # rounds to close (over 100 on both), so the default cap leaves them
+    # open, and a cap of 1 to 3 leaves most of them open
+    verts = iterate(gen, 5)
+    eps = construction_rulers(3, 5)[-1]
+    if cap is not None:
+        monkeypatch.setattr(hyperhelix, "_CHAIN_ROUNDS", cap)
+    to, chords = _table(verts, eps)
+    monkeypatch.setattr(hyperhelix, "_CHAIN_ROUNDS", 10 ** 4)
+    to_uncapped, chords_uncapped = _table(verts, eps)
+    closed = to >= 0
+    capped = ~closed & (to_uncapped >= 0)
+    assert capped.sum() > 0 and closed.sum() > 0
+    assert np.array_equal(to[closed], to_uncapped[closed])
+    assert np.array_equal(chords[closed], chords_uncapped[closed])
+    monkeypatch.undo()
+    if cap is not None:
+        monkeypatch.setattr(hyperhelix, "_CHAIN_ROUNDS", cap)
+    _assert_walks_match([verts], [eps])
+
+
+def _uneven_walk(seed, n, eps, share):
+    """A random walk whose steps are eps long with probability share and
+    anywhere from 0.1 eps to 3 eps long otherwise."""
+    rng = np.random.default_rng(seed)
+    steps = rng.standard_normal((n, 3))
+    steps /= np.linalg.norm(steps, axis=1)[:, None]
+    length = np.where(rng.random(n) < share, eps,
+                      rng.uniform(0.1 * eps, 3.0 * eps, n))
+    return np.cumsum(np.vstack((np.zeros(3), steps * length[:, None])),
+                     axis=0)
+
+
+def test_a_walk_with_few_segments_at_the_ruler_length_builds_no_table(
+        monkeypatch, tables):
+    verts = _uneven_walk(41, 3000, 1.0, 0.3)
+    _assert_walks_match([verts], [1.0, 0.5, 2.5])
+    assert tables == []
+    # with the gate forced open the table serves walks that wander off
+    # and back onto vertices at random
+    monkeypatch.setattr(hyperhelix, "_CHAIN_SHARE", 0.0)
+    for share in (0.3, 0.9):
+        _assert_walks_match([_uneven_walk(43, 3000, 1.0, share)],
+                            [1.0, 0.5, 2.5])
+    assert len(tables) == 12
+
+
+def test_chain_table_over_zero_length_segments(tables):
+    # every fifth vertex repeated: segments of length 0 between chords
+    # that land exactly on vertices
+    base = iterate(helical_generator(4), 4)
+    verts = np.repeat(base, np.where(np.arange(len(base)) % 5 == 2, 2, 1),
+                      axis=0)
+    assert np.sum(np.all(verts[1:] == verts[:-1], axis=1)) > 1000
+    rulers = construction_rulers(3, 4)[-2:]
+    _assert_walks_match([verts, verts[:-1]], rulers)
+    assert tables == [rulers[-1]] * 4
+
+
+def test_chain_table_walk_ends_exactly_on_the_last_vertex(tables):
+    # binary fractions: every chord lands exactly on the next vertex, the
+    # last one on the curve's end, and no leftover chord remains
+    verts = iterate(line_generator(2), 6)
+    eps = 1.0 / 64.0
+    to, chords = _table(verts, eps)
+    assert np.array_equal(to, np.arange(1, 65))
+    assert np.all(chords == 1)
+    assert divider_walk(verts, eps) == 1.0
+    _assert_walks_match([verts], [eps])
+    assert tables == [eps] * 3
+
+
+def test_leftover_chord_after_an_open_chain(monkeypatch, tables):
+    # eight chords of 1/4 land on vertices; the chain from the last of
+    # them runs off the curve's end, leaving a leftover chord of 0.1
+    verts = np.zeros((10, 3))
+    verts[:9, 0] = np.arange(9) / 4.0
+    verts[9] = [2.0, 0.1, 0.0]
+    to, _ = _table(verts, 0.25)
+    assert np.array_equal(to, [1, 2, 3, 4, 5, 6, 7, 8, -1])
+    assert divider_walk(verts, 0.25) == 2.0 + 0.1
+    _assert_walks_match([verts], [0.25])
+    # chains capped at one round: the walk starts on an open chain and
+    # ends past the last landing with a leftover chord
+    monkeypatch.setattr(hyperhelix, "_CHAIN_ROUNDS", 1)
+    line = iterate(line_generator(), 5)[:200]
+    eps = construction_rulers(3, 5)[-1]
+    to, _ = _table(line, eps)
+    assert to[0] == -1 and np.sum(to >= 0) > 100
+    length = divider_walk(line, eps)
+    assert length - 199 * eps > 0.0
+    _assert_walks_match([line, line[:-3]], [eps])
+    assert len(tables) == 8
