@@ -56,7 +56,6 @@ _SIM_KEYS = {
     "sigma0": ("sigma0", float, "Spiral angular momentum."),
     "x0": ("x0", _triple, "Start point, three comma-separated values."),
     "n_traj": ("n_traj", int, "Number of trajectories."),
-    "r_min": ("r_min", float, "Drift core radius override."),
 }
 _READS = {float: "a number", int: "an integer", _triple: "a number triple"}
 

@@ -67,7 +67,7 @@ class ExponentialField:
         """d^orders of the sum at pt, orders a 4-tuple of non-negative
         derivative counts for (t, x, y, z).  Raises ConfigError unless
         orders are four non-negative ints and pt four finite numbers."""
-        if not (len(orders) == 4 and all(map(isinstance, orders, (int,) * 4))
+        if not (len(orders) == 4 and all(n.__class__ is int for n in orders)
                 and min(orders) >= 0):
             raise ConfigError(f"key orders: need four non-negative ints, "
                               f"got {orders!r}")

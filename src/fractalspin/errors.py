@@ -90,8 +90,9 @@ def whole(label: str, value, least: int, *,
           error: type = ConfigError) -> int:
     """value as an int; raises error, "{label}: need a whole number of at
     least {least}, got {value!r}", unless it is an integral number (2.0
-    is not) of at least least."""
-    if not (isinstance(value, numbers.Integral) and value >= least):
+    is not, nor is True or False) of at least least."""
+    if not (isinstance(value, numbers.Integral)
+            and not isinstance(value, bool) and value >= least):
         raise error(f"{label}: need a whole number of at least {least}, "
                     f"got {value!r}")
     return int(value)

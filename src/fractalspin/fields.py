@@ -239,11 +239,12 @@ class SpinorField:
         derivatives (d_t, d_x, d_y, d_z) psi as a tuple from one phase
         evaluation per term; a one-index call is the mu-th entry of that
         tuple.  Raises ConfigError, "key mu: ...", for any other mu: a
-        float, a list or another tuple among them."""
+        float, a bool, a list or another tuple among them."""
         if mu.__class__ is tuple:
             if mu == _ALL_MU:
                 return self._sum(pt, True)
-        elif isinstance(mu, numbers.Integral) and 0 <= mu <= 3:
+        elif isinstance(mu, numbers.Integral) and not isinstance(mu, bool) \
+                and 0 <= mu <= 3:
             return self._sum(pt, True)[int(mu)]
         raise ConfigError(f"key mu: need 0, 1, 2 or 3, got {mu!r}; "
                           "the tuple (0, 1, 2, 3) asks for all four")

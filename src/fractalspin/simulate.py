@@ -16,18 +16,18 @@ size.  The stochastic integrator is Euler-Maruyama with increments
 
     dX = v(X) dt + eta sqrt(2 D dt),   eta ~ N(0, 1) per component,
 
-with the drift denominator regularized as max(rho^2, r_min^2) so a path
-that diffuses through the axis does not blow up; r_min defaults to ten
-noise step lengths, 10 sqrt(2 D dt).
+with the drift denominator regularized as max(rho^2, r_core^2) so a path
+that diffuses through the axis does not blow up; r_core is ten noise step
+lengths, 10 sqrt(2 D dt) (SimConfig.core_radius).
 
-A single path, deterministic or stochastic, steps in Python floats: on
-three numbers a step costs less that way than the numpy calls on
-3-element arrays would.  Ensembles step a block of paths at once, each of
-the x, y, z columns a numpy array.  The single stochastic path and the
-ensemble block both evaluate the drift through the one kernel _swirl and
-step each coordinate as x + v dt + eta sqrt(2 D dt), with the same
-operations in the same order, so a single path equals the matching
-ensemble path bit for bit.
+A single stochastic path steps in Python floats (the deterministic rows
+are the closed-form flow's, not stepped): on three numbers a step costs
+less that way than the numpy calls on 3-element arrays would.  Ensembles
+step a block of paths at once, each of the x, y, z columns a numpy array.
+The single stochastic path and the ensemble block both evaluate the drift
+through the one kernel _swirl and step each coordinate as x + v dt + eta
+sqrt(2 D dt), with the same operations in the same order, so a single
+path equals the matching ensemble path bit for bit.
 
 An ensemble runs in blocks of paths.  The main thread draws a block's
 noise into rows 1..n of a path array and steps it there in place, while
@@ -92,7 +92,6 @@ class SimConfig:
     sigma0: float = 0.5
     x0: tuple = (1.0, 0.0, 0.0)
     n_traj: int = 1
-    r_min: float | None = None
 
     def __post_init__(self):
         """Reject a config no run can use, naming the key as config files
@@ -110,12 +109,10 @@ class SimConfig:
                 ("sigma0", self.sigma0, False)):
             finite(f"key {key}", value, positive=positive)
         finite("key x0", self.x0, 3)
-        if self.r_min is not None:
-            finite("key r_min", self.r_min, positive=True)
 
     def core_radius(self) -> float:
-        if self.r_min is not None:
-            return float(self.r_min)
+        """Radius inside which a stochastic step holds the drift
+        denominator at its square: ten noise step lengths."""
         return 10.0 * math.sqrt(2.0 * self.diffusion * self.dt)
 
 
@@ -135,31 +132,27 @@ class Trajectory:
 def _swirl(x, y, k: float, denom):
     """Transverse drift (vx, vy) = k (-y, x) / denom with k = sigma0/m,
     on floats or arrays alike; the caller picks denom, rho^2 or rho^2
-    held at r_min^2 inside the core."""
+    held at the core radius squared inside the core."""
     return -k * y / denom, k * x / denom
 
 
-def _raw_swirl(x: float, y: float, k: float, r_min: float):
-    """_swirl on the raw denominator rho^2; raises AxisSingularity at
-    rho^2 <= r_min^2."""
+def _off_axis_rho2(x: float, y: float) -> float:
+    """rho^2 = x^2 + y^2; raises AxisSingularity where it is 0."""
     rho2 = x * x + y * y
-    if rho2 <= r_min * r_min:
+    if rho2 == 0.0:
         raise AxisSingularity(
-            f"drift evaluated at rho = {math.sqrt(rho2):.3e} "
-            f"inside core radius {r_min:.3e}")
-    return _swirl(x, y, k, rho2)
+            f"drift evaluated on the axis: rho^2 = 0 at x = {x!r}, y = {y!r}")
+    return rho2
 
 
-def spiral_drift(pos, m: float, p0: float, sigma0: float,
-                 r_min: float = 0.0) -> np.ndarray:
-    """Raw drift velocity; raises AxisSingularity at rho^2 <= r_min^2, and
-    ConfigError, naming the key, unless m is a finite number > 0, pos three
-    finite numbers and p0, sigma0 and r_min finite."""
+def spiral_drift(pos, m: float, p0: float, sigma0: float) -> np.ndarray:
+    """Raw drift velocity; raises AxisSingularity on the axis (rho^2 = 0),
+    and ConfigError, naming the key, unless m is a finite number > 0, pos
+    three finite numbers and p0 and sigma0 finite."""
     m = finite("key m", m, positive=True)
-    p0, sigma0, r_min = (finite(f"key {key}", value) for key, value in
-                         (("p0", p0), ("sigma0", sigma0), ("r_min", r_min)))
+    p0, sigma0 = finite("key p0", p0), finite("key sigma0", sigma0)
     pos = finite("key pos", pos, 3).tolist()
-    vx, vy = _raw_swirl(pos[0], pos[1], sigma0 / m, r_min)
+    vx, vy = _swirl(pos[0], pos[1], sigma0 / m, _off_axis_rho2(*pos[:2]))
     return np.array([vx, vy, p0 / m])
 
 
@@ -176,14 +169,12 @@ def integrate_deterministic(cfg: SimConfig) -> Trajectory:
     formed once; each row takes its own cosine and sine of n theta, so
     rounding does not build up from row to row and rho holds to a few
     ulp at any step size and length.  Raises AxisSingularity when the
-    start lies at rho <= r_min (default 0), and NumericalError when the
-    turn over the run is not finite (a rho^2 that underflows to a
-    subnormal, or k dt overflowing)."""
-    r_min = 0.0 if cfg.r_min is None else cfg.r_min
+    start lies on the axis (rho^2 = 0), and NumericalError when the turn
+    over the run is not finite (a rho^2 that underflows to a subnormal,
+    or k dt overflowing)."""
     x0, y0, z0 = (float(v) for v in cfg.x0)
     k = cfg.sigma0 / cfg.m
-    _raw_swirl(x0, y0, k, r_min)  # refuses a start inside the core
-    theta = k * cfg.dt / (x0 * x0 + y0 * y0)
+    theta = k * cfg.dt / _off_axis_rho2(x0, y0)
     if not math.isfinite(theta * cfg.n_steps):
         raise NumericalError(
             f"spiral turn over the run, {cfg.n_steps} x {theta!r} rad at "
@@ -268,8 +259,8 @@ def _integrate_noise_block(cfg: SimConfig, noise: np.ndarray,
     reads noise row n before it writes position n+1 into the same memory.
     """
     n_paths, n_steps, _ = noise.shape
-    r_min = cfg.core_radius()
-    r2 = r_min * r_min
+    core = cfg.core_radius()
+    r2 = core * core
     dt, k, vz = cfg.dt, cfg.sigma0 / cfg.m, cfg.p0 / cfg.m
     scale = math.sqrt(2.0 * cfg.diffusion * cfg.dt)
     x, y, z = (np.full(n_paths, float(v)) for v in cfg.x0)
@@ -289,8 +280,9 @@ def _integrate_noise_block(cfg: SimConfig, noise: np.ndarray,
 def integrate_stochastic(cfg: SimConfig, seed=None) -> Trajectory:
     """One Euler-Maruyama path.
 
-    seed defaults to cfg.seed and may be an int, a SeedSequence, or a
-    Generator.  Ensemble path i draws from child i of
+    seed defaults to cfg.seed and may be a whole number of at least 0, a
+    SeedSequence, or a Generator; anything else raises ConfigError,
+    "key seed: ...".  Ensemble path i draws from child i of
     SeedSequence(master), so running this function with the child
     SeedSequence(master).spawn(n)[i] reproduces it bit for bit: the path draws the same
     noise and steps it with the operations of _integrate_noise_block, in
@@ -299,11 +291,13 @@ def integrate_stochastic(cfg: SimConfig, seed=None) -> Trajectory:
     """
     if seed is None:
         seed = cfg.seed
+    if not isinstance(seed, (np.random.Generator, np.random.SeedSequence)):
+        seed = whole("key seed", seed, 0)
     gen = seed if isinstance(seed, np.random.Generator) \
         else np.random.Generator(np.random.Philox(seed))
     noise = gen.standard_normal((cfg.n_steps, 3))
-    r_min = cfg.core_radius()
-    r2 = r_min * r_min
+    core = cfg.core_radius()
+    r2 = core * core
     dt, k, vz = cfg.dt, cfg.sigma0 / cfg.m, cfg.p0 / cfg.m
     scale = math.sqrt(2.0 * cfg.diffusion * cfg.dt)
     x, y, z = (float(v) for v in cfg.x0)
@@ -429,15 +423,18 @@ def _lag_sq_sums(x: np.ndarray, lags, inc: np.ndarray | None = None,
 def _hurst_fit(lags: np.ndarray, lag_times: np.ndarray, counts: np.ndarray,
                rms: np.ndarray) -> float:
     """Log-log slope of rms against lag_times, behind the gates of
-    increment_scaling; raises InsufficientData when a gate fails."""
+    increment_scaling, in any lag order; raises InsufficientData when a
+    gate fails."""
     span = math.log10(lags.max() / lags.min())
     if not span >= _MIN_DECADES:
         raise InsufficientData(
             f"lag span {span:.2f} decades < {_MIN_DECADES:.2f}")
-    if counts[-1] < _MIN_INCREMENTS:
+    if counts.min() < _MIN_INCREMENTS:  # the count at the largest lag
         raise InsufficientData(
-            f"only {counts[-1]} increments at the largest lag "
+            f"only {counts.min()} increments at the largest lag "
             f"(need {_MIN_INCREMENTS})")
+    if not rms.all():
+        raise InsufficientData(f"RMS increment 0 at lag {lags[rms == 0][0]}")
     slope, _ = np.polyfit(np.log(lag_times), np.log(rms), 1)
     return float(slope)
 
@@ -456,10 +453,10 @@ def increment_scaling(positions: np.ndarray, dt: float,
     and the fractal dimension D_F = 1/H.
 
     Raises InsufficientData when the largest lag has fewer than
-    _MIN_INCREMENTS = 1000 increments (pooled over paths) or the lags
-    span fewer than _MIN_DECADES = 2 decades, and ConfigError when dt is
-    not a finite number > 0, the positions are not a path or a lag lies
-    outside the path.
+    _MIN_INCREMENTS = 1000 increments (pooled over paths), the lags span
+    fewer than _MIN_DECADES = 2 decades or a lag's RMS increment is 0, and
+    ConfigError when dt is not a finite number > 0, the positions are not
+    a path or a lag lies outside the path.
     """
     dt = finite("key dt", dt, positive=True)
     x = np.asarray(positions, dtype=float)

@@ -194,6 +194,9 @@ _EM = fractalspin.EMField(a0=lambda pt: np.inf,
                           b=lambda pt: (0.0, 1.0), div_a=lambda pt: np.nan)
 
 
+_SIM = fractalspin.spiral_preset(n_steps=5)
+
+
 def _drift(**kw):
     return fractalspin.spiral_drift((1.0, 0.0, 0.0),
                                     **{"m": 1.0, "p0": 1.0, "sigma0": 0.5,
@@ -214,6 +217,8 @@ def _drift(**kw):
      "asks for all four"),
     (lambda: _PW.partial(_PW_PT, [0, 1, 2, 3]),
      r"key mu: need 0, 1, 2 or 3, got \[0, 1, 2, 3\]"),
+    # a bool mu passed as a whole number: True returned d_x
+    (lambda: _PW.partial(_PW_PT, True), "key mu: need 0, 1, 2 or 3, got True"),
     # SpinorField: a three- or five-coordinate point ended in a bare
     # ValueError, and numeric strings were taken as numbers
     (lambda: _PW.value((0.0, 1.0, 0.0)),
@@ -238,6 +243,9 @@ def _drift(**kw):
      r"key orders: need four non-negative ints, got \(0, 1.0, 0, 0\)"),
     (lambda: _WAVE.derivative(_PT, (0, 1, 0)),
      r"key orders: need four non-negative ints, got \(0, 1, 0\)"),
+    # a bool order passed as a count: True took d_x
+    (lambda: _WAVE.derivative(_PT, (0, True, 0, 0)),
+     r"key orders: need four non-negative ints, got \(0, True, 0, 0\)"),
     (lambda: _WAVE.value((0.0, np.inf, 0.0, 0.0)),
      r"key point: need four finite numbers, got \(0.0, inf"),
     (lambda: _WAVE.derivative((np.nan, 0.0, 0.0, 0.0), (0, 1, 0, 0)),
@@ -245,14 +253,12 @@ def _drift(**kw):
     (lambda: _WAVE.value((0.0, 1.0, 2.0)),
      r"key point: need four finite numbers, got \(0.0, 1.0, 2.0\)"),
     # spiral_drift: m = 0 ended in ZeroDivisionError, m = nan gave NaNs
-    # and r_min = inf an AxisSingularity at every point
     (lambda: _drift(m=0.0), "key m: need a finite number > 0, got 0.0"),
     (lambda: _drift(m=-1.0), "key m: need a finite number > 0, got -1.0"),
     (lambda: _drift(m=np.nan), "key m: need a finite number > 0, got nan"),
     (lambda: _drift(p0=np.inf), "key p0: need a finite number, got inf"),
     (lambda: _drift(sigma0=np.nan),
      "key sigma0: need a finite number, got nan"),
-    (lambda: _drift(r_min=np.inf), "key r_min: need a finite number, got inf"),
     # a NaN position gave [nan nan 1.], a string coordinate a bare
     # numpy ValueError
     (lambda: fractalspin.spiral_drift((np.nan, 0.0, 0.0), 1.0, 1.0, 0.5),
@@ -288,6 +294,22 @@ def _drift(**kw):
      "key n_traj: need a whole number of at least 1, got 2.5"),
     (lambda: fractalspin.SimConfig(seed=1.5),
      "key seed: need a whole number of at least 0, got 1.5"),
+    # bools passed as whole numbers, and n_steps = True ended in numpy's
+    # "an integer is required" once the path was integrated
+    (lambda: fractalspin.SimConfig(n_steps=True),
+     "key n_steps: need a whole number of at least 1, got True"),
+    (lambda: fractalspin.SimConfig(seed=False),
+     "key seed: need a whole number of at least 0, got False"),
+    # integrate_stochastic's own seed ended in numpy's bare ValueError
+    # (-1) or TypeError (1.5, "3")
+    (lambda: fractalspin.integrate_stochastic(_SIM, seed=-1),
+     "key seed: need a whole number of at least 0, got -1"),
+    (lambda: fractalspin.integrate_stochastic(_SIM, seed=1.5),
+     "key seed: need a whole number of at least 0, got 1.5"),
+    (lambda: fractalspin.integrate_stochastic(_SIM, seed="3"),
+     "key seed: need a whole number of at least 0, got '3'"),
+    (lambda: fractalspin.integrate_stochastic(_SIM, seed=True),
+     "key seed: need a whole number of at least 0, got True"),
     (lambda: fractalspin.SimConfig(x0=(1.0, 0.0)),
      r"key x0: need three finite numbers, got \(1.0, 0.0\)"),
     # nested input of the right count was taken as the flat point: a

@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -110,7 +111,32 @@ def test_spiral_csv_and_axis_failure(runner):
     assert ok.output.splitlines()[0] == "t,x,y,z"
     bad = runner.invoke(main, ["spiral", "--x0", "0,0,0", "--n-steps", "5"])
     assert bad.exit_code == 3
-    assert "numerical error" in bad.stderr
+    assert bad.stderr == ("numerical error: drift evaluated on the axis: "
+                          "rho^2 = 0 at x = 0.0, y = 0.0\n")
+
+
+def test_spiral_runs_from_any_start_off_the_axis(runner):
+    # well inside the stochastic core, 10 sqrt(2 D dt) = 0.316: the exact
+    # flow keeps rho0 = 0.03 on every row
+    ok = runner.invoke(main, ["spiral", "--x0", "0.03,0,0", "--n-steps", "50"])
+    assert ok.exit_code == 0, ok.stderr
+    rows = np.loadtxt(io.StringIO(ok.output), delimiter=",", skiprows=1)
+    assert rows.shape == (51, 4)
+    rho = np.hypot(rows[:, 1], rows[:, 2])
+    assert np.max(np.abs(rho / 0.03 - 1.0)) < 1e-13
+
+
+@pytest.mark.parametrize("command", ["simulate", "spiral"])
+def test_r_min_is_refused_by_name(runner, tmp_path, command):
+    # the core radius is derived, 10 sqrt(2 D dt); no key overrides it
+    flag = runner.invoke(main, [command, "--r-min", "0.1"])
+    assert flag.exit_code == 2 and "--r-min" in flag.stderr
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("r_min = 0.1\n")
+    key = runner.invoke(main, [command, "--config", str(cfg)])
+    assert key.exit_code == 2
+    assert key.stderr == "config error: unknown config key: r_min\n"
+    assert flag.stdout == key.stdout == ""
 
 
 def test_extract_reports_closure(runner):
@@ -249,9 +275,6 @@ _SPINOR_FIELD_REFUSALS = {
     ["spiral", "--dt", "-0.01"],
     ["simulate", "--x0", "nan,0,0"],
     ["simulate", "--seed", "-1"],
-    ["simulate", "--r-min", "-0.5"],
-    ["simulate", "--x0", "0,0,0", "--r-min", "0"],
-    ["spiral", "--r-min", "0"],
     ["simulate", "--n-traj", "3", "--n-steps", "20", "--sigma0", "nan"],
     ["simulate", "--n-steps", "3", "--p0", "inf"],
     ["spiral", "--n-steps", "3", "--sigma0", "nan"],
@@ -305,7 +328,6 @@ def test_sim_flags_keep_their_order_and_help():
         (["--sigma0"], "Spiral angular momentum."),
         (["--x0"], "Start point, three comma-separated values."),
         (["--n-traj"], "Number of trajectories."),
-        (["--r-min"], "Drift core radius override."),
         (["--out", "-o"], "Output path (default stdout)."),
     ]
     for name in ("simulate", "spiral"):
@@ -317,10 +339,9 @@ def test_sim_flags_keep_their_order_and_help():
 # Compton pair), and what the echoed config must then hold
 _ROUND_TRIP = [
     ({"D": "0.07", "dt": "0.02", "n_steps": "12", "seed": "5", "m": "1.5",
-      "p0": "0.7", "sigma0": "0.3", "x0": "0.5,0.25,1", "n_traj": "3",
-      "r_min": "0.2"},
+      "p0": "0.7", "sigma0": "0.3", "x0": "0.5,0.25,1", "n_traj": "3"},
      {"D": 0.07, "dt": 0.02, "n_steps": 12, "seed": 5, "m": 1.5, "p0": 0.7,
-      "sigma0": 0.3, "x0": [0.5, 0.25, 1.0], "n_traj": 3, "r_min": 0.2}),
+      "sigma0": 0.3, "x0": [0.5, 0.25, 1.0], "n_traj": 3}),
     ({"lambda_c": "0.3", "c": "0.4", "n_traj": "2", "n_steps": "10"},
      {"D": 0.5 * 0.3 * 0.4, "n_traj": 2, "n_steps": 10}),
 ]

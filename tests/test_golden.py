@@ -11,6 +11,9 @@ A change that alters these outputs on purpose rewrites the file in the
 same change, from the root of a checkout:
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints each run whose digest changed, with the report of
+_difference, so the change can name what moved.
 """
 
 import hashlib
@@ -112,7 +115,33 @@ def test_difference_report_names_the_largest_relative_change():
                     '-0.0 of 1e+02"}') == [1.0, 2.5e-3, 0.69, -0.0, 100.0]
 
 
+def _changes(old: dict, new: dict) -> list:
+    """One line per run of new whose output differs from old's record."""
+    lines = []
+    for name, now in new.items():
+        was = old.get(name)
+        if was is None:
+            lines.append(f"{name}: new run")
+        elif (now["exit_code"], now["size"], now["sha256"]) != \
+                (was["exit_code"], was["size"], was["sha256"]):
+            lines.append(f"{name}: "
+                         + _difference(was["numbers"], now["numbers"]))
+    return lines
+
+
+def test_changes_name_each_run_that_moved():
+    record = _record(RUNS["extract"])
+    old = {"a": record, "b": record}
+    new = {"a": record, "b": {**record, "sha256": "0" * 64}, "c": record}
+    assert _changes(old, new) == [
+        "b: the numbers are equal; the text around them differs",
+        "c: new run"]
+    assert _changes(old, old) == []
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps({name: _record(args)
-                                  for name, args in RUNS.items()},
-                                 indent=1) + "\n")
+    before = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    after = {name: _record(args) for name, args in RUNS.items()}
+    for line in _changes(before, after):
+        print(line)
+    GOLDEN.write_text(json.dumps(after, indent=1) + "\n")

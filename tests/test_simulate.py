@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 import sys
 import threading
@@ -40,22 +42,32 @@ def test_drift_values():
 
 
 def test_drift_axis_singularity():
-    with pytest.raises(AxisSingularity):
-        spiral_drift((0.0, 0.0, 3.0), m=1.0, p0=1.0, sigma0=0.5)
-    with pytest.raises(AxisSingularity):
-        spiral_drift((0.05, 0.0, 0.0), m=1.0, p0=1.0, sigma0=0.5, r_min=0.1)
-    # outside the core radius it evaluates fine
-    spiral_drift((0.2, 0.0, 0.0), m=1.0, p0=1.0, sigma0=0.5, r_min=0.1)
+    with pytest.raises(AxisSingularity, match=r"^drift evaluated on the axis: "
+                       r"rho\^2 = 0 at x = 0.0, y = -0.0$"):
+        spiral_drift((0.0, -0.0, 3.0), m=1.0, p0=1.0, sigma0=0.5)
+    # the raw drift has no core: it refuses the axis only, and has no
+    # radius to refuse within
+    assert list(inspect.signature(spiral_drift).parameters) == [
+        "pos", "m", "p0", "sigma0"]
+    v = spiral_drift((0.05, 0.0, 0.0), m=1.0, p0=1.0, sigma0=0.5)
+    assert v[0] == 0.0 and math.isclose(v[1], 10.0) and v[2] == 1.0
+    v = spiral_drift((1e-150, 0.0, 0.0), m=1.0, p0=1.0, sigma0=0.5)
+    assert math.isclose(v[1], 0.5e150)
 
 
 def test_preset_and_core_radius():
     cfg = spiral_preset()
     assert cfg.diffusion == 0.05 and cfg.dt == 0.01
     assert cfg.sigma0 == 0.5 and cfg.p0 == 1.0 and cfg.m == 1.0
-    assert math.isclose(cfg.core_radius(), 10.0 * math.sqrt(2 * 0.05 * 0.01))
-    cfg2 = spiral_preset(n_steps=7, r_min=0.25)
-    assert cfg2.n_steps == 7 and cfg2.core_radius() == 0.25
+    assert cfg.core_radius() == 10.0 * math.sqrt(2 * 0.05 * 0.01)
+    cfg2 = spiral_preset(n_steps=7, diffusion=0.8, dt=0.02)
+    assert cfg2.n_steps == 7
+    assert cfg2.core_radius() == 10.0 * math.sqrt(2 * 0.8 * 0.02)
     assert cfg.n_steps != 7  # replace, not mutation
+    # the core radius is derived, never set: no field overrides it
+    assert "r_min" not in {f.name for f in dataclasses.fields(SimConfig)}
+    with pytest.raises(TypeError, match="r_min"):
+        SimConfig(r_min=0.1)
 
 
 def test_deterministic_conserves_radius_and_lz():
@@ -88,12 +100,6 @@ def test_exact_flow_keeps_rho_to_rounding_at_any_turn_per_step():
     assert np.max(np.abs(rho / 0.05 - 1.0)) < 1e-13  # about 2e-16
     rho = np.hypot(*_old_rk4(coarse)[:, :2].T)
     assert rho[1] > 1.2 * 0.05 and rho[-1] > 1.7 * 0.05
-
-
-def test_deterministic_hits_singularity_when_started_on_axis():
-    cfg = SimConfig(dt=1e-3, n_steps=10, x0=(0.0, 0.0, 0.0))
-    with pytest.raises(AxisSingularity):
-        integrate_deterministic(cfg)
 
 
 @pytest.mark.parametrize("overrides", [
@@ -175,6 +181,31 @@ def test_increment_scaling_guards():
     with pytest.raises(InsufficientData):
         # span is fine but only 51 increments exist at the largest lag
         increment_scaling(short, 0.01, lags=np.array([1, 10, 100]))
+
+
+@pytest.mark.parametrize("lags", [[1, 10, 1000], [1000, 10, 1], [10, 1000, 1]])
+def test_increment_gate_reads_the_largest_lag_in_any_order(lags):
+    # a 1050-step walk has 51 increments at lag 1000; the gate read the
+    # last lag's count, so descending lags were fitted (H = 0.568)
+    walk = np.cumsum(np.random.default_rng(9).standard_normal((1051, 1)),
+                     axis=0)
+    with pytest.raises(InsufficientData,
+                       match="only 51 increments at the largest lag"):
+        increment_scaling(walk, 0.01, lags=lags)
+    res = ensemble_run(spiral_preset(n_steps=1050, seed=3), lags=lags)
+    assert res.hurst is None and res.fractal_dimension is None
+
+
+@pytest.mark.parametrize("path, lag", [
+    (np.zeros((2001, 3)), 1),
+    # period 2: no motion at any even lag, the first of which is 2
+    (np.tile([[0.0, 0.0, 0.0], [1.0, -1.0, 0.5]], (1001, 1))[:2001], 2),
+])
+def test_increment_scaling_refuses_a_lag_without_motion(path, lag):
+    # log(0) warned and the fit gave H = nan and D_F = nan
+    with pytest.raises(InsufficientData,
+                       match=f"^RMS increment 0 at lag {lag}$"):
+        increment_scaling(path, 0.01)
 
 
 def test_crossover_lag_matches_drift_diffusion_balance():
@@ -302,8 +333,7 @@ def test_lz_series_modes_and_validation():
     ("diffusion", 0.0), ("diffusion", math.inf), ("dt", -0.01),
     ("dt", math.inf), ("dt", math.nan), ("m", 0.0),
     ("x0", (math.nan, 0.0, 0.0)), ("x0", (1.0, math.inf, 0.0)),
-    ("r_min", math.nan), ("r_min", math.inf),
-    ("seed", -1), ("r_min", 0.0), ("r_min", -0.5),
+    ("seed", -1), ("n_steps", True), ("n_traj", True), ("seed", False),
     ("p0", math.inf), ("p0", math.nan), ("sigma0", math.nan),
     ("sigma0", -math.inf), ("n_traj", 2 ** 32 + 1),
 ])
@@ -487,14 +517,12 @@ def test_einsum_reductions_match_old_stencils(monkeypatch):
     assert np.array_equal(res.mean_final, path_sum[-1] / cfg.n_traj)
 
 
-def _old_drift(pos, m, p0, sigma0, r_min=0.0):
-    # spiral_drift before the shared (vx, vy) kernel
+def _old_drift(pos, m, p0, sigma0):
+    # spiral_drift before the shared (vx, vy) kernel, refusing the axis
     x, y = float(pos[0]), float(pos[1])
     rho2 = x * x + y * y
-    if rho2 <= r_min * r_min:
-        raise AxisSingularity(
-            f"drift evaluated at rho = {math.sqrt(rho2):.3e} "
-            f"inside core radius {r_min:.3e}")
+    if rho2 == 0.0:
+        raise AxisSingularity("drift evaluated on the axis")
     return np.array([-(sigma0 / m) * y / rho2, (sigma0 / m) * x / rho2,
                      p0 / m])
 
@@ -502,21 +530,20 @@ def _old_drift(pos, m, p0, sigma0, r_min=0.0):
 def test_drift_kernel_equals_the_old_formulas():
     rng = np.random.default_rng(31)
     pts = rng.standard_normal((200, 3)) * 10.0 ** rng.integers(-3, 3, (200, 1))
-    m, p0, sigma0, r_min = 1.7, -0.4, 0.9, 0.05
+    m, p0, sigma0, core = 1.7, -0.4, 0.9, 0.05
     for pos in pts:
-        if pos[0] ** 2 + pos[1] ** 2 > r_min ** 2:
-            assert np.array_equal(spiral_drift(pos, m, p0, sigma0, r_min),
-                                  _old_drift(pos, m, p0, sigma0, r_min))
+        assert np.array_equal(spiral_drift(pos, m, p0, sigma0),
+                              _old_drift(pos, m, p0, sigma0))
     # the block drift as written before the shared kernel, against _swirl
     # on arrays with the held denominator the ensemble step gives it
     rho2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
-    denom = np.maximum(rho2, r_min * r_min)
+    denom = np.maximum(rho2, core * core)
     old_vx = -(sigma0 / m) * pts[:, 1] / denom
     old_vy = (sigma0 / m) * pts[:, 0] / denom
-    assert np.count_nonzero(rho2 <= r_min * r_min) > 5
+    assert np.count_nonzero(rho2 <= core * core) > 5
     x, y = pts[:, 0], pts[:, 1]
     vx, vy = simulate._swirl(x, y, sigma0 / m,
-                             np.maximum(x * x + y * y, r_min ** 2))
+                             np.maximum(x * x + y * y, core ** 2))
     assert np.array_equal(vx, old_vx) and np.array_equal(vy, old_vy)
 
 
@@ -524,9 +551,8 @@ def _old_rk4(cfg):
     # classical RK4 on the raw drift, the deterministic integrator before
     # the exact flow
     def drift(pos):
-        return _old_drift(pos, cfg.m, cfg.p0, cfg.sigma0, r_min)
+        return _old_drift(pos, cfg.m, cfg.p0, cfg.sigma0)
 
-    r_min = 0.0 if cfg.r_min is None else cfg.r_min
     dt = cfg.dt
     x = np.asarray(cfg.x0, dtype=float).copy()
     out = np.empty((cfg.n_steps + 1, 3))
@@ -562,13 +588,17 @@ def _exact_orbit(cfg):
 
 @pytest.mark.parametrize("overrides", [
     dict(n_steps=3000, dt=1e-3),
-    dict(n_steps=500, r_min=0.05, x0=(0.3, -0.2, 1.5)),
+    dict(n_steps=500, x0=(0.3, -0.2, 1.5)),
     dict(n_steps=200, dt=0.02, m=2.0, p0=-0.7, sigma0=-1.3,
          x0=(-0.4, 0.9, 0.0)),
     dict(n_steps=1, x0=(2, 1, 0)),
     dict(n_steps=300, dt=0.007, p0=0.3, x0=(0.5, 0.5, 0.0)),
     dict(n_steps=50, sigma0=0.0, x0=(-0.0, 0.5, -0.0)),
     dict(n_steps=50, sigma0=-0.0, p0=-0.0, x0=(0.7, -0.0, 0.0)),
+    # starts inside the stochastic core radius, 0.316 here: the flow has
+    # no core and turns 5.6 and 50 rad a step
+    dict(n_steps=50, x0=(0.03, 0.0, 2.0)),
+    dict(n_steps=50, x0=(0.0, -0.01, 0.0)),
 ])
 def test_exact_flow_lies_on_the_orbit_and_near_the_rk4_oracle(overrides):
     cfg = spiral_preset(**overrides)
@@ -589,30 +619,25 @@ def test_exact_flow_lies_on_the_orbit_and_near_the_rk4_oracle(overrides):
     assert np.allclose(pos[:, 2], old[:, 2], rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("x0, r_min", [
-    ((0.0, 0.0, 0.0), None), ((0.03, 0.0, 0.0), 0.04),
-    ((0.05, 0.0, 0.0), 0.04), ((0.03, 0.0, 2.0), 0.02),
+@pytest.mark.parametrize("x0", [
+    (0.0, 0.0, 0.0), (-0.0, 0.0, 2.0), (0.0, -0.0, -1.0),
+    # rho^2 underflows to 0: on the axis in floating point
+    (1e-170, -1e-170, 0.0),
 ])
-def test_exact_flow_refuses_exactly_a_start_in_the_core(x0, r_min):
-    cfg = spiral_preset(dt=0.01, n_steps=50, x0=x0, r_min=r_min)
-    # the RK4 oracle refuses every row: its stages reach the core
-    with pytest.raises(AxisSingularity) as old:
+def test_exact_flow_refuses_only_a_start_on_the_axis(x0):
+    cfg = spiral_preset(dt=0.01, n_steps=50, x0=x0)
+    with pytest.raises(AxisSingularity):
         _old_rk4(cfg)
-    rho0 = math.hypot(x0[0], x0[1])
-    if rho0 <= (r_min or 0.0):
-        with pytest.raises(AxisSingularity) as new:
-            integrate_deterministic(cfg)
-        assert str(new.value) == str(old.value)
-    else:
-        # the exact orbit keeps rho0 and never enters the core
-        pos = integrate_deterministic(cfg).positions
-        rho = np.hypot(pos[:, 0], pos[:, 1])
-        assert np.max(np.abs(rho - rho0)) <= 1e-12 * rho0
+    with pytest.raises(AxisSingularity) as new:
+        integrate_deterministic(cfg)
+    # the message names the axis, and no core radius
+    assert str(new.value) == ("drift evaluated on the axis: rho^2 = 0 at "
+                              f"x = {x0[0]!r}, y = {x0[1]!r}")
 
 
 @pytest.mark.parametrize("overrides", [
     dict(seed=0), dict(seed=1), dict(seed=2 ** 40 + 3),
-    dict(seed=9, r_min=0.4, n_steps=1500),
+    dict(seed=16, x0=(0.05, 0.0, 0.0), n_steps=1500),
     dict(seed=4, diffusion=0.3, sigma0=-0.8, m=0.5, x0=(0.2, 0.1, -1.0)),
     # the noise is read in chunks of 4096 steps
     dict(seed=10, n_steps=1), dict(seed=11, n_steps=4095),
@@ -626,8 +651,13 @@ def test_stochastic_float_loop_equals_block_oracle(overrides):
     assert np.array_equal(traj.times, np.arange(cfg.n_steps + 1) * cfg.dt)
 
 
-def test_stochastic_on_axis_start_spends_steps_in_the_core():
-    cfg = spiral_preset(x0=(0.0, 0.0, 0.0), n_steps=3000, seed=6)
+@pytest.mark.parametrize("overrides", [
+    dict(x0=(0.0, 0.0, 0.0), n_steps=3000, seed=6),
+    # a start at rho = 0.05, inside the core radius 0.316
+    dict(seed=16, x0=(0.05, 0.0, 0.0), n_steps=1500),
+])
+def test_stochastic_path_spends_steps_in_the_core(overrides):
+    cfg = spiral_preset(**overrides)
     old = _old_stochastic(cfg, cfg.seed)
     rho2 = old[:-1, 0] ** 2 + old[:-1, 1] ** 2
     assert np.count_nonzero(rho2 <= cfg.core_radius() ** 2) > 100
