@@ -371,10 +371,15 @@ def _checked_lags(lags, n_steps: int) -> np.ndarray:
 
 def _path_lags(x: np.ndarray, lags) -> np.ndarray:
     """_checked_lags for positions x of shape (..., n+1, k); raises
-    ConfigError when x has fewer than two axes."""
+    ConfigError when x has fewer than two axes or an entry that is NaN or
+    inf, naming the first such entry's index."""
     if x.ndim < 2:
         raise ConfigError(f"key positions: need shape (n+1, k) or "
                           f"(paths, n+1, k), got {x.shape}")
+    if not np.isfinite(x).all():
+        index = tuple(int(i) for i in np.argwhere(~np.isfinite(x))[0])
+        raise ConfigError(f"key positions: need finite numbers, got "
+                          f"{float(x[index])} at index {index}")
     return _checked_lags(lags, x.shape[-2] - 1)
 
 
@@ -384,8 +389,8 @@ def rms_increments(positions: np.ndarray, lags) -> tuple[np.ndarray, np.ndarray]
     positions: (n+1, 3) single path or (paths, n+1, 3); any number of
     components k in place of 3 (a 1-d walk is (paths, n+1, 1)).
     Returns (counts, rms) arrays aligned with lags.  Raises ConfigError
-    when positions has fewer than two axes or a lag is not a whole
-    number in [1, n].
+    when positions has fewer than two axes or a NaN or inf entry, or a lag
+    is not a whole number in [1, n].
     """
     x = np.asarray(positions, dtype=float)
     counts, sums = _lag_sq_sums(x, _path_lags(x, lags))
@@ -456,7 +461,7 @@ def increment_scaling(positions: np.ndarray, dt: float,
     _MIN_INCREMENTS = 1000 increments (pooled over paths), the lags span
     fewer than _MIN_DECADES = 2 decades or a lag's RMS increment is 0, and
     ConfigError when dt is not a finite number > 0, the positions are not
-    a path or a lag lies outside the path.
+    a path of finite numbers or a lag lies outside the path.
     """
     dt = finite("key dt", dt, positive=True)
     x = np.asarray(positions, dtype=float)

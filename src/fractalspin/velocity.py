@@ -25,21 +25,27 @@ field.partial(pt, (0, 1, 2, 3)) call and psi from one field.value call.
 The routes work on coefficient 4-tuples rather than on Biquaternion
 objects: the raised feed scales the derivative coefficients, the two
 biquaternion routes multiply through the ring's one product kernel,
-algebra._hamilton, and only the results are built as Biquaternions.  Every
-operation is the one the Biquaternion operators perform, in their order,
-so the results keep their bits, signed zeros included.
+algebra._hamilton, and only the results are built as Biquaternions.  The
+component route hands psi's tuple and each raised derivative's tuple to
+its one bilinear kernel, _pq_sums, which reads their real and imaginary
+parts into floats once; its eight sums per raised index fill the rows of
+one (8, 4) array, and recompose_velocity pairs those rows in one loop
+that builds the four Biquaternions directly.  Every operation is the one
+the Biquaternion operators, or the component sums on float lists, perform,
+in their order, so the results keep their bits, signed zeros included.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
 from .algebra import Biquaternion, _hamilton
-from .errors import NotNormalized, SmallComponentsNotSmall
+from .errors import ConfigError, NotNormalized, SmallComponentsNotSmall
 from .fields import SpinorField
 
 _SMALL_TOL = 1e-8  # largest lower/upper amplitude ratio nonrel_reduce takes
@@ -105,30 +111,38 @@ def conjugate_velocity(field: SpinorField, pt) -> tuple[Biquaternion, ...]:
     return _route(field.value(pt).conjugate(), field, pt)
 
 
-def _pq_sums(f, x, df, dx):
+def _pq_sums(psi, d):
     """The eight bilinear sector sums over interleaved real components.
 
-    f, x are (phi_0..phi_3), (chi_0..chi_3) of the field value and df, dx
-    the same for one raised derivative, as Python floats; returns the tuples
-    (P_0..P_3), (Q_0..Q_3).  Spelled out term by term rather than through
-    complex products: the literal component route that tests cross-check.
+    psi and d are the coefficient 4-tuples of the field value and of one
+    raised derivative; their real and imaginary parts are the components
+    (phi_0..phi_3), (chi_0..chi_3) and (dphi_0..dphi_3), (dchi_0..dchi_3),
+    read once into floats.  Returns the tuples (P_0..P_3), (Q_0..Q_3).
+    Spelled out term by term rather than through complex products: the
+    literal component route that tests cross-check.
     """
-    p0 = (f[0]*dx[0] + x[0]*df[0] + f[1]*dx[1] + x[1]*df[1]
-          + f[2]*dx[2] + x[2]*df[2] + f[3]*dx[3] + x[3]*df[3])
-    q0 = (f[0]*df[0] - x[0]*dx[0] + f[1]*df[1] - x[1]*dx[1]
-          + f[2]*df[2] - x[2]*dx[2] + f[3]*df[3] - x[3]*dx[3])
-    p1 = (f[0]*dx[1] + x[0]*df[1] - f[1]*dx[0] - x[1]*df[0]
-          - f[2]*dx[3] - x[2]*df[3] + f[3]*dx[2] + x[3]*df[2])
-    q1 = (f[0]*df[1] - x[0]*dx[1] - f[1]*df[0] + x[1]*dx[0]
-          - f[2]*df[3] + x[2]*dx[3] + f[3]*df[2] - x[3]*dx[2])
-    p2 = (f[0]*dx[2] + x[0]*df[2] + f[1]*dx[3] + x[1]*df[3]
-          - f[2]*dx[0] - x[2]*df[0] - f[3]*dx[1] - x[3]*df[1])
-    q2 = (f[0]*df[2] - x[0]*dx[2] + f[1]*df[3] - x[1]*dx[3]
-          - f[2]*df[0] + x[2]*dx[0] - f[3]*df[1] + x[3]*dx[1])
-    p3 = (f[0]*dx[3] + x[0]*df[3] - f[1]*dx[2] - x[1]*df[2]
-          + f[2]*dx[1] + x[2]*df[1] - f[3]*dx[0] - x[3]*df[0])
-    q3 = (f[0]*df[3] - x[0]*dx[3] - f[1]*df[2] + x[1]*dx[2]
-          + f[2]*df[1] - x[2]*dx[1] - f[3]*df[0] + x[3]*dx[0])
+    a0, a1, a2, a3 = psi
+    f0, x0, f1, x1 = a0.real, a0.imag, a1.real, a1.imag
+    f2, x2, f3, x3 = a2.real, a2.imag, a3.real, a3.imag
+    b0, b1, b2, b3 = d
+    df0, dx0, df1, dx1 = b0.real, b0.imag, b1.real, b1.imag
+    df2, dx2, df3, dx3 = b2.real, b2.imag, b3.real, b3.imag
+    p0 = (f0*dx0 + x0*df0 + f1*dx1 + x1*df1
+          + f2*dx2 + x2*df2 + f3*dx3 + x3*df3)
+    q0 = (f0*df0 - x0*dx0 + f1*df1 - x1*dx1
+          + f2*df2 - x2*dx2 + f3*df3 - x3*dx3)
+    p1 = (f0*dx1 + x0*df1 - f1*dx0 - x1*df0
+          - f2*dx3 - x2*df3 + f3*dx2 + x3*df2)
+    q1 = (f0*df1 - x0*dx1 - f1*df0 + x1*dx0
+          - f2*df3 + x2*dx3 + f3*df2 - x3*dx2)
+    p2 = (f0*dx2 + x0*df2 + f1*dx3 + x1*df3
+          - f2*dx0 - x2*df0 - f3*dx1 - x3*df1)
+    q2 = (f0*df2 - x0*dx2 + f1*df3 - x1*dx3
+          - f2*df0 + x2*dx0 - f3*df1 + x3*dx1)
+    p3 = (f0*dx3 + x0*df3 - f1*dx2 - x1*df2
+          + f2*dx1 + x2*df1 - f3*dx0 - x3*df0)
+    q3 = (f0*df3 - x0*dx3 - f1*df2 + x1*dx2
+          + f2*df1 - x2*dx1 - f3*df0 + x3*dx0)
     return (p0, p1, p2, p3), (q0, q1, q2, q3)
 
 
@@ -138,6 +152,8 @@ class VelocityComponents:
 
     The plain v's sit in the (1, e1) block, the vt's in the (e2, e3)
     block; for a field with no e2/e3 content all four vt arrays vanish.
+    From component_velocities the eight arrays are the rows of one (8, 4)
+    float array, in field order.
     """
 
     v_pp: np.ndarray
@@ -163,17 +179,21 @@ def component_velocities(field: SpinorField, pt) -> VelocityComponents:
     Prefactor -s0/(m c) on every (P +- Q) sum, with the same raised
     derivative feed as the biquaternion routes.
     """
-    c = field.value(pt)._c
-    f, x = [a.real for a in c], [a.imag for a in c]
+    psi = field.value(pt)._c
     scale = -field.s0 / (field.m * field.c)
-    sums = [_pq_sums(f, x, [a.real for a in d], [a.imag for a in d])
-            for d in _raised_coeffs(field, pt)]
-    # sector k by raised index mu
-    plus = [[scale * (p[k] + q[k]) for p, q in sums] for k in range(4)]
-    minus = [[scale * (p[k] - q[k]) for p, q in sums] for k in range(4)]
-    return VelocityComponents(*map(np.array, (
-        plus[0], plus[1], minus[1], minus[0],
-        plus[2], plus[3], minus[3], minus[2])))
+    rows = v_pp, v_pm, v_mp, v_mm, vt_pp, vt_pm, vt_mp, vt_mm = \
+        [], [], [], [], [], [], [], []
+    for d in _raised_coeffs(field, pt):  # one entry per row for each mu
+        (p0, p1, p2, p3), (q0, q1, q2, q3) = _pq_sums(psi, d)
+        v_pp.append(scale * (p0 + q0))
+        v_pm.append(scale * (p1 + q1))
+        v_mp.append(scale * (p1 - q1))
+        v_mm.append(scale * (p0 - q0))
+        vt_pp.append(scale * (p2 + q2))
+        vt_pm.append(scale * (p3 + q3))
+        vt_mp.append(scale * (p3 - q3))
+        vt_mm.append(scale * (p2 - q2))
+    return VelocityComponents(*np.array(rows))
 
 
 def _pair(a: float, b: float) -> complex:
@@ -184,18 +204,41 @@ def _pair(a: float, b: float) -> complex:
     return complex(0.5 * (a + b) - (0.0 * d - 0.0), 0.0 - (0.0 + 0.5 * d))
 
 
+def _refuse_rows(comp: VelocityComponents) -> None:
+    """Raise ConfigError naming the first field of comp that is not an
+    array of four numbers; return if there is none."""
+    for f in fields(comp):
+        a = getattr(comp, f.name)
+        if not (isinstance(a, np.ndarray) and a.shape == (4,) and all(
+                isinstance(v, numbers.Number) for v in a.tolist())):
+            raise ConfigError(
+                f"key {f.name}: need an array of four numbers, got {a!r}")
+
+
 def recompose_velocity(comp: VelocityComponents) -> tuple[Biquaternion, ...]:
     """Reassemble four velocity biquaternions from the eight components.
 
     Sector by sector the combination is
         (a_pp, a_mm) -> (a_pp + a_mm)/2 - i (a_pp - a_mm)/2,
     applied to (v_pp, v_mm) for the scalar part, (v_pm, v_mp) for e1,
-    (vt_pp, vt_mm) for e2 and (vt_pm, vt_mp) for e3.
+    (vt_pp, vt_mm) for e2 and (vt_pm, vt_mp) for e3.  Raises ConfigError,
+    naming the field, unless every component is an array of four numbers.
     """
-    sectors = [map(_pair, a.tolist(), b.tolist()) for a, b in (
-        (comp.v_pp, comp.v_mm), (comp.v_pm, comp.v_mp),
-        (comp.vt_pp, comp.vt_mm), (comp.vt_pm, comp.vt_mp))]
-    return tuple(map(Biquaternion._new, zip(*sectors)))
+    new = Biquaternion._new
+    try:
+        rec = tuple([
+            new((_pair(s, sm), _pair(e1, e1m), _pair(e2, e2m), _pair(e3, e3m)))
+            for s, sm, e1, e1m, e2, e2m, e3, e3m in zip(
+                comp.v_pp.tolist(), comp.v_mm.tolist(),
+                comp.v_pm.tolist(), comp.v_mp.tolist(),
+                comp.vt_pp.tolist(), comp.vt_mm.tolist(),
+                comp.vt_pm.tolist(), comp.vt_mp.tolist(), strict=True)])
+    except (AttributeError, TypeError, ValueError):
+        _refuse_rows(comp)
+        raise
+    if len(rec) != 4:  # eight rows of one other length
+        _refuse_rows(comp)
+    return rec
 
 
 def closure(field: SpinorField, pt) -> tuple[VelocityComponents, float, bool]:

@@ -129,6 +129,8 @@ OWN_FINITE_CHECKS = {
     ("fields.py", "_sum"): "the hot path: value and partial check each "
                            "point inline, 9,600 times per fieldmap pass",
     ("hyperhelix.py", "_vertex_array"): "vertex arrays of any length",
+    ("simulate.py", "_path_lags"): "names the first bad index of an "
+                                   "(n+1, k) or (paths, n+1, k) array",
 }
 
 
@@ -195,6 +197,22 @@ _EM = fractalspin.EMField(a0=lambda pt: np.inf,
 
 
 _SIM = fractalspin.spiral_preset(n_steps=5)
+
+
+_NAN_WALK = np.cumsum(np.random.default_rng(0).standard_normal((3001, 3)),
+                      axis=0)
+_NAN_WALK[1700, 2] = np.nan
+_INF_WALKS = np.zeros((2, 5, 1))
+_INF_WALKS[1, 3, 0] = -np.inf
+
+
+def _components(size=4, **rows):
+    """VelocityComponents of zero rows of size entries, with the named
+    rows replaced."""
+    names = ("v_pp", "v_pm", "v_mp", "v_mm", "vt_pp", "vt_pm", "vt_mp",
+             "vt_mm")
+    return fractalspin.VelocityComponents(
+        **{name: rows.get(name, np.zeros(size)) for name in names})
 
 
 def _drift(**kw):
@@ -274,6 +292,29 @@ def _drift(**kw):
     (lambda: fractalspin.rms_increments(np.arange(10.0), [1]),
      r"key positions: need shape \(n\+1, k\) or \(paths, n\+1, k\), "
      r"got \(10,\)"),
+    # a NaN or inf position gave hurst=nan, fractal_dimension=nan and NaN
+    # RMS increments without a warning
+    (lambda: fractalspin.increment_scaling(_NAN_WALK, 0.01),
+     r"key positions: need finite numbers, got nan at index \(1700, 2\)"),
+    (lambda: fractalspin.rms_increments(_NAN_WALK, [1, 10]),
+     r"key positions: need finite numbers, got nan at index \(1700, 2\)"),
+    (lambda: fractalspin.rms_increments(_INF_WALKS, [1]),
+     r"key positions: need finite numbers, got -inf at index \(1, 3, 0\)"),
+    # recompose_velocity paired rows of any equal length, two entries gave
+    # two biquaternions, and rows that were lists ended in a bare
+    # AttributeError
+    (lambda: fractalspin.recompose_velocity(_components(v_mp=np.zeros(2))),
+     r"key v_mp: need an array of four numbers, got array\(\[0., 0.\]\)"),
+    (lambda: fractalspin.recompose_velocity(_components(size=3)),
+     r"key v_pp: need an array of four numbers, got array\(\[0., 0., 0.\]\)"),
+    (lambda: fractalspin.recompose_velocity(_components(vt_mm=[0.0] * 4)),
+     r"key vt_mm: need an array of four numbers, got \[0.0, 0.0, 0.0, 0.0\]"),
+    (lambda: fractalspin.recompose_velocity(
+        _components(vt_pm=np.zeros((4, 1)))),
+     r"key vt_pm: need an array of four numbers, got array\(\[\[0.\],"),
+    (lambda: fractalspin.recompose_velocity(
+        _components(v_pm=np.array(["1", "2", "3", "4"]))),
+     r"key v_pm: need an array of four numbers, got array\(\['1', "),
     # a two-component p ended in a bare IndexError, a three-component k
     # in a bare ValueError from the reshape, and a NaN k gave NaN values
     (lambda: fractalspin.plane_wave(fractalspin.ONE, (1.0, 2.0), 0.5),

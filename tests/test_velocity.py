@@ -17,7 +17,6 @@ from fractalspin.fields import (PlaneWaveTerm, SpinorField, plane_wave,
                                 spiral_pair_field)
 from fractalspin.simulate import spiral_drift
 from fractalspin.velocity import (
-    _pq_sums,
     VelocityComponents,
     bq_velocity,
     component_velocities,
@@ -28,6 +27,7 @@ from fractalspin.velocity import (
 )
 
 from fd_reference import central_difference, fd_field
+from pq_reference import list_pq_sums
 
 
 def _rand_field(rng, n_terms=2, large_only=False, sigma=0.0, c=2.0):
@@ -295,8 +295,8 @@ def _old_component_velocities(field, pt, method):
     out = {k: np.empty(4) for k in ("v_pp", "v_pm", "v_mp", "v_mm",
                                     "vt_pp", "vt_pm", "vt_mp", "vt_mm")}
     for mu, dmu in enumerate(fed):
-        p, q = (np.array(s) for s in _pq_sums(v.a.real, v.a.imag,
-                                              dmu.a.real, dmu.a.imag))
+        p, q = (np.array(s) for s in list_pq_sums(v.a.real, v.a.imag,
+                                                  dmu.a.real, dmu.a.imag))
         out["v_pp"][mu] = scale * (p[0] + q[0])
         out["v_mm"][mu] = scale * (p[0] - q[0])
         out["v_pm"][mu] = scale * (p[1] + q[1])
