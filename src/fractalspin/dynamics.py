@@ -7,7 +7,9 @@ non-negative derivative counts for (t, x, y, z).  The package provides
 :class:`ExponentialField`: sums A * exp(k . (t,x,y,z)) with exact
 derivatives of every order.  Amplitudes may be biquaternions, complex
 scalars, or NumPy vectors; operators that need a ring inverse (geodesic
-residual, witness) require biquaternion values.
+residual, acceleration field, witness) require biquaternion values, and
+refuse others with ConfigError.  The three share one jet of psi; the
+residual is integrated, and the witness is the curl of E, not of R.
 
 Nothing here differentiates numerically: every derivative comes from the
 field's own exact derivative method, and an EMField carries the analytic
@@ -27,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import _IDENT2, E1, E2, E3, ONE, PAULI, sigma_dot
+from .algebra import _IDENT2, E1, E2, E3, ONE, PAULI, Biquaternion, sigma_dot
 from .errors import ConfigError, finite, whole
 
 
@@ -53,10 +55,15 @@ class ExponentialField:
     """
 
     def __init__(self, terms: Sequence[tuple]):
-        """Raises ConfigError, naming the term, unless each k is four
-        finite numbers, and when there are no terms."""
-        self.terms = [(amp, finite(f"term {i} k", k, 4, dtype=complex))
-                      for i, (amp, k) in enumerate(terms)]
+        """Raises ConfigError, naming the term, unless each amplitude is
+        finite and each k four finite numbers, and when there are none."""
+        self.terms = []
+        for i, (amp, k) in enumerate(terms):
+            finite(f"term {i} amplitude",
+                   amp.a if isinstance(amp, Biquaternion) else amp,
+                   None if np.isscalar(amp) else -1, dtype=complex)
+            self.terms.append((amp, finite(f"term {i} k", k, 4,
+                                           dtype=complex)))
         if not self.terms:
             raise ConfigError("key terms: need at least one term, got none")
 
@@ -67,7 +74,8 @@ class ExponentialField:
         """d^orders of the sum at pt, orders a 4-tuple of non-negative
         derivative counts for (t, x, y, z).  Raises ConfigError unless
         orders are four non-negative ints and pt four finite numbers."""
-        if not (len(orders) == 4 and all(n.__class__ is int for n in orders)
+        if not (isinstance(orders, (tuple, list)) and len(orders) == 4
+                and all(n.__class__ is int for n in orders)
                 and min(orders) >= 0):
             raise ConfigError(f"key orders: need four non-negative ints, "
                               f"got {orders!r}")
@@ -162,7 +170,30 @@ def uniform_b_field(b0: float) -> EMField:
                    div_a=lambda pt: 0.0)
 
 
-# -- geodesic residual -----------------------------------------------------
+# -- geodesic residual and the non-integrability witness --------------------
+
+
+def _jet(field, pt):
+    """psi, psi^-1, the four d_mu psi, G_k = psi^-1 d_k psi and d_t G_k =
+    -G_t G_k + psi^-1 d_t d_k psi (k = 1..3) at pt, from 8 derivative
+    calls.  Raises ConfigError unless the values are biquaternions."""
+    psi = field.value(pt)
+    if not isinstance(psi, Biquaternion):
+        raise ConfigError(f"key field: need biquaternion values, got {psi!r}")
+    inv = psi.inverse()
+    d1 = [_d(field, pt, mu) for mu in range(4)]
+    g_t, *g = [inv * d for d in d1]
+    dt_g = [-(g_t * gk) + inv * _d(field, pt, 0, k)
+            for k, gk in zip((1, 2, 3), g)]
+    return psi, inv, d1, g, dt_g
+
+
+def _lap_gradient(field, pt, inv, d1) -> list:
+    """L_k = d_k(lap(psi) psi^-1) = (d_k lap psi) psi^-1
+    - lap psi (psi^-1 (d_k psi) psi^-1), k = 1..3, in 12 derivative calls."""
+    lap = _left_sum(_d(field, pt, j, j) for j in (1, 2, 3))
+    return [_left_sum(_d(field, pt, j, j, k) for j in (1, 2, 3)) * inv
+            - lap * (inv * (d1[k] * inv)) for k in (1, 2, 3)]
 
 
 def geodesic_residual(field, diffusion: float, pt) -> list:
@@ -170,34 +201,16 @@ def geodesic_residual(field, diffusion: float, pt) -> list:
 
         R_k = d_t G_k - 2iD [ sum_j G_j d_j G_k + (1/2) laplacian G_k ],
 
-    with G_k = psi^-1 d_k psi.  All derivatives of G are expanded by the
-    product rule into derivatives of psi (exact for exponential-sum
-    fields); needs field values up to third derivatives.  Raises
-    ConfigError unless diffusion is a finite number.
+    G_k = psi^-1 d_k psi, in the integrated form its product-rule expansion
+    cancels to: R_k = psi^-1 d_k[(d_t psi - iD lap psi) psi^-1] psi =
+    d_t G_k - iD psi^-1 L_k psi, zero where (d_t - iD lap) psi = C(t) psi.
+    20 derivative calls.  Raises ConfigError unless diffusion is a finite
+    number and the field's values are biquaternions.
     """
     diffusion = finite("key diffusion", diffusion)
-    inv = field.value(pt).inverse()
-    g = [inv * _d(field, pt, mu) for mu in range(4)]  # g[0] is G_t
-
-    # second-derivative contractions inv * d_mu_nu psi
-    h = {}
-    for mu in range(4):
-        for nu in range(mu, 4):
-            h[mu, nu] = h[nu, mu] = inv * _d(field, pt, mu, nu)
-
-    out = []
-    for k in (1, 2, 3):
-        gk = g[k]
-        dt_gk = -(g[0] * gk) + h[0, k]
-        conv = _left_sum(g[j] * (-(g[j] * gk) + h[j, k]) for j in (1, 2, 3))
-        lap = _left_sum((g[j] * (g[j] * gk)) * 2.0 - h[j, j] * gk
-                        - (g[j] * h[j, k]) * 2.0 + inv * _d(field, pt, j, j, k)
-                        for j in (1, 2, 3))
-        out.append(dt_gk + (conv + lap * 0.5) * (-2j * diffusion))
-    return out
-
-
-# -- non-integrability witness ---------------------------------------------
+    psi, inv, d1, _, dt_g = _jet(field, pt)
+    return [dt_gk + ((inv * lk) * psi) * (-1j * diffusion)
+            for dt_gk, lk in zip(dt_g, _lap_gradient(field, pt, inv, d1))]
 
 
 def acceleration_field(field, diffusion: float, pt) -> list:
@@ -205,61 +218,46 @@ def acceleration_field(field, diffusion: float, pt) -> list:
 
     For commuting (complex) fields this is a spatial gradient; for
     genuinely quaternionic fields its curl reduces to -d_t[G_j, G_k] and
-    need not vanish.  gradient_witness evaluates that curl directly.
-    Raises ConfigError unless diffusion is a finite number.
+    need not vanish.  The geodesic residual conjugates the gradient term
+    by psi.  Raises ConfigError as geodesic_residual does.
     """
     diffusion = finite("key diffusion", diffusion)
-    inv = field.value(pt).inverse()
-    d1 = [_d(field, pt, mu) for mu in range(4)]
-    g_t = inv * d1[0]
-    lap = _left_sum(_d(field, pt, j, j) for j in (1, 2, 3))
-    out = []
-    for k in (1, 2, 3):
-        gk = inv * d1[k]
-        dt_gk = -(g_t * gk) + inv * _d(field, pt, 0, k)
-        # d_k (lap(psi) inv) = (d_k lap psi) inv - lap psi * inv d_k psi inv
-        lap_k = _left_sum(_d(field, pt, j, j, k) for j in (1, 2, 3))
-        grad_term = lap_k * inv - lap * (inv * (d1[k] * inv))
-        out.append(dt_gk + grad_term * (-2j * diffusion))
-    return out
+    _, inv, d1, _, dt_g = _jet(field, pt)
+    return [dt_gk + lk * (-2j * diffusion)
+            for dt_gk, lk in zip(dt_g, _lap_gradient(field, pt, inv, d1))]
 
 
 def gradient_witness(field, diffusion: float, points) -> float:
-    """Max curl component of the acceleration field over the sample points.
+    """Max over the points of the curl components of the acceleration
+    field E, not of the geodesic residual.  E's second term is a gradient
+    and d_j G_k - d_k G_j = -[G_j, G_k] for G = psi^-1 d psi, so
 
-    The second term of E_k is a gradient, and d_j G_k - d_k G_j =
-    -[G_j, G_k] for G = psi^-1 d psi, so
+        curl_jk E = -d_t [G_j, G_k],  d_t G_k = -G_t G_k + psi^-1 d_t d_k psi,
 
-        curl_jk E = -d_t [G_j, G_k],  d_t G_k = -G_t G_k + psi^-1 d_t d_k psi.
-
-    Each point takes the value, the four first derivatives and the three
-    d_t d_k derivatives from the field's own derivative method, 8 calls
-    in all.  There is no finite-difference step: a field whose values
-    commute gives 0 up to the rounding of the commutator's products, and
-    exactly 0 where its values are complex scalars.
-
-    D does not enter the curl, since the term it scales is a gradient;
-    diffusion is still checked, and ConfigError raised unless it is a
-    finite number, so a witness call takes what acceleration_field takes.
+    from the jet's 8 exact derivative calls per point: commuting values
+    give 0 up to the commutator's rounding.  D does not enter the curl,
+    but ConfigError is raised for what acceleration_field refuses, and
+    for no points.
     """
     finite("key diffusion", diffusion)
     worst = 0.0
+    visited = False
     for pt in points:
-        inv = field.value(pt).inverse()
-        g_t, *g = [inv * _d(field, pt, mu) for mu in range(4)]
-        dt_g = [-(g_t * gk) + inv * _d(field, pt, 0, k)
-                for k, gk in zip((1, 2, 3), g)]
+        _, _, _, g, dt_g = _jet(field, pt)
         for j, k in ((0, 1), (0, 2), (1, 2)):
             curl = ((dt_g[j] * g[k] - g[k] * dt_g[j])
                     + (g[j] * dt_g[k] - dt_g[k] * g[j]))
             worst = max(worst, curl.max_abs())
+        visited = True
+    if not visited:
+        raise ConfigError("key points: need at least one point, got none")
     return worst
 
 
 def sample_box(bounds, n: int, seed: int = 0):
     """n uniform random spacetime points in the box bounds = ((lo, hi),) * 4.
-    Raises ConfigError unless bounds are four pairs of finite numbers and
-    n >= 1."""
+    Raises ConfigError unless bounds are four pairs of finite numbers,
+    n >= 1 and seed a whole number >= 0."""
     try:
         pairs = np.shape(bounds) == (4, 2)
     except ValueError:  # ragged nesting
@@ -268,7 +266,7 @@ def sample_box(bounds, n: int, seed: int = 0):
         raise ConfigError(f"key bounds: need four (lo, hi) pairs, got "
                           f"{bounds!r}")
     bounds = [finite("key bounds", pair, 2).tolist() for pair in bounds]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(whole("key seed", seed, 0))
     return [np.array([rng.uniform(lo, hi) for lo, hi in bounds])
             for _ in range(whole("key n", n, 1))]
 
@@ -357,8 +355,7 @@ def dirac_residual(psi_field, em: EMField, pt, *, m: float = 1.0,
     finite number."""
     m, c, hbar = _units(m, c, hbar)
     charge = finite("key charge", charge)
-    g0, g1, g2, g3 = gamma_matrices()
-    gk = (g1, g2, g3)
+    g0, *gk = gamma_matrices()
     psi = psi_field.value(pt)
     a = em.a(pt)
     e_psi = -1j * hbar * _d(psi_field, pt, 0)
@@ -395,6 +392,8 @@ def strip_rest_phase(field: ExponentialField, *, m: float = 1.0,
 
 
 def upper_components(field: ExponentialField) -> ExponentialField:
-    """Project a 4-component exponential field onto its upper 2-spinor."""
-    return ExponentialField([(np.asarray(amp)[:2], k)
-                             for amp, k in field.terms])
+    """Project a 4-component exponential field onto its upper 2-spinor;
+    ConfigError, naming the term, unless each amplitude is four numbers."""
+    return ExponentialField([
+        (finite(f"term {i} amplitude", amp, 4, dtype=complex)[:2], k)
+        for i, (amp, k) in enumerate(field.terms)])

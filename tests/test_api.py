@@ -181,6 +181,8 @@ def test_finite_wordings_sees_each_spelling():
 _WAVE = fractalspin.ExponentialField([(fractalspin.ONE,
                                        [0.1j, -0.2, 0.3j, 0.0])])
 _PT = (0.0, 0.4, 0.2, 0.1)
+_SCALAR_WAVE = fractalspin.ExponentialField([(0.5 + 0.1j,
+                                              [0.1j, -0.2, 0.3j, 0.0])])
 _PW = fractalspin.plane_wave(fractalspin.ONE, (0.0, 0.0, 1.0), 0.5)
 _PW_PT = (0.0, 1.0, 0.0, 0.0)
 
@@ -454,6 +456,53 @@ def _drift(**kw):
      "key diffusion: need a finite number, got inf"),
     (lambda: fractalspin.gradient_witness(_WAVE, np.nan, [_PT]),
      "key diffusion: need a finite number, got nan"),
+    # a field of complex-scalar values ended in a bare AttributeError,
+    # "'complex' object has no attribute 'inverse'"
+    (lambda: fractalspin.geodesic_residual(_SCALAR_WAVE, 0.5, _PT),
+     r"key field: need biquaternion values, got \(0\.455"),
+    (lambda: fractalspin.acceleration_field(_SCALAR_WAVE, 0.5, _PT),
+     r"key field: need biquaternion values, got \(0\.455"),
+    (lambda: fractalspin.gradient_witness(_SCALAR_WAVE, 0.5, [_PT]),
+     r"key field: need biquaternion values, got \(0\.455"),
+    # no points returned 0.0, which reads as "the field commutes"
+    (lambda: fractalspin.gradient_witness(_WAVE, 0.5, []),
+     "key points: need at least one point, got none"),
+    (lambda: fractalspin.gradient_witness(_WAVE, 0.5, iter([])),
+     "key points: need at least one point, got none"),
+    # sample_box's seed ended in numpy's bare ValueError (-1) or TypeError
+    # (1.5, "3"), True was taken as 1, and None drew fresh OS entropy
+    (lambda: fractalspin.sample_box(((0, 1),) * 4, 2, seed=-1),
+     "key seed: need a whole number of at least 0, got -1"),
+    (lambda: fractalspin.sample_box(((0, 1),) * 4, 2, seed=1.5),
+     "key seed: need a whole number of at least 0, got 1.5"),
+    (lambda: fractalspin.sample_box(((0, 1),) * 4, 2, seed="3"),
+     "key seed: need a whole number of at least 0, got '3'"),
+    (lambda: fractalspin.sample_box(((0, 1),) * 4, 2, seed=True),
+     "key seed: need a whole number of at least 0, got True"),
+    (lambda: fractalspin.sample_box(((0, 1),) * 4, 2, seed=None),
+     "key seed: need a whole number of at least 0, got None"),
+    # orders that are no sequence ended in a bare TypeError from len
+    (lambda: _WAVE.derivative(_PT, 5),
+     "key orders: need four non-negative ints, got 5"),
+    (lambda: _WAVE.derivative(_PT, None),
+     "key orders: need four non-negative ints, got None"),
+    # a NaN amplitude evaluated to NaN, a string one failed later in a
+    # bare TypeError
+    (lambda: fractalspin.ExponentialField([(fractalspin.ONE, [0, 0, 0, 0]),
+                                           (np.nan, [0, 0, 0, 0])]),
+     "term 1 amplitude: need a finite number, got nan"),
+    (lambda: fractalspin.ExponentialField([("a", [0, 0, 0, 0])]),
+     "term 0 amplitude: need a finite number, got 'a'"),
+    (lambda: fractalspin.ExponentialField([(np.array([1.0, np.inf]),
+                                            [0, 0, 0, 0])]),
+     r"term 0 amplitude: need finite numbers, got array\(\[ 1., inf\]\)"),
+    (lambda: fractalspin.ExponentialField([(fractalspin.Biquaternion(
+        0, np.nan), [0, 0, 0, 0])]),
+     r"term 0 amplitude: need finite numbers, got array\(\[ 0\.\+0\.j, nan"),
+    # upper_components on biquaternion amplitudes ended in a bare
+    # IndexError
+    (lambda: fractalspin.dynamics.upper_components(_WAVE),
+     "term 0 amplitude: need four finite numbers, got Biquaternion"),
     # ragged lag times ended in numpy's bare ValueError
     (lambda: fractalspin.crossover_lag([[1, 2], [3]], [1, 2]),
      r"key lag_times: need finite numbers > 0, got \[\[1, 2\], \[3\]\]"),
