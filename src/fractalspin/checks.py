@@ -105,14 +105,14 @@ def run_velocity(seed: int) -> list[dict]:
 def run_dynamics(seed: int) -> list[dict]:
     field = dynamics.ExponentialField(
         [(ONE, (0.0, 0.0, 0.0, 0.0)),
-         (ONE * 0.4, (-0.5j * 0.9 ** 2, 0.9j, 0.0, 0.0))])
+         (ONE * 0.4, (0.5j * 0.9 ** 2, -0.9j, 0.0, 0.0))])
     res = dynamics.geodesic_residual(field, 0.5, (0.2, 0.4, 0.1, -0.3))
     onshell = max(r.max_abs() for r in res)
 
     b0 = 0.9
     em = dynamics.uniform_b_field(b0)
     phi = dynamics.ExponentialField([(np.array([1.0, 0.0]),
-                                      np.array([-1j * b0 / 2.0, 0, 0, 0]))])
+                                      np.array([1j * b0 / 2.0, 0, 0, 0]))])
     anchor = float(np.max(np.abs(dynamics.pauli_residual(
         phi, em, (0.3, 0.0, 0.0, 0.7)))))
 

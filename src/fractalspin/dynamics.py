@@ -13,11 +13,8 @@ residual is integrated, and the witness is the curl of E, not of R.
 
 Nothing here differentiates numerically: every derivative comes from the
 field's own exact derivative method, and an EMField carries the analytic
-curl and divergence of its vector potential.
-
-Sign conventions match :mod:`fractalspin.fields`: momentum operator
-+i hbar grad, energy operator -i hbar d/dt, minimal coupling through
-(p_hat - (e/c) A).
+curl and divergence of its vector potential.  Every sign follows the one
+convention stated in :mod:`fractalspin.fields`.
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import _IDENT2, E1, E2, E3, ONE, PAULI, Biquaternion, sigma_dot
-from .errors import ConfigError, finite, whole
+from .errors import ConfigError, _numbers, finite, whole
 
 
 def _left_sum(pieces):
@@ -107,9 +104,10 @@ def rotor_field(axis: int, omega: float, kvec) -> ExponentialField:
     using exp(e f) = cos f + e sin f for a unit imaginary e.  Raises
     ConfigError unless axis is 1, 2 or 3, omega a finite number and kvec
     three finite numbers."""
-    if axis not in (1, 2, 3):
-        raise ConfigError(f"key axis: need 1, 2 or 3, got {axis!r}")
-    e = (E1, E2, E3)[axis - 1]
+    try:  # whole refuses a bool or a float such as 1.0, the index a 4
+        e = (E1, E2, E3)[whole("key axis", axis, 1) - 1]
+    except (ConfigError, IndexError):
+        raise ConfigError(f"key axis: need 1, 2 or 3, got {axis!r}") from None
     k4 = 1j * np.array([finite("key omega", omega),
                         *finite("key kvec", kvec, 3)], dtype=complex)
     return ExponentialField([
@@ -199,22 +197,22 @@ def _lap_gradient(field, pt, inv, d1) -> list:
 def geodesic_residual(field, diffusion: float, pt) -> list:
     """Residual of the free quaternionic geodesic equation,
 
-        R_k = d_t G_k - 2iD [ sum_j G_j d_j G_k + (1/2) laplacian G_k ],
+        R_k = d_t G_k + 2iD [ sum_j G_j d_j G_k + (1/2) laplacian G_k ],
 
     G_k = psi^-1 d_k psi, in the integrated form its product-rule expansion
-    cancels to: R_k = psi^-1 d_k[(d_t psi - iD lap psi) psi^-1] psi =
-    d_t G_k - iD psi^-1 L_k psi, zero where (d_t - iD lap) psi = C(t) psi.
+    cancels to: R_k = psi^-1 d_k[(d_t psi + iD lap psi) psi^-1] psi =
+    d_t G_k + iD psi^-1 L_k psi, zero where (d_t + iD lap) psi = C(t) psi.
     20 derivative calls.  Raises ConfigError unless diffusion is a finite
     number and the field's values are biquaternions.
     """
     diffusion = finite("key diffusion", diffusion)
     psi, inv, d1, _, dt_g = _jet(field, pt)
-    return [dt_gk + ((inv * lk) * psi) * (-1j * diffusion)
+    return [dt_gk + ((inv * lk) * psi) * (1j * diffusion)
             for dt_gk, lk in zip(dt_g, _lap_gradient(field, pt, inv, d1))]
 
 
 def acceleration_field(field, diffusion: float, pt) -> list:
-    """E_k = d_t(psi^-1 d_k psi) - 2iD d_k(laplacian(psi) psi^-1), k=1..3.
+    """E_k = d_t(psi^-1 d_k psi) + 2iD d_k(laplacian(psi) psi^-1), k=1..3.
 
     For commuting (complex) fields this is a spatial gradient; for
     genuinely quaternionic fields its curl reduces to -d_t[G_j, G_k] and
@@ -223,7 +221,7 @@ def acceleration_field(field, diffusion: float, pt) -> list:
     """
     diffusion = finite("key diffusion", diffusion)
     _, inv, d1, _, dt_g = _jet(field, pt)
-    return [dt_gk + lk * (-2j * diffusion)
+    return [dt_gk + lk * (2j * diffusion)
             for dt_gk, lk in zip(dt_g, _lap_gradient(field, pt, inv, d1))]
 
 
@@ -258,11 +256,8 @@ def sample_box(bounds, n: int, seed: int = 0):
     """n uniform random spacetime points in the box bounds = ((lo, hi),) * 4.
     Raises ConfigError unless bounds are four pairs of finite numbers,
     n >= 1 and seed a whole number >= 0."""
-    try:
-        pairs = np.shape(bounds) == (4, 2)
-    except ValueError:  # ragged nesting
-        pairs = False
-    if not pairs:
+    arr = _numbers(bounds)
+    if arr is None or arr.shape != (4, 2):
         raise ConfigError(f"key bounds: need four (lo, hi) pairs, got "
                           f"{bounds!r}")
     bounds = [finite("key bounds", pair, 2).tolist() for pair in bounds]
@@ -285,7 +280,7 @@ def small_component(phi_field, em: EMField, pt, *, m: float = 1.0,
                     c: float = 1.0, hbar: float = 1.0,
                     charge: float = 1.0) -> np.ndarray:
     """Lower 2-spinor reconstructed from the upper one:
-    chi = sigma . (i hbar grad - (e/c) A) phi / (2 m c).
+    chi = sigma . (p_hat - (e/c) A) phi / (2 m c).
     Raises ConfigError unless m, c and hbar are finite numbers above 0
     and charge is a finite number."""
     m, c, hbar = _units(m, c, hbar)
@@ -304,9 +299,8 @@ def pauli_residual(phi_field, em: EMField, pt, *, m: float = 1.0,
                    g: float = 2.0) -> np.ndarray:
     """Residual of the two-component wave equation
 
-        -i hbar d_t phi = (1/2m)(i hbar grad - (e/c) A)^2 phi
-                          - (g/2)(e hbar / 2 m c) sigma . B phi
-                          + e A0 phi,
+        E_hat phi = (1/2m)(p_hat - (e/c) A)^2 phi
+                    + (g/2)(e hbar / 2 m c) sigma . B phi + e A0 phi,
 
     returned as LHS - RHS.  g = 2 is what the four-component reduction
     produces; other values break the magnetic anchor on purpose.
@@ -327,7 +321,7 @@ def pauli_residual(phi_field, em: EMField, pt, *, m: float = 1.0,
                - 1j * hbar * (charge / c) * (diva * phi + 2.0 * a_dot_grad)
                + (charge / c)**2 * float(a @ a) * phi)
     rhs = kinetic / (2 * m) \
-        - (g / 2) * (charge * hbar / (2 * m * c)) * (sigma_dot(b) @ phi) \
+        + (g / 2) * (charge * hbar / (2 * m * c)) * (sigma_dot(b) @ phi) \
         + charge * em.a0(pt) * phi
     return lhs - rhs
 
@@ -348,11 +342,10 @@ def dirac_residual(psi_field, em: EMField, pt, *, m: float = 1.0,
     """Residual of the four-component equation
 
         [ gamma^0 (E_hat - e A0)/c - sum_k gamma^k (p_hat_k - (e/c) A_k)
-          - m c ] psi = 0,
+          - m c ] psi = 0.
 
-    with E_hat = -i hbar d_t and p_hat = +i hbar grad.  Raises ConfigError
-    unless m, c and hbar are finite numbers above 0 and charge is a
-    finite number."""
+    Raises ConfigError unless m, c and hbar are finite numbers above 0
+    and charge is a finite number."""
     m, c, hbar = _units(m, c, hbar)
     charge = finite("key charge", charge)
     g0, *gk = gamma_matrices()

@@ -56,22 +56,33 @@ class ConfigError(FractalSpinError):
 _WORDS = "zero one two three four five six seven eight nine".split()
 
 
+def _numbers(value, kinds: str = "iuf"):
+    """np.asarray(value) if every entry is a number of the numpy kinds, else
+    None: never a string, None, ragged nesting or a bool (which numpy takes
+    as 1 or 0 among numbers)."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        return None
+    if isinstance(value, (list, tuple)) and any(
+            isinstance(v, (bool, np.bool_))
+            for v in np.asarray(value, dtype=object).flat):
+        return None
+    return arr if arr.dtype.kind in kinds else None
+
+
 def finite(label: str, value, size: int | None = None, *, dtype=float,
            positive: bool = False, error: type = ConfigError):
     """value as a Python float (complex where dtype is complex) when size
     is None, else as a flat array of size entries of dtype, of any number
     of entries when size is -1.  Raises error, "{label}: need a finite
     number, got {value!r}" ("need three finite numbers > 0", "need finite
-    numbers" and so on), unless every entry is a number (never a string
-    or None, nor ragged nesting; a complex only where dtype is), none is
-    inf or nan, and each is above 0 where positive is set; a value with a
-    size is a flat sequence, never a scalar nor nested."""
-    try:
-        arr = np.asarray(value)
-    except ValueError:  # ragged nesting
-        arr = np.asarray(None)
-    ok = arr.dtype.kind in ("biufc" if np.dtype(dtype).kind == "c"
-                            else "biuf")
+    numbers" and so on), unless every entry is a number by _numbers (a
+    complex only where dtype is), none is inf or nan, and each is above 0
+    where positive is set; a value with a size is a flat sequence, never
+    a scalar nor nested."""
+    arr = _numbers(value, "iufc" if np.dtype(dtype).kind == "c" else "iuf")
+    ok = arr is not None
     if ok:
         arr = arr.astype(dtype, copy=False)
         ok = (arr.ndim == 0 if size is None

@@ -22,10 +22,10 @@ partial(pt, (0, 1, 2, 3)) returns all four derivatives from that one loop:
 each term's phase is evaluated once and feeds sixteen coefficient sums.  A
 one-index call partial(pt, mu) is the mu-th entry of the same tuple.
 
-Sign conventions implied by the phase above: the momentum operator is
-p_hat = +i hbar grad and the energy operator is E_hat = -i hbar d/dt, i.e.
-a single term satisfies d_t psi = +(i/hbar) E psi and
-d_k psi = -(i/hbar) p_k psi (for sigma = 0).
+The phase above is the one sign convention of every layer of the package:
+p_hat = +i hbar grad, E_hat = -i hbar d_t, coupling p_hat - (e/c) A, D =
+hbar/2m > 0 (the geodesic residual vanishes there on waves of E = p^2/2m)
+and the Zeeman term +(g/2)(e hbar/2mc) sigma.B, the Dirac rows giving g = 2.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .algebra import Biquaternion
-from .errors import AxisSingularity, ConfigError, NumericalError, finite
+from .errors import (AxisSingularity, ConfigError, NumericalError, _numbers,
+                     finite)
 
 #: squared cylinder radius below which the azimuth is treated as singular
 _AXIS_EPS2 = 1e-24
@@ -72,15 +73,11 @@ def s0_from_diffusion(m: float, diffusion: float) -> float:
 
 def _coordinates(pt) -> list:
     """The four coordinates of pt as Python floats, inf and nan included
-    (_sum refuses those, naming the point).  Anything but four numbers,
-    such as three or five coordinates or numeric strings, errors.finite
-    refuses: ConfigError "key point: need four finite numbers, got ...",
-    nested lists of four included."""
-    try:
-        arr = np.asarray(pt)
-    except ValueError:  # ragged nesting
-        arr = None
-    if arr is not None and arr.dtype.kind in "biuf" and arr.shape == (4,):
+    (_sum refuses those, naming the point).  errors.finite refuses all but
+    four numbers, "key point: need four finite numbers, got ...": three or
+    five coordinates, numeric strings, bools and nested lists of four."""
+    arr = _numbers(pt)
+    if arr is not None and arr.shape == (4,):
         return arr.astype(float).tolist()
     return finite("key point", pt, 4).tolist()
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryInvalid, InsufficientData, finite, whole
+from .errors import GeometryInvalid, InsufficientData, _numbers, finite, whole
 
 _TOL = 1e-9
 _DEFAULT_RULERS = 10  # rulers in the default_rulers ladder
@@ -54,14 +54,10 @@ def similarity_dimension(n_segments: int, divisions: int) -> float:
 
 def _vertex_array(vertices) -> np.ndarray:
     """vertices as an (n, 3) float array; raises GeometryInvalid unless
-    n >= 2 and every entry is a finite number (never a string or None,
-    nor ragged nesting).  The one check of every function taking a curve."""
-    try:
-        verts = np.asarray(vertices)
-    except ValueError:  # ragged nesting
-        verts = np.asarray(None)
-    if verts.dtype.kind not in "biuf" or verts.ndim != 2 \
-            or verts.shape[0] < 2 or verts.shape[1] != 3:
+    n >= 2 and every entry is a finite number (errors._numbers says what
+    a number is).  The one check of every function taking a curve."""
+    verts = _numbers(vertices)
+    if verts is None or verts.shape[1:] != (3,) or len(verts) < 2:
         raise GeometryInvalid("need an (n, 3) vertex array with n >= 2")
     if not np.isfinite(verts).all():
         raise GeometryInvalid("need finite vertex coordinates")
@@ -527,8 +523,11 @@ def measured_dimension(vertices: np.ndarray, rulers=None,
     pass a lower min_decades explicitly.  Raises GeometryInvalid for
     vertices that are not an (n, 3) array of finite numbers, n >= 2,
     rulers that are not a flat list of at least one, a ruler that is not a
-    finite number above 0, or a walk of length 0.
+    finite number above 0, a min_decades not a number, or a walk of length 0.
     """
+    if _numbers(min_decades) is None or np.ndim(min_decades):
+        raise GeometryInvalid(f"key min_decades: need a number, got "
+                              f"{min_decades!r}")
     verts = _vertex_array(vertices)
     if rulers is None:
         rulers = default_rulers(verts)

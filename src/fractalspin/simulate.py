@@ -56,7 +56,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (AxisSingularity, ConfigError, InsufficientData,
-                     NumericalError, finite, whole)
+                     NumericalError, _numbers, finite, whole)
 
 # paths per vectorized ensemble block: each path, and so Lz, is bitwise
 # independent of it; pooled sums are added per block and agree to rounding
@@ -359,13 +359,13 @@ def _checked_lags(lags, n_steps: int) -> np.ndarray:
     """lags as an int array, default_lags when None; a path of n_steps
     steps has increments only at the whole lags 1 .. n_steps."""
     given = default_lags(n_steps) if lags is None else lags
-    lags = np.asarray(given, dtype=float)
+    lags = _numbers(given)
     # a NaN fails both comparisons; % runs on finite lags only
-    if not (lags.size and 1 <= lags.min() and lags.max() <= n_steps) \
-            or np.any(lags % 1):
+    if lags is None or not (lags.size and 1 <= lags.min()
+                            and lags.max() <= n_steps) or np.any(lags % 1):
         raise ConfigError(f"lags must lie in [1, {n_steps}] as whole numbers "
                           f"for a path of {n_steps} steps, got "
-                          f"{np.asarray(given).tolist()}")
+                          f"{given if lags is None else lags.tolist()}")
     return lags.astype(int)
 
 

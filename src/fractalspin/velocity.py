@@ -16,11 +16,11 @@ Two parallel routes are provided on purpose and kept independent:
 
 The derivative feed is D^mu = (-d_t, c d_x, c d_y, c d_z): the mostly-plus
 raising of ((1/c) d_t, grad) scaled by c so that every returned component
-carries velocity units.  With the field convention of
-:mod:`fractalspin.fields` (energy operator -i hbar d_t) this is the unique
-feed for which plane waves give +p/m spatially and +c for the time
-component of a rest field.  Every route reads D^mu from one
-field.partial(pt, (0, 1, 2, 3)) call and psi from one field.value call.
+carries velocity units.  With the sign convention of
+:mod:`fractalspin.fields` this is the unique feed for which plane waves
+give +p/m spatially and +c for the time component of a rest field.
+Every route reads D^mu from one field.partial(pt, (0, 1, 2, 3)) call and
+psi from one field.value call.
 
 The routes work on coefficient 4-tuples rather than on Biquaternion
 objects: the raised feed scales the derivative coefficients, the two

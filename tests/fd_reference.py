@@ -102,7 +102,8 @@ def fd_gradient_witness(field, diffusion, points, h=FD_H):
 
 
 def covariant_derivative(velocity, diffusion, f, pt):
-    """(d_t + V . grad - i D laplacian) f at pt.
+    """(d_t + V . grad + i D laplacian) f at pt, the covariant derivative
+    in the sign convention of fractalspin.fields.
 
     velocity is a callable pt -> 3 components (scalars or biquaternions);
     each component left-multiplies the corresponding spatial derivative
@@ -112,4 +113,4 @@ def covariant_derivative(velocity, diffusion, f, pt):
     out = _left_sum([_d(f, pt, 0)]
                     + [v[k - 1] * _d(f, pt, k) for k in (1, 2, 3)])
     lap = _left_sum(_d(f, pt, k, k) for k in (1, 2, 3))
-    return out + lap * (-1j * diffusion)
+    return out + lap * (1j * diffusion)

@@ -74,7 +74,7 @@ def _rand_bq(rng):
 
 
 def _complex_wave(amp, p, energy, hbar=1.0):
-    k4 = (1j / hbar) * np.array([-energy, p[0], p[1], p[2]], dtype=complex)
+    k4 = (1j / hbar) * np.array([energy, -p[0], -p[1], -p[2]], dtype=complex)
     return (amp * ONE, k4)
 
 
@@ -274,11 +274,11 @@ def test_ac08_pauli_residual_quadratic_in_v():
 
 
 def test_ac09_magnetic_moment_anchor():
-    # uniform B, spin-up, E = -e hbar B0 / 2mc: exact for g = 2 on the axis,
+    # uniform B, spin-up, E = +e hbar B0 / 2mc: exact for g = 2 on the axis,
     # and setting g = 1 revives the residual by more than 10^3
     m, c, hbar, e, b0 = 1.0, 1.0, 1.0, 1.0, 0.9
     em = uniform_b_field(b0)
-    energy = -e * hbar * b0 / (2 * m * c)
+    energy = e * hbar * b0 / (2 * m * c)
     phi = ExponentialField([(np.array([1.0, 0.0]),
                              np.array([1j * energy / hbar, 0, 0, 0]))])
     pt = (0.7, 0.0, 0.0, 1.3)

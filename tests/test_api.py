@@ -252,6 +252,14 @@ def _drift(**kw):
     (lambda: fractalspin.ExponentialField([]), "key terms: need at least one"),
     (lambda: fractalspin.rotor_field(0, 1.0, (0.0, 0.0, 1.0)),
      "key axis: need 1, 2 or 3, got 0"),
+    (lambda: fractalspin.rotor_field(4, 1.0, (0.0, 0.0, 1.0)),
+     "key axis: need 1, 2 or 3, got 4"),
+    # a float axis ended in a bare TypeError, "tuple indices must be
+    # integers or slices", and True was taken as axis 1
+    (lambda: fractalspin.rotor_field(1.0, 1.0, (0.0, 0.0, 1.0)),
+     "key axis: need 1, 2 or 3, got 1.0"),
+    (lambda: fractalspin.rotor_field(True, 1.0, (0.0, 0.0, 1.0)),
+     "key axis: need 1, 2 or 3, got True"),
     (lambda: fractalspin.Biquaternion.from_matrix(np.eye(3)),
      r"key m: need a 2x2 matrix, got shape \(3, 3\)"),
     # ExponentialField: orders (0, -1, 0, 0) returned the second
@@ -503,10 +511,56 @@ def _drift(**kw):
     # IndexError
     (lambda: fractalspin.dynamics.upper_components(_WAVE),
      "term 0 amplitude: need four finite numbers, got Biquaternion"),
+    # a bool was taken as the number 1 or 0, alone or among numbers
+    (lambda: fractalspin.SimConfig(dt=True),
+     "key dt: need a finite number > 0, got True"),
+    (lambda: fractalspin.geodesic_residual(_WAVE, True, _PT),
+     "key diffusion: need a finite number, got True"),
+    (lambda: fractalspin.pauli_residual(_PHI, _FREE, _PT, g=True),
+     "key g: need a finite number, got True"),
+    (lambda: fractalspin.plane_wave(fractalspin.ONE, (0, 0, True), 0.5),
+     r"term 0 p: need three finite numbers, got \(0, 0, True\)"),
+    (lambda: fractalspin.EMField(a0=lambda pt: True).a0(_PT),
+     "key a0: need a finite number, got True"),
+    (lambda: _PW.value((True, 1.0, 0.0, 0.0)),
+     r"key point: need four finite numbers, got \(True, 1.0, 0.0, 0.0\)"),
+    (lambda: _WAVE.value((True, 1.0, 0.0, 0.0)),
+     r"key point: need four finite numbers, got \(True, 1.0, 0.0, 0.0\)"),
+    (lambda: fractalspin.rms_increments(np.zeros((11, 3)), [True, 5]),
+     r"lags must lie in \[1, 10\] as whole numbers for a path of 10 "
+     r"steps, got \[True, 5\]"),
+    (lambda: fractalspin.sample_box(((0, True),) + ((0, 1),) * 3, 2),
+     r"key bounds: need four \(lo, hi\) pairs, got \(\(0, True\), "),
+    # ragged lags ended in numpy's bare ValueError, numeric strings were
+    # taken as lags
+    (lambda: fractalspin.rms_increments(np.zeros((11, 3)), [[1, 2], [3]]),
+     r"lags must lie in \[1, 10\] as whole numbers for a path of 10 "
+     r"steps, got \[\[1, 2\], \[3\]\]"),
+    (lambda: fractalspin.rms_increments(np.zeros((11, 3)), ["1", "5"]),
+     r"lags must lie in \[1, 10\] as whole numbers for a path of 10 "
+     r"steps, got \['1', '5'\]"),
     # ragged lag times ended in numpy's bare ValueError
     (lambda: fractalspin.crossover_lag([[1, 2], [3]], [1, 2]),
      r"key lag_times: need finite numbers > 0, got \[\[1, 2\], \[3\]\]"),
 ])
 def test_argument_refusals_are_config_errors(call, message):
     with pytest.raises(fractalspin.ConfigError, match=message):
+        call()
+
+
+_CURVE = fractalspin.iterate(fractalspin.helical_generator(), 2)
+
+
+@pytest.mark.parametrize("call, message", [
+    # each bool below was taken as the number 1 or 0
+    (lambda: fractalspin.curve_spin(_CURVE, m=True, v=1.0),
+     "key m: need a finite number > 0, got True"),
+    (lambda: fractalspin.measured_dimension(_CURVE, min_decades=True),
+     "key min_decades: need a number, got True"),
+    (lambda: fractalspin.divider_walk([[0.0, 0.0, 0.0], [True, 0.0, 0.0]],
+                                      0.5),
+     r"need an \(n, 3\) vertex array with n >= 2"),
+])
+def test_curve_refusals_take_no_bool_for_a_number(call, message):
+    with pytest.raises(fractalspin.GeometryInvalid, match=message):
         call()

@@ -32,9 +32,9 @@ FREE = EMField()
 
 
 def _complex_wave(amp, p, energy, hbar=1.0):
-    """Standard-convention scalar wave a * exp(i (p.r - E t)/hbar) carried
-    on the biquaternion scalar slot."""
-    k4 = (1j / hbar) * np.array([-energy, p[0], p[1], p[2]], dtype=complex)
+    """Scalar wave a * exp(-i (p.r - E t)/hbar), the phase of
+    fractalspin.fields, carried on the biquaternion scalar slot."""
+    k4 = (1j / hbar) * np.array([energy, -p[0], -p[1], -p[2]], dtype=complex)
     return (amp * ONE, k4)
 
 
@@ -114,7 +114,7 @@ def test_covariant_derivative_on_x_squared():
     d = 0.35
     f = NumericField(lambda pt: pt[1] ** 2 + 0j, h=1e-3)
     out = covariant_derivative(lambda pt: [0.0, 0.0, 0.0], d, f, (0, 5.0, 1.0, -2.0))
-    assert abs(out - (-2j * d)) < 1e-6
+    assert abs(out - 2j * d) < 1e-6
 
 
 def test_covariant_derivative_picks_out_velocity():
@@ -154,18 +154,18 @@ def test_geodesic_residual_grows_with_detuning():
     s1, s2 = size(0.1), size(0.2)
     assert s1 > 1e-3
     assert s2 / s1 == pytest.approx(2.0, rel=0.15)
-    # analytic form: R_k = -(i/hbar) * detune * d_k[(psi-1)/psi]
+    # analytic form: R_k = (i/hbar) * detune * d_k[(psi-1)/psi]
     f = _onshell_superposition(0.4, p, detune=0.1)
     val = f.value(pt).a[0]
     dx = f.derivative(pt, (0, 1, 0, 0)).a[0]
-    expect = -(1j / hbar) * 0.1 * dx / val**2
+    expect = (1j / hbar) * 0.1 * dx / val**2
     got = geodesic_residual(f, d, pt)[0].a[0]
     assert abs(got - expect) < 1e-10
 
 
 def test_geodesic_residual_against_covariant_derivative_route():
-    # same operator assembled independently: (d_t + V.grad - iD lap) G_k
-    # with V_j = -2iD G_j, G wrapped as a numerically differentiated field
+    # same operator assembled independently: (d_t + V.grad + iD lap) G_k
+    # with V_j = +2iD G_j, G wrapped as a numerically differentiated field
     d = 0.5
     f = product_field(rotor_field(1, 0.4, [0.3, 0.0, -0.2]),
                       rotor_field(2, -0.7, [0.0, 0.5, 0.1]))
@@ -180,7 +180,7 @@ def test_geodesic_residual_against_covariant_derivative_route():
     def velocity(q):
         inv = f.value(q).inverse()
         return [(inv * f.derivative(q, tuple(1 if i == k else 0 for i in range(4))))
-                * (-2j * d) for k in (1, 2, 3)]
+                * (2j * d) for k in (1, 2, 3)]
 
     direct = geodesic_residual(f, d, pt)
     for k in (1, 2, 3):
@@ -289,11 +289,11 @@ def test_pauli_residual_free_wave():
 
 
 def test_pauli_residual_magnetic_anchor():
-    # uniform B, spin-up, p = 0, E = -e hbar B0 / (2 m c): on the z-axis
+    # uniform B, spin-up, p = 0, E = +e hbar B0 / (2 m c): on the z-axis
     # the g = 2 residual vanishes identically, g = 1 leaves e hbar B0/(4mc)
     m, c, hbar, e, b0 = 1.0, 1.0, 1.0, 1.0, 0.9
     em = uniform_b_field(b0)
-    energy = -e * hbar * b0 / (2 * m * c)
+    energy = e * hbar * b0 / (2 * m * c)
     phi = ExponentialField([(np.array([1.0, 0.0]),
                              np.array([1j * energy / hbar, 0, 0, 0]))])
     pt = (0.7, 0.0, 0.0, 1.3)
@@ -403,7 +403,7 @@ def _old_covariant_derivative(velocity, diffusion, f, pt):
         o[k + 1] = 2
         piece = f.derivative(pt, tuple(o))
         lap = piece if lap is None else lap + piece
-    return out + lap * (-1j * diffusion)
+    return out + lap * (1j * diffusion)
 
 
 def _old_geodesic_residual(field, diffusion, pt):
@@ -432,7 +432,7 @@ def _old_geodesic_residual(field, diffusion, pt):
             lap_piece = (gj * (gj * gk)) * 2.0 - h[(j, j)] * gk \
                 - (gj * h[(j, k)]) * 2.0 + d3
             lap = lap_piece if lap is None else lap + lap_piece
-        out.append(dt_gk + (conv + lap * 0.5) * (-2j * diffusion))
+        out.append(dt_gk + (conv + lap * 0.5) * (2j * diffusion))
     return out
 
 
@@ -495,7 +495,7 @@ def _old_acceleration_field(field, diffusion, pt):
             piece = field.derivative(pt, o3)
             lap_k = piece if lap_k is None else lap_k + piece
         grad_term = lap_k * inv - lap * (inv * (d1[k] * inv))
-        out.append(dt_gk + grad_term * (-2j * diffusion))
+        out.append(dt_gk + grad_term * (2j * diffusion))
     return out
 
 
