@@ -337,6 +337,19 @@ def _drift(**kw):
      "key omega: need a finite number, got nan"),
     (lambda: fractalspin.dirac_plane_wave((1, 0), (0, 0, 1), m=np.nan),
      "key m: need a finite number > 0, got nan"),
+    # a core radius whose square underflows to 0: a single path on the
+    # axis ended in a bare ZeroDivisionError, 0/0 in Python floats, and
+    # an ensemble was reported as "ensemble paths overflow"
+    (lambda: fractalspin.integrate_stochastic(
+        fractalspin.SimConfig(x0=(0, 0, 0), dt=1e-323, n_steps=3)),
+     r"keys D and dt: need the core radius 10 sqrt\(2 D dt\) to square "
+     r"to a number > 0, got D = 0.05, dt = 1e-323"),
+    (lambda: fractalspin.ensemble_run(
+        fractalspin.SimConfig(x0=(0, 0, 0), dt=1e-323, n_steps=3,
+                              n_traj=2)),
+     r"keys D and dt: .*, got D = 0.05, dt = 1e-323"),
+    (lambda: fractalspin.spiral_preset(diffusion=5e-324),
+     r"keys D and dt: .*, got D = 5e-324, dt = 0.01"),
     # fractional counts and seeds ended in a TypeError from range or
     # SeedSequence, a two-component x0 in "not enough values to unpack"
     (lambda: fractalspin.SimConfig(n_steps=2.5),

@@ -473,6 +473,21 @@ def test_n_traj_beyond_one_spawn_index_word_exits_2(runner):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("n_traj", ["1", "2"])
+def test_core_radius_underflow_exits_2(runner, n_traj):
+    # 10 sqrt(2 D dt) squares to 0: the single path ended in a bare
+    # ZeroDivisionError, the ensemble in "ensemble paths overflow"
+    result = runner.invoke(main, ["simulate", "--x0", "0,0,0", "--dt",
+                                  "1e-323", "--n-steps", "3",
+                                  "--n-traj", n_traj])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.stderr == (
+        "config error: keys D and dt: need the core radius 10 sqrt(2 D dt) "
+        "to square to a number > 0, got D = 0.05, dt = 1e-323\n")
+    assert result.stdout == ""
+
+
 def test_json_text_writes_numpy_values_as_python_ones():
     assert _json_text({"a": np.array([0.1, 1 / 3, -0.0]),
                        "b": np.float64(0.3), "c": np.bool_(True),

@@ -17,6 +17,7 @@ from fractalspin.simulate import (
     SimConfig,
     Trajectory,
     _integrate_noise_block,
+    _swirl,
     crossover_lag,
     default_lags,
     ensemble_run,
@@ -567,11 +568,81 @@ def _old_rk4(cfg):
     return out
 
 
+def _old_noise_block(cfg: SimConfig, noise: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """Euler-Maruyama for a block of paths sharing a config: the x, y, z
+    columns step with the operations of integrate_stochastic, on arrays.
+
+    noise has shape (n_paths, n_steps, 3) and is the raw eta draw; the
+    sqrt(2 D dt) scale is applied here.  Returns (n_paths, n_steps+1, 3),
+    written into out when given.  noise may be out[:, 1:] itself: step n
+    reads noise row n before it writes position n+1 into the same memory.
+    """
+    n_paths, n_steps, _ = noise.shape
+    core = cfg.core_radius()
+    r2 = core * core
+    dt, k, vz = cfg.dt, cfg.sigma0 / cfg.m, cfg.p0 / cfg.m
+    scale = math.sqrt(2.0 * cfg.diffusion * cfg.dt)
+    x, y, z = (np.full(n_paths, float(v)) for v in cfg.x0)
+    if out is None:
+        out = np.empty((n_paths, n_steps + 1, 3))
+    out[:, 0] = cfg.x0
+    for n in range(n_steps):
+        e = noise[:, n]
+        vx, vy = _swirl(x, y, k, np.maximum(x * x + y * y, r2))
+        x = x + vx * dt + e[:, 0] * scale
+        y = y + vy * dt + e[:, 1] * scale
+        z = z + vz * dt + e[:, 2] * scale
+        out[:, n + 1, 0], out[:, n + 1, 1], out[:, n + 1, 2] = x, y, z
+    return out
+
+
 def _old_stochastic(cfg, seed):
-    # the single path as it ran before: a block of one path
+    # the single path as it ran before: a block of one path, stepped by
+    # the column kernel
     gen = np.random.Generator(np.random.Philox(seed))
-    return _integrate_noise_block(
+    return _old_noise_block(
         cfg, gen.standard_normal((1, cfg.n_steps, 3)))[0]
+
+
+@pytest.mark.parametrize("n_paths", [1, 64, 513])
+@pytest.mark.parametrize("overrides, core_steps", [
+    # starts inside the core radius 0.316: at least 20 steps per path in
+    # the core, so over 1000 for 64 paths; 400 steps are 25 whole chunks
+    # of simulate._STEPS, 300 and 50 end in a part chunk
+    (dict(n_steps=400, x0=(0.01, 0.0, 0.0)), 20),
+    (dict(n_steps=1), 0),
+    (dict(n_steps=300, diffusion=0.3, dt=0.007, m=0.5, p0=-0.7,
+          sigma0=-0.8, x0=(0.2, 0.1, -1.0)), 0),
+    # signed zeros: k = -0.0 turns nothing, and -0.0 + 0.0 rounds to +0.0
+    (dict(n_steps=50, sigma0=-0.0, p0=-0.0, x0=(-0.0, 0.5, -0.0)), 0),
+])
+def test_noise_block_equals_the_column_oracle_bitwise(n_paths, overrides,
+                                                      core_steps):
+    # the chunked (steps, 3, paths) kernel against the one that stepped
+    # the x, y, z columns in the path layout and scaled each noise row in
+    # the step; noise of signed zeros keeps each path's zeros in play
+    cfg = spiral_preset(**overrides)
+    drawn = np.random.Generator(np.random.Philox(n_paths)).standard_normal(
+        (n_paths, cfg.n_steps, 3))
+    for noise in (drawn, np.copysign(0.0, drawn)):
+        want = _old_noise_block(cfg, noise)
+        if noise is drawn:
+            rho2 = want[:, :-1, 0] ** 2 + want[:, :-1, 1] ** 2
+            assert np.count_nonzero(rho2 <= cfg.core_radius() ** 2) \
+                >= core_steps * n_paths
+        # a separate noise array is read, never written
+        kept = noise.copy()
+        assert _same_bits(_integrate_noise_block(cfg, noise), want)
+        assert _same_bits(noise, kept)
+        out = np.full((n_paths, cfg.n_steps + 1, 3), np.nan)
+        assert _integrate_noise_block(cfg, noise, out=out) is out
+        assert _same_bits(out, want) and _same_bits(noise, kept)
+        # noise aliased as rows 1..n of the result
+        buf = np.empty((n_paths, cfg.n_steps + 1, 3))
+        buf[:, 1:] = noise
+        assert _integrate_noise_block(cfg, buf[:, 1:], out=buf) is buf
+        assert _same_bits(buf, want)
 
 
 def _exact_orbit(cfg):
@@ -828,7 +899,7 @@ def test_ensemble_allocation_peak_stays_within_five_block_arrays():
 def test_warm_ensemble_run_allocates_little_beyond_its_block_arrays():
     # two path arrays and an increment array are about 3 blocks; L_z and
     # the lag sums form everything in them, so the rest (generators,
-    # per-step drift arrays) stays under half a block once the first
+    # the stepping buffers) stays under half a block once the first
     # call's one-off allocations are made
     one_block = 512 * 201 * 3 * 8
     cfg = spiral_preset(n_traj=1300, n_steps=200, seed=3)
@@ -913,7 +984,7 @@ def test_noise_block_steps_in_place_bitwise():
     cfg = spiral_preset(n_steps=400, x0=(0.01, 0.0, 0.0))
     noise = np.random.Generator(np.random.Philox(12)).standard_normal(
         (64, cfg.n_steps, 3))
-    want = _integrate_noise_block(cfg, noise)
+    want = _old_noise_block(cfg, noise)
     rho2 = want[:, :-1, 0] ** 2 + want[:, :-1, 1] ** 2
     assert np.count_nonzero(rho2 <= cfg.core_radius() ** 2) > 1000
     buf = np.empty((64, cfg.n_steps + 1, 3))
