@@ -36,9 +36,6 @@ PAULI = (SIGMA1, SIGMA2, SIGMA3)
 
 _IDENT2 = np.eye(2, dtype=complex)
 
-# Built-in scalar types a biquaternion is scaled by without the ABC test.
-_SCALARS = (complex, float, int)
-
 
 def _hamilton(a, b):
     """Hamilton product of two coefficient 4-sequences (works for real or
@@ -109,8 +106,7 @@ class Biquaternion:
 
     def _scale(self, other, op):
         """Each coefficient op a scalar other."""
-        if type(other) not in _SCALARS and not isinstance(other,
-                                                          numbers.Complex):
+        if not isinstance(other, numbers.Complex):
             return NotImplemented
         s = complex(other)
         a0, a1, a2, a3 = self._c
@@ -119,13 +115,6 @@ class Biquaternion:
         return out
 
     def __add__(self, other):
-        cls = type(self)
-        if type(other) is cls:  # fast path: two biquaternions
-            a0, a1, a2, a3 = self._c
-            b0, b1, b2, b3 = other._c
-            out = object.__new__(cls)
-            out._c = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
-            return out
         return self._combine(other, operator.add)
 
     __radd__ = __add__
@@ -140,18 +129,8 @@ class Biquaternion:
         return self._new([-a for a in self._c])
 
     def __mul__(self, other):
-        cls = type(self)
-        kind = type(other)
-        if kind is cls:  # fast path: two biquaternions
-            out = object.__new__(cls)
-            out._c = _hamilton(self._c, other._c)
-            return out
-        if kind in _SCALARS:  # fast path: _scale by a built-in scalar
-            s = complex(other)
-            a0, a1, a2, a3 = self._c
-            out = object.__new__(cls)
-            out._c = (a0 * s, a1 * s, a2 * s, a3 * s)
-            return out
+        if isinstance(other, Biquaternion):
+            return self._new(_hamilton(self._c, other._c))
         return self._scale(other, operator.mul)
 
     def __rmul__(self, other):

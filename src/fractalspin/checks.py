@@ -170,16 +170,17 @@ def run_hyperhelix(seed: int) -> list[dict]:
                                    - 1.0)))
     exact = similarity_dimension(9, 3) == 2.0
     helix = iterate(helical_generator(), 3)
-    s1 = curve_spin(helix, m=1.0, v=1.0)
-    s2 = curve_spin(helix, m=6.0, v=0.05)
-    indep = abs(s2 - s1) <= 1e-12 * abs(s1)
+    sigma = curve_spin(helix, m=1.0, v=1.0)
+    # the sign of the spin is the handedness: z -> -z mirrors the winding
+    mirrored = curve_spin(helix * np.array([1.0, 1.0, -1.0]), m=1.0, v=1.0)
+    flip = abs(mirrored + sigma) / abs(sigma) if sigma else math.inf
     return [
         _check("koch divider lengths exact", koch_err < 1e-9,
                f"max relative error {koch_err:.2e}"),
         _check("similarity dimension exactly two", exact,
                f"log 9 / log 3 = {similarity_dimension(9, 3)!r}"),
-        _check("spin independent of mass and speed", indep,
-               f"sigma = {s1:.6f} hbar"),
+        _check("mirrored helix spins the other way", flip <= 1e-12,
+               f"sigma = {sigma:.6f} hbar, mirrored off by {flip:.1e}"),
     ]
 
 

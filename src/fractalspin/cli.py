@@ -6,7 +6,8 @@ diffusion constant can be given directly as D or through a Compton pair
 lambda_c and c with 2 D = lambda_c * c.
 
 Exit codes: 0 success, 1 check failure, 2 config error, 3 numerical or
-geometric failure, including output that would hold an inf or a nan.
+geometric failure, including output that would hold an inf or a nan and
+a run whose arrays do not fit in memory.
 Relative --out paths resolve inside the directory named by
 FRACTALSPIN_OUTDIR when that variable is set.
 """
@@ -187,8 +188,9 @@ def _exit_codes(fn):
         except ConfigError as exc:
             click.echo(f"config error: {exc}", err=True)
             sys.exit(2)
-        except FractalSpinError as exc:
-            click.echo(f"numerical error: {exc}", err=True)
+        except (FractalSpinError, MemoryError) as exc:
+            click.echo(f"numerical error: {str(exc) or 'out of memory'}",
+                       err=True)
             sys.exit(3)
     return wrapper
 

@@ -20,15 +20,17 @@ with the drift denominator regularized as max(rho^2, r_core^2) so a path
 that diffuses through the axis does not blow up; r_core is ten noise step
 lengths, 10 sqrt(2 D dt) (SimConfig.core_radius).
 
-A single stochastic path steps in Python floats (the deterministic rows
-are the closed-form flow's, not stepped): on three numbers a step costs
+The deterministic rows are not stepped: each is the closed-form flow's
+at its own n, and all of them are formed at once on arrays.  A single
+stochastic path steps in Python floats: on three numbers a step costs
 less that way than the numpy calls on 3-element arrays would.  Ensembles
-step a block of paths at once, x, y and z each a row of paths, with
-eight numpy calls per step into preallocated buffers that hold 16 steps
-of the block.  The single stochastic path and the ensemble block both form
-the drift as k (-y, x) / max(rho^2, r_core^2) and step each coordinate
-as (x + v dt) + eta sqrt(2 D dt), with the same operations in the same
-order, so a single path equals the matching ensemble path bit for bit.
+step a block of paths at once in one path array, in place, x, y and z
+each a row of paths, with eight numpy calls per step into preallocated
+buffers that hold 16 steps of the block.  The single stochastic path and
+the ensemble block both form the drift as k (-y, x) / max(rho^2,
+r_core^2) and step each coordinate as (x + v dt) + eta sqrt(2 D dt),
+with the same operations in the same order, so a single path equals the
+matching ensemble path bit for bit.
 
 An ensemble runs in blocks of paths.  The main thread draws a block's
 noise into rows 1..n of a path array and steps it there in place, while
@@ -142,11 +144,11 @@ class Trajectory:
     config: SimConfig
 
 
-def _swirl(x, y, k: float, denom):
+def _swirl(x: float, y: float, k: float, denom: float):
     """Transverse drift (vx, vy) = k (-y, x) / denom with k = sigma0/m,
-    on floats or arrays alike; the caller picks denom, rho^2 or rho^2
-    held at the core radius squared inside the core.  The ensemble block
-    forms the same quotients in its own buffers."""
+    on Python floats; the caller picks denom, rho^2 or rho^2 held at the
+    core radius squared inside the core.  The ensemble block forms the
+    same quotients in its own buffers."""
     return -k * y / denom, k * x / denom
 
 
@@ -170,19 +172,15 @@ def spiral_drift(pos, m: float, p0: float, sigma0: float) -> np.ndarray:
     return np.array([vx, vy, p0 / m])
 
 
-def _trajectory(cfg: SimConfig, buf: array) -> Trajectory:
-    """The path of cfg whose n+1 positions buf holds as flat floats."""
-    return Trajectory(np.arange(cfg.n_steps + 1) * cfg.dt,
-                      np.frombuffer(buf, dtype=float).reshape(-1, 3), cfg)
-
-
 def integrate_deterministic(cfg: SimConfig) -> Trajectory:
     """The drift's exact flow from cfg.x0: row n is the start turned about
     the z axis by n theta, theta = k dt / rho^2 with k = sigma0/m, and
     moved n dt p0/m along z.  rho^2 is the flow's invariant, so theta is
     formed once; each row takes its own cosine and sine of n theta, so
     rounding does not build up from row to row and rho holds to a few
-    ulp at any step size and length.  Raises AxisSingularity when the
+    ulp at any step size and length.  The rows are formed on arrays of
+    n, each with the float operations of the row alone, and row 0 is the
+    start itself, signed zeros included.  Raises AxisSingularity when the
     start lies on the axis (rho^2 = 0), and NumericalError when the turn
     over the run is not finite (a rho^2 that underflows to a subnormal,
     or k dt overflowing)."""
@@ -194,14 +192,16 @@ def integrate_deterministic(cfg: SimConfig) -> Trajectory:
             f"spiral turn over the run, {cfg.n_steps} x {theta!r} rad at "
             f"rho = {math.hypot(x0, y0):.3e}, is not finite")
     dz = cfg.p0 / cfg.m * cfg.dt
-    cos, sin = math.cos, math.sin
-    buf = array("d", (x0, y0, z0))
-    put = buf.extend
-    for n in range(1, cfg.n_steps + 1):
-        turn = n * theta
-        c, s = cos(turn), sin(turn)
-        put((c * x0 - s * y0, s * x0 + c * y0, z0 + n * dz))
-    return _trajectory(cfg, buf)
+    steps = np.arange(cfg.n_steps + 1)
+    n = steps[1:]
+    turn = n * theta
+    c, s = np.cos(turn), np.sin(turn)
+    positions = np.empty((cfg.n_steps + 1, 3))
+    positions[0] = x0, y0, z0
+    positions[1:, 0] = c * x0 - s * y0
+    positions[1:, 1] = s * x0 + c * y0
+    positions[1:, 2] = z0 + n * dz
+    return Trajectory(steps * cfg.dt, positions, cfg)
 
 
 def _hashmix(word, const: int, mult: int):
@@ -262,35 +262,30 @@ def _philox_keys(seed: int, start: int, size: int) -> np.ndarray:
     return keys
 
 
-def _integrate_noise_block(cfg: SimConfig, noise: np.ndarray,
-                           out: np.ndarray | None = None) -> np.ndarray:
+def _integrate_noise_block(cfg: SimConfig, paths: np.ndarray) -> None:
     """Euler-Maruyama for a block of paths sharing a config, with the
-    operations of integrate_stochastic on arrays.
+    operations of integrate_stochastic on arrays, in place.
 
-    noise has shape (n_paths, n_steps, 3) and is the raw eta draw.  Returns
-    (n_paths, n_steps+1, 3), written into out when given.  noise may be
-    out[:, 1:] itself; a separate noise array is never written.
+    paths has shape (n_paths, n_steps+1, 3).  Rows 1..n hold the raw eta
+    draws on entry and the positions on return; row 0 is set to the
+    start.
 
     The block steps _STEPS rows at a time in one (_STEPS + 1, 3, n_paths)
     buffer, x, y and z each a contiguous row of paths: the rows' noise is
-    read from the path layout and scaled by sqrt(2 D dt) into it in one
+    read from the path array and scaled by sqrt(2 D dt) into it in one
     call, each step writes its position over the noise it adds, and the
-    positions go back into the path layout in one call.  A chunk reads
-    its noise before it writes the same rows of out, so noise aliased as
-    out[:, 1:] is read before it is overwritten.  Each step makes eight
-    numpy calls: rho^2 = x^2 + y^2 held at the core radius squared, the
-    transverse drift k (-y, x) / rho^2 of both rows at once, its step
-    v dt, the move by it (z's step is vz dt) and the scaled noise.  Every
-    entry is (x + v dt) + eta sqrt(2 D dt), the operations of the single
-    path in the same order, so the two agree bit for bit.
+    positions go back over the same rows of the path array in one call.
+    Each step makes eight numpy calls: rho^2 = x^2 + y^2 held at the core
+    radius squared, the transverse drift k (-y, x) / rho^2 of both rows at
+    once, its step v dt, the move by it (z's step is vz dt) and the scaled
+    noise.  Every entry is (x + v dt) + eta sqrt(2 D dt), the operations
+    of the single path in the same order, so the two agree bit for bit.
     """
-    n_paths, n_steps, _ = noise.shape
+    n_paths, n_steps = paths.shape[0], paths.shape[1] - 1
     core = cfg.core_radius()
     dt, k, vz = cfg.dt, cfg.sigma0 / cfg.m, cfg.p0 / cfg.m
     scale = math.sqrt(2.0 * cfg.diffusion * cfg.dt)
-    if out is None:
-        out = np.empty((n_paths, n_steps + 1, 3))
-    out[:, 0] = cfg.x0
+    paths[:, 0] = cfg.x0
     # row 0 holds the position the chunk starts from
     rows = np.empty((_STEPS + 1, 3, n_paths))
     rows[0].T[:] = cfg.x0
@@ -307,7 +302,7 @@ def _integrate_noise_block(cfg: SimConfig, noise: np.ndarray,
     for start in range(0, n_steps, _STEPS):
         stop = min(start + _STEPS, n_steps)
         chunk = rows[1:stop - start + 1]
-        np.multiply(noise[:, start:stop].transpose(1, 2, 0), scale,
+        np.multiply(paths[:, start + 1:stop + 1].transpose(1, 2, 0), scale,
                     out=chunk)
         pos = rows[0]
         for eta in chunk:
@@ -319,9 +314,8 @@ def _integrate_noise_block(cfg: SimConfig, noise: np.ndarray,
             np.multiply(swirl, dt, out=swirl_step)
             np.add(pos, step, out=moved)
             pos = np.add(moved, eta, out=eta)
-        out[:, start + 1:stop + 1] = chunk.transpose(2, 0, 1)
+        paths[:, start + 1:stop + 1] = chunk.transpose(2, 0, 1)
         rows[0] = pos
-    return out
 
 
 def integrate_stochastic(cfg: SimConfig, seed=None) -> Trajectory:
@@ -358,7 +352,8 @@ def integrate_stochastic(cfg: SimConfig, seed=None) -> Trajectory:
             y = y + vy * dt + e1 * scale
             z = z + vz * dt + e2 * scale
             put((x, y, z))
-    return _trajectory(cfg, buf)
+    return Trajectory(np.arange(cfg.n_steps + 1) * cfg.dt,
+                      np.frombuffer(buf, dtype=float).reshape(-1, 3), cfg)
 
 
 def lz_series(traj: Trajectory, mode: str = "forward") -> np.ndarray:
@@ -648,13 +643,13 @@ def ensemble_run(cfg: SimConfig, lags=None) -> EnsembleResult:
         pooled = None  # the block being pooled
         for i, start in enumerate(range(0, cfg.n_traj, _BLOCK)):
             size = min(_BLOCK, cfg.n_traj - start)
-            buf = path_bufs[i % 2][:size]
-            noise = buf[:, 1:]
-            for key, row in zip(_philox_keys(cfg.seed, start, size), noise):
+            paths = path_bufs[i % 2][:size]
+            for key, row in zip(_philox_keys(cfg.seed, start, size),
+                                paths[:, 1:]):
                 stream["key"] = key
                 bitgen.state = state
                 gen.standard_normal(out=row)
-            paths = _integrate_noise_block(cfg, noise, out=buf)
+            _integrate_noise_block(cfg, paths)
             if pooled is not None:
                 pooled.result()
             pooled = helper.submit(pool, paths)

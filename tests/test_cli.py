@@ -227,6 +227,16 @@ def test_algebra_check_counts_zero_divisor_skips(monkeypatch):
         checks.run_algebra(0)  # only zero divisors are skipped
 
 
+@pytest.mark.parametrize("spin", [0.7, 0.0])
+def test_hyperhelix_check_fails_a_spin_blind_to_handedness(monkeypatch,
+                                                           spin):
+    # a spin that does not flip with the winding, or that is 0, fails
+    monkeypatch.setattr(checks, "curve_spin", lambda verts, m, v: spin)
+    line = {c["name"]: c for c in checks.run_hyperhelix(0)}[
+        "mirrored helix spins the other way"]
+    assert not line["passed"]
+
+
 def test_check_command(runner):
     result = runner.invoke(main, ["check", "--suite", "algebra",
                                   "--suite", "hyperhelix"])
@@ -485,6 +495,33 @@ def test_core_radius_underflow_exits_2(runner, n_traj):
     assert result.stderr == (
         "config error: keys D and dt: need the core radius 10 sqrt(2 D dt) "
         "to square to a number > 0, got D = 0.05, dt = 1e-323\n")
+    assert result.stdout == ""
+
+
+_TOO_LARGE = ("Unable to allocate 22.4 TiB for an array with shape "
+              "(1000000000000, 3) and data type float64")
+
+
+@pytest.mark.parametrize("args, integrator, error, said", [
+    (["simulate"], "integrate_stochastic", MemoryError(_TOO_LARGE),
+     _TOO_LARGE),
+    (["simulate", "--n-traj", "2"], "ensemble_run", MemoryError(),
+     "out of memory"),
+    (["spiral"], "integrate_deterministic", MemoryError(_TOO_LARGE),
+     _TOO_LARGE),
+])
+def test_run_too_large_for_memory_exits_3(runner, monkeypatch, args,
+                                          integrator, error, said):
+    # the integrator stands in for numpy refusing the allocation, which
+    # ended in a traceback with exit 1
+    def too_large(*args):
+        raise error
+
+    monkeypatch.setattr(cli, integrator, too_large)
+    result = runner.invoke(main, args + ["--n-steps", "1000000000000"])
+    assert result.exit_code == 3
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.stderr == f"numerical error: {said}\n"
     assert result.stdout == ""
 
 

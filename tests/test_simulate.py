@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from fractalspin.simulate import (
     SimConfig,
     Trajectory,
     _integrate_noise_block,
-    _swirl,
     crossover_lag,
     default_lags,
     ensemble_run,
@@ -134,7 +134,7 @@ def test_ensemble_path_matches_standalone_child_seed():
     gens = [np.random.Generator(np.random.Philox(child))
             for child in np.random.SeedSequence(11).spawn(5)]
     noise = np.stack([g.standard_normal((80, 3)) for g in gens])
-    paths = _integrate_noise_block(cfg, noise)
+    paths = _stepped(cfg, noise)
     assert np.array_equal(paths[3], standalone.positions)
 
 
@@ -308,7 +308,7 @@ def test_ensemble_statistics_match_single_path_tools():
         np.random.Generator(np.random.Philox(child)).standard_normal(
             (cfg.n_steps, 3))
         for child in np.random.SeedSequence(cfg.seed).spawn(cfg.n_traj)])
-    paths = _integrate_noise_block(cfg, noise)
+    paths = _stepped(cfg, noise)
     _, rms = rms_increments(paths, default_lags(cfg.n_steps))
     assert np.array_equal(res.lag_rms, rms)
     assert res.hurst is not None
@@ -390,10 +390,9 @@ def _recorded_blocks(monkeypatch):
     blocks = []
     integrate = simulate._integrate_noise_block
 
-    def recording(cfg, noise, out=None):
-        paths = integrate(cfg, noise, out=out)
+    def recording(cfg, paths):
+        integrate(cfg, paths)
         blocks.append(paths.copy())
-        return paths
 
     monkeypatch.setattr(simulate, "_integrate_noise_block", recording)
     return blocks
@@ -409,7 +408,7 @@ def test_ensemble_spawns_per_block_as_one_sequence(monkeypatch):
     noise = np.stack([
         np.random.Generator(np.random.Philox(child)).standard_normal((20, 3))
         for child in np.random.SeedSequence(21).spawn(1300)])
-    rebuilt = _integrate_noise_block(cfg, noise)
+    rebuilt = _stepped(cfg, noise)
     assert np.array_equal(np.concatenate(blocks), rebuilt)
 
 
@@ -531,21 +530,10 @@ def _old_drift(pos, m, p0, sigma0):
 def test_drift_kernel_equals_the_old_formulas():
     rng = np.random.default_rng(31)
     pts = rng.standard_normal((200, 3)) * 10.0 ** rng.integers(-3, 3, (200, 1))
-    m, p0, sigma0, core = 1.7, -0.4, 0.9, 0.05
+    m, p0, sigma0 = 1.7, -0.4, 0.9
     for pos in pts:
         assert np.array_equal(spiral_drift(pos, m, p0, sigma0),
                               _old_drift(pos, m, p0, sigma0))
-    # the block drift as written before the shared kernel, against _swirl
-    # on arrays with the held denominator the ensemble step gives it
-    rho2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
-    denom = np.maximum(rho2, core * core)
-    old_vx = -(sigma0 / m) * pts[:, 1] / denom
-    old_vy = (sigma0 / m) * pts[:, 0] / denom
-    assert np.count_nonzero(rho2 <= core * core) > 5
-    x, y = pts[:, 0], pts[:, 1]
-    vx, vy = simulate._swirl(x, y, sigma0 / m,
-                             np.maximum(x * x + y * y, core ** 2))
-    assert np.array_equal(vx, old_vx) and np.array_equal(vy, old_vy)
 
 
 def _old_rk4(cfg):
@@ -589,7 +577,8 @@ def _old_noise_block(cfg: SimConfig, noise: np.ndarray,
     out[:, 0] = cfg.x0
     for n in range(n_steps):
         e = noise[:, n]
-        vx, vy = _swirl(x, y, k, np.maximum(x * x + y * y, r2))
+        denom = np.maximum(x * x + y * y, r2)
+        vx, vy = -k * y / denom, k * x / denom
         x = x + vx * dt + e[:, 0] * scale
         y = y + vy * dt + e[:, 1] * scale
         z = z + vz * dt + e[:, 2] * scale
@@ -603,6 +592,48 @@ def _old_stochastic(cfg, seed):
     gen = np.random.Generator(np.random.Philox(seed))
     return _old_noise_block(
         cfg, gen.standard_normal((1, cfg.n_steps, 3)))[0]
+
+
+def _stepped(cfg, noise):
+    # the path array _integrate_noise_block steps in place: noise of shape
+    # (n_paths, n_steps, 3) in rows 1..n on entry
+    paths = np.empty((len(noise), cfg.n_steps + 1, 3))
+    paths[:, 1:] = noise
+    _integrate_noise_block(cfg, paths)
+    return paths
+
+
+def _old_exact_flow(cfg):
+    # integrate_deterministic's rows as its per-row Python loop formed
+    # them before the rows were formed on arrays
+    x0, y0, z0 = (float(v) for v in cfg.x0)
+    k = cfg.sigma0 / cfg.m
+    theta = k * cfg.dt / (x0 * x0 + y0 * y0)
+    dz = cfg.p0 / cfg.m * cfg.dt
+    cos, sin = math.cos, math.sin
+    buf = array("d", (x0, y0, z0))
+    put = buf.extend
+    for n in range(1, cfg.n_steps + 1):
+        turn = n * theta
+        c, s = cos(turn), sin(turn)
+        put((c * x0 - s * y0, s * x0 + c * y0, z0 + n * dz))
+    return np.frombuffer(buf, dtype=float).reshape(-1, 3)
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(n_steps=100_000),
+    dict(n_steps=500, sigma0=-0.8, m=0.5),
+    dict(n_steps=500, p0=0.0),
+    dict(n_steps=500, x0=(-0.0, -0.7, 0.3)),
+    # 50 rad a step
+    dict(n_steps=500, x0=(0.01, 0.0, 0.0)),
+    dict(n_steps=1),
+])
+def test_exact_flow_equals_the_row_loop_bitwise(overrides):
+    cfg = spiral_preset(**overrides)
+    traj = integrate_deterministic(cfg)
+    assert _same_bits(traj.positions, _old_exact_flow(cfg))
+    assert _same_bits(traj.times, np.arange(cfg.n_steps + 1) * cfg.dt)
 
 
 @pytest.mark.parametrize("n_paths", [1, 64, 513])
@@ -631,17 +662,10 @@ def test_noise_block_equals_the_column_oracle_bitwise(n_paths, overrides,
             rho2 = want[:, :-1, 0] ** 2 + want[:, :-1, 1] ** 2
             assert np.count_nonzero(rho2 <= cfg.core_radius() ** 2) \
                 >= core_steps * n_paths
-        # a separate noise array is read, never written
-        kept = noise.copy()
-        assert _same_bits(_integrate_noise_block(cfg, noise), want)
-        assert _same_bits(noise, kept)
-        out = np.full((n_paths, cfg.n_steps + 1, 3), np.nan)
-        assert _integrate_noise_block(cfg, noise, out=out) is out
-        assert _same_bits(out, want) and _same_bits(noise, kept)
-        # noise aliased as rows 1..n of the result
-        buf = np.empty((n_paths, cfg.n_steps + 1, 3))
+        # noise in rows 1..n of the path array, row 0 not yet the start
+        buf = np.full((n_paths, cfg.n_steps + 1, 3), np.nan)
         buf[:, 1:] = noise
-        assert _integrate_noise_block(cfg, buf[:, 1:], out=buf) is buf
+        assert _integrate_noise_block(cfg, buf) is None
         assert _same_bits(buf, want)
 
 
@@ -811,7 +835,7 @@ def _ensemble_allocating_per_block(cfg, lags):
             np.random.Generator(np.random.Philox(child)).standard_normal(
                 (cfg.n_steps, 3))
             for child in children])
-        paths = _integrate_noise_block(cfg, noise)
+        paths = _stepped(cfg, noise)
         path_sum += paths.sum(axis=0)
         inc = paths[:, 1:] - paths[:, :-1]
         inc_sum += np.einsum("pnk->k", inc)
@@ -861,7 +885,7 @@ def test_lag_sums_with_scratch_equal_fresh_differences_bitwise():
     cfg = spiral_preset(n_traj=40, n_steps=90, seed=8)
     noise = np.random.Generator(np.random.Philox(8)).standard_normal(
         (40, 90, 3))
-    block = _integrate_noise_block(cfg, noise)
+    block = _stepped(cfg, noise)
     lags = np.array([1, 2, 3, 10, 45, 90])
     # one path, a block of them, and a block of 1-d walks (its y components)
     for x in (block[5], block, block[..., 1:2]):
@@ -989,9 +1013,8 @@ def test_noise_block_steps_in_place_bitwise():
     assert np.count_nonzero(rho2 <= cfg.core_radius() ** 2) > 1000
     buf = np.empty((64, cfg.n_steps + 1, 3))
     buf[:, 1:] = noise
-    got = _integrate_noise_block(cfg, buf[:, 1:], out=buf)
-    assert got is buf
-    assert _same_bits(got, want)
+    _integrate_noise_block(cfg, buf)
+    assert _same_bits(buf, want)
 
 
 def test_overflow_under_a_raising_errstate_is_a_numerical_error():
@@ -1054,11 +1077,11 @@ def test_main_thread_failure_waits_for_the_helper(monkeypatch, helper_fails):
             raise RuntimeError("pooling failed")
         return lz(*args)
 
-    def failing_second(cfg, noise, out=None):
-        blocks.append(len(noise))
+    def failing_second(cfg, paths):
+        blocks.append(len(paths))
         if len(blocks) == 2:
             raise ValueError("stepping failed")
-        return integrate(cfg, noise, out=out)
+        integrate(cfg, paths)
 
     monkeypatch.setattr(simulate, "_lz", slow_lz)
     monkeypatch.setattr(simulate, "_integrate_noise_block", failing_second)
